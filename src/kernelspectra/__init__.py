@@ -14,8 +14,8 @@ from .kernels import (INNER_PRODUCT, KEEP, SQUARED_DISTANCE, ZERO, Envelope,
                       EnvelopeAnalytic, KernelMatrix, KernelSpec, build, gram,
                       linearized, parse_envelope, single_entry_swap,
                       squared_distances, transference_linearized)
-from .limit_solver import (LimitLaw, law_cdf, load_limit_law,
-                           save_limit_law, solve_grid, solve_point)
+from .limit_solver import (LimitLaw, load_limit_law, save_limit_law,
+                           solve_grid, solve_point)
 from .mp_theory import (AffineMPLaw, mp_atom_mass, mp_cdf, mp_density,
                         mp_stieltjes, mp_support, predicted_law)
 from .orthopoly import (AdmissibleParams, MomentSequence, OrthoBasis,
@@ -44,7 +44,7 @@ __all__ = [
     "MomentSequence", "OrthoBasis", "AdmissibleParams", "xi_moments",
     "hermite", "orthopoly_from_moments", "build_basis", "envelope_coeffs",
     "hermite_deviation", "gaussian_limit_moments",
-    "LimitLaw", "solve_point", "solve_grid", "law_cdf",
+    "LimitLaw", "solve_point", "solve_grid",
     "save_limit_law", "load_limit_law",
     "ExperimentConfig", "ExperimentResult", "PerturbationReport",
     "parse_config", "load_config", "run_universality", "run_l2_perturbation",

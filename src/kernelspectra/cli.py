@@ -8,18 +8,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from .ensembles import (VectorEnsemble, concentration_diagnostic,
                         moment_diagnostic, sample_matrix)
 from .errors import KernelSpectraError
-from .experiments import (law_table, load_config, parse_config,
-                          run_universality)
+from .experiments import (ExperimentConfig, load_config, parse_config,
+                          run_universality, trial_samples, write_law_csv)
 from .kernels import KernelSpec, build, parse_envelope, single_entry_swap
 from .limit_solver import save_limit_law, solve_grid
-from .mp_theory import AffineMPLaw
+from .mp_theory import AffineMPLaw, predicted_law
 from .orthopoly import envelope_coeffs
 from .spectral import ESD, eigenvalues, save_esd
 
@@ -93,13 +92,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    spec = KernelSpec(args.kernel, args.diag, parse_envelope(args.envelope))
-    ens = VectorEnsemble(args.ensemble, args.p)
-    all_samples = []
-    for t in range(max(args.trials, 1)):
-        S = sample_matrix(ens, args.n, args.seed + t)
-        all_samples.append(eigenvalues(build(spec, S)))
-    pooled = ESD.pooled(all_samples)
+    config = ExperimentConfig(ensemble=args.ensemble, p=args.p, n=args.n,
+                              trials=args.trials, seed=args.seed,
+                              kernel=args.kernel, diagonal=args.diag,
+                              envelope=args.envelope)
+    spec = config.kernel_spec()
+    pooled = ESD.pooled([eigenvalues(build(spec, S)) for _, _, S
+                         in trial_samples(config, (config.ensemble,))])
     lam = pooled.points
     print(f"model {spec.label()}  ensemble={args.ensemble} n={args.n} "
           f"p={args.p} gamma={args.p / args.n:g} trials={args.trials}")
@@ -120,13 +119,14 @@ def _cmd_predict(args) -> int:
                               shift=args.shift or 0.0,
                               scale=1.0 if args.scale is None else args.scale)
         elif args.envelope is not None:
-            from .mp_theory import predicted_law
             spec = KernelSpec(args.kernel, args.diag,
                               parse_envelope(args.envelope))
             law = predicted_law(spec, args.gamma)
         else:
             law = AffineMPLaw(gamma=args.gamma, shift=0.0, scale=1.0)
         print(f"affine MP law: {law.to_record()}")
+        if args.out:
+            write_law_csv(args.out, law)
     elif args.law == "fe":
         if args.a is None or args.nu is None:
             raise ValueError("functional-equation law needs --a and --nu")
@@ -134,16 +134,9 @@ def _cmd_predict(args) -> int:
         print(f"functional-equation law: {law.to_record()}")
         if args.out:
             save_limit_law(args.out, law)
-            print(f"wrote {args.out}")
-        return 0
     else:
         raise ValueError(f"unknown law kind {args.law!r} (use mp or fe)")
     if args.out:
-        xs, dens, cdfs = law_table(law)
-        lines = ["x,density,cdf"]
-        lines += [f"{float(x)!r},{float(d)!r},{float(c)!r}"
-                  for x, d, c in zip(xs, dens, cdfs)]
-        Path(args.out).write_text("\n".join(lines) + "\n")
         print(f"wrote {args.out}")
     return 0
 
@@ -157,8 +150,9 @@ def _cmd_expand(args) -> int:
     print(f"{'k':>3} {'a_k':>14} {'stderr':>12}")
     for k in range(params.degree + 1):
         print(f"{k:>3} {params.coefficients[k]:>14.6f} "
-              f"{params.stderr[k]:>12.2g}")
+              f"{params.stderr[k]:>12.4e}")
     print(f"a={params.a:.6f}  nu={params.nu:.6f}  "
+          f"nu_stderr={params.nu_stderr:.4e}  "
           f"tail_mass={params.tail_mass:.6f}")
     return 0
 

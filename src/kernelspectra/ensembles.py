@@ -57,8 +57,8 @@ class SampleMatrix:
         return self.data.shape[1]
 
 
-def _sample_column(family: str, p: int, seed: int, j: int) -> np.ndarray:
-    rng = substream(seed, TAG_COLUMN, j)
+def _draw(family: str, p: int, rng: np.random.Generator) -> np.ndarray:
+    """One column of the family, normalized so that E||X||^2 = 1."""
     if family == GAUSSIAN:
         return rng.standard_normal(p) / np.sqrt(p)
     if family == RADEMACHER:
@@ -85,7 +85,7 @@ def sample_matrix(ensemble: VectorEnsemble, n: int, seed: int) -> SampleMatrix:
     p = ensemble.p
     data = np.empty((p, n))
     for j in range(n):
-        data[:, j] = _sample_column(ensemble.family, p, seed, j)
+        data[:, j] = _draw(ensemble.family, p, substream(seed, TAG_COLUMN, j))
     return SampleMatrix(data=data, ensemble=ensemble, seed=seed)
 
 
@@ -119,13 +119,7 @@ def _abs_entry_moment(family: str, p: int, K: int, trials: int,
     per_column = np.empty(trials)
     for t in range(trials):
         rng = substream(seed, TAG_DIAGNOSTIC, stream_offset + t)
-        if family == GAUSSIAN:
-            col = rng.standard_normal(p)
-        elif family == RADEMACHER:
-            col = 2.0 * rng.integers(0, 2, size=p) - 1.0
-        else:
-            g = rng.standard_normal(p)
-            col = np.sqrt(p) * g / np.linalg.norm(g)
+        col = np.sqrt(p) * _draw(family, p, rng)
         per_column[t] = np.mean(np.abs(col) ** K)
     est = float(np.mean(per_column))
     se = float(np.std(per_column, ddof=1) / np.sqrt(trials))

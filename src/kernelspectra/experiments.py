@@ -9,22 +9,24 @@ out of the CSV contract.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._rng import TAG_TRIAL, derive_seed
-from .ensembles import (FAMILIES, ConcentrationDiagnostic, VectorEnsemble,
-                        concentration_diagnostic, sample_matrix)
+from ._csvio import write_table
+from ._rng import TAG_BATCH, TAG_TRIAL, derive_seed
+from .ensembles import (FAMILIES, ConcentrationDiagnostic, SampleMatrix,
+                        VectorEnsemble, concentration_diagnostic,
+                        sample_matrix)
 from .errors import KernelSpectraError
 from .kernels import (DIAGONALS, KERNELS, Envelope, KernelSpec, build,
                       parse_envelope)
-from .limit_solver import LimitLaw, law_cdf, solve_grid, solve_point
-from .mp_theory import AffineMPLaw, predicted_law
-from .spectral import (ESD, SpectralSample, eigenvalues, empirical_stieltjes,
-                       ks_distance, wasserstein1)
+from .limit_solver import solve_grid
+from .mp_theory import predicted_law
+from .spectral import (ESD, Law, SpectralSample, eigenvalues,
+                       empirical_stieltjes, ks_distance, wasserstein1)
 from .svgplot import write_overlay_svg
 
 AFFINE_MP = "affine-mp"
@@ -192,7 +194,7 @@ class ExperimentResult:
     config: ExperimentConfig
     samples: dict[str, list[SpectralSample]]
     pooled: dict[str, ESD]
-    law: AffineMPLaw | LimitLaw | None
+    law: Law | None
     distances: dict[str, list[DistanceRecord]]
     pooled_distances: dict[str, DistanceRecord]
     cross_distances: list[DistanceRecord] | None
@@ -203,37 +205,20 @@ class ExperimentResult:
     incomplete: bool
 
 
-def _law_cdf_values(law, x: np.ndarray) -> np.ndarray:
-    if isinstance(law, LimitLaw):
-        return np.asarray(law_cdf(law, x))
-    return np.asarray(law.cdf(x))
-
-
-def _law_stieltjes(law, z: complex) -> complex:
-    if isinstance(law, LimitLaw):
-        return solve_point(law.a, law.nu, law.gamma, z)
-    return complex(law.stieltjes(z))
-
-
-def _w1_vs_law(e: ESD, law) -> float:
+def _w1_vs_law(e: ESD, law: Law) -> float:
     """Integral of |F_esd - F_law| over a merged fine grid."""
-    if isinstance(law, LimitLaw):
-        lo, hi = float(law.grid[0]), float(law.grid[-1])
-    else:
-        lo, hi = law.support
-        span = max(hi - lo, 1.0)
-        lo, hi = lo - 0.05 * span, hi + 0.05 * span
+    lo, hi = law.window
     lo = min(lo, float(e.points[0]))
     hi = max(hi, float(e.points[-1]))
     base = np.linspace(lo, hi, 4001)
     grid = np.unique(np.concatenate([base, e.points]))
-    diff = np.abs(np.asarray(e.cdf(grid)) - _law_cdf_values(law, grid))
+    diff = np.abs(np.asarray(e.cdf(grid)) - np.asarray(law.cdf(grid)))
     return float(np.trapezoid(diff, grid))
 
 
-def _distance_record(trial: int, e: ESD, law, z_grid: Sequence[complex]
+def _distance_record(trial: int, e: ESD, law: Law, z_grid: Sequence[complex]
                      ) -> DistanceRecord:
-    sup = max(abs(empirical_stieltjes(e, z) - _law_stieltjes(law, z))
+    sup = max(abs(empirical_stieltjes(e, z) - law.stieltjes(z))
               for z in z_grid)
     return DistanceRecord(trial=trial, ks=ks_distance(e, law),
                           w1=_w1_vs_law(e, law), stieltjes_sup=float(sup))
@@ -247,7 +232,7 @@ def _cross_record(trial: int, e1: ESD, e2: ESD,
                           w1=wasserstein1(e1, e2), stieltjes_sup=float(sup))
 
 
-def build_law(config: ExperimentConfig) -> AffineMPLaw | LimitLaw | None:
+def build_law(config: ExperimentConfig) -> Law | None:
     if config.target == AFFINE_MP:
         return predicted_law(config.kernel_spec(), config.gamma)
     if config.target == FUNCTIONAL_EQUATION or (
@@ -256,6 +241,17 @@ def build_law(config: ExperimentConfig) -> AffineMPLaw | LimitLaw | None:
         return solve_grid(config.law_a, config.law_nu, config.gamma,
                           epsilon=config.epsilon)
     return None
+
+
+def trial_samples(config: ExperimentConfig, families: Sequence[str]
+                  ) -> Iterator[tuple[int, str, SampleMatrix]]:
+    """(trial, family, sample matrix), trial-major; every command draws
+    trial t from the derive_seed(config.seed, TAG_TRIAL, t) stream."""
+    for t in range(config.trials):
+        trial_seed = derive_seed(config.seed, TAG_TRIAL, t)
+        for fam in families:
+            yield t, fam, sample_matrix(VectorEnsemble(fam, config.p),
+                                        config.n, trial_seed)
 
 
 def run_universality(config: ExperimentConfig) -> ExperimentResult:
@@ -273,25 +269,19 @@ def run_universality(config: ExperimentConfig) -> ExperimentResult:
     samples: dict[str, list[SpectralSample]] = {f: [] for f in families}
     conc: dict[str, list[ConcentrationDiagnostic]] = {f: [] for f in families}
     errors: list[TrialError] = []
-    t_build = 0.0
-    for t in range(config.trials):
-        trial_seed = derive_seed(config.seed, TAG_TRIAL, t)
-        for fam in families:
-            step = "sample"
-            try:
-                tb = time.perf_counter()
-                S = sample_matrix(VectorEnsemble(fam, config.p), config.n,
-                                  trial_seed)
-                if config.n >= 2:
-                    conc[fam].append(concentration_diagnostic(S))
-                step = "build"
-                A = build(spec, S)
-                step = "eigenvalues"
-                samples[fam].append(eigenvalues(A))
-                t_build += time.perf_counter() - tb
-            except (KernelSpectraError, ValueError) as exc:
-                errors.append(TrialError(trial=t, ensemble=fam, stage=step,
-                                         message=str(exc)))
+    for t, fam, S in trial_samples(config, families):
+        step = "sample"
+        try:
+            if config.n >= 2:
+                conc[fam].append(concentration_diagnostic(S))
+            step = "build"
+            A = build(spec, S)
+            step = "eigenvalues"
+            samples[fam].append(eigenvalues(A))
+        except (KernelSpectraError, ValueError) as exc:
+            errors.append(TrialError(trial=t, ensemble=fam, stage=step,
+                                     message=str(exc)))
+    t_build = time.perf_counter() - t0
     law = None
     try:
         law = build_law(config)
@@ -339,20 +329,11 @@ def run_universality(config: ExperimentConfig) -> ExperimentResult:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _write_meta(path: Path, config: ExperimentConfig, extra: dict) -> None:
-    lines = [f"{k}={v}" for k, v in config.items()]
-    lines += [f"{k}={v}" for k, v in extra.items()]
-    path.write_text("\n".join(lines) + "\n")
-
-
-def law_table(law) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(x, density, cdf) columns for the law.csv artifact."""
-    if isinstance(law, LimitLaw):
-        return law.grid, law.density, law.cdf
-    lo, hi = law.support
-    span = max(hi - lo, 1.0)
-    x = np.linspace(lo - 0.1 * span, hi + 0.1 * span, 2001)
-    return x, np.asarray(law.density(x)), np.asarray(law.cdf(x))
+def write_law_csv(path: str | Path, law: Law,
+                  meta: Sequence[tuple[str, object]] | None = None) -> None:
+    """law.table() as x,density,cdf rows; ``meta`` pairs go to <path>.meta."""
+    write_table(path, ("x", "density", "cdf"),
+                np.column_stack(law.table()).tolist(), meta)
 
 
 def write_result(result: ExperimentResult, out_dir: Path) -> None:
@@ -361,51 +342,42 @@ def write_result(result: ExperimentResult, out_dir: Path) -> None:
     config = result.config
     (out_dir / "config.resolved").write_text(config_text(config))
 
-    esd_lines = ["trial,lambda"]
-    for fam in result.samples:
-        prefix = "" if fam == config.ensemble else f"{fam}:"
-        for t, s in enumerate(result.samples[fam]):
-            esd_lines += [f"{prefix}{t},{float(lam)!r}" for lam in s.eigenvalues]
-    (out_dir / "esd.csv").write_text("\n".join(esd_lines) + "\n")
-    _write_meta(out_dir / "esd.csv.meta", config,
-                {"schema": "trial,lambda",
-                 "spec": config.kernel_spec().label()})
+    def label(fam: str, trial: int | str) -> str:
+        return f"{trial}" if fam == config.ensemble else f"{fam}:{trial}"
+
+    esd_rows = ((label(fam, t), lam)
+                for fam, per_trial in result.samples.items()
+                for t, s in enumerate(per_trial)
+                for lam in s.eigenvalues.tolist())
+    write_table(out_dir / "esd.csv", ("trial", "lambda"), esd_rows,
+                [*config.items(), ("schema", "trial,lambda"),
+                 ("spec", config.kernel_spec().label())])
 
     if result.law is not None:
-        xs, dens, cdfs = law_table(result.law)
-        law_lines = ["x,density,cdf"]
-        law_lines += [f"{float(x)!r},{float(d)!r},{float(c)!r}"
-                      for x, d, c in zip(xs, dens, cdfs)]
-        (out_dir / "law.csv").write_text("\n".join(law_lines) + "\n")
-        _write_meta(out_dir / "law.csv.meta", config,
-                    dict(result.law.to_record()))
+        write_law_csv(out_dir / "law.csv", result.law,
+                      [*config.items(), *result.law.to_record().items()])
 
-    dist_lines = ["trial,ks,w1,stieltjes_sup"]
-    for fam in result.distances:
-        prefix = "" if fam == config.ensemble else f"{fam}:"
-        for rec in result.distances[fam]:
-            dist_lines.append(f"{prefix}{rec.trial},{rec.ks!r},{rec.w1!r},"
-                              f"{rec.stieltjes_sup!r}")
+    def row(fam: str, rec: DistanceRecord) -> list:
+        trial = "pooled" if rec.trial < 0 else rec.trial
+        return [label(fam, trial), rec.ks, rec.w1, rec.stieltjes_sup]
+
+    dist_rows = []
+    for fam, recs in result.distances.items():
+        dist_rows += [row(fam, rec) for rec in recs]
         if fam in result.pooled_distances:
-            rec = result.pooled_distances[fam]
-            dist_lines.append(f"{prefix}pooled,{rec.ks!r},{rec.w1!r},"
-                              f"{rec.stieltjes_sup!r}")
+            dist_rows.append(row(fam, result.pooled_distances[fam]))
     if result.cross_distances is not None:
-        for rec in result.cross_distances:
-            dist_lines.append(f"cross:{rec.trial},{rec.ks!r},{rec.w1!r},"
-                              f"{rec.stieltjes_sup!r}")
-        rec = result.pooled_cross
-        dist_lines.append(f"cross:pooled,{rec.ks!r},{rec.w1!r},"
-                          f"{rec.stieltjes_sup!r}")
-    (out_dir / "distances.csv").write_text("\n".join(dist_lines) + "\n")
-    _write_meta(out_dir / "distances.csv.meta", config,
-                {"schema": "trial,ks,w1,stieltjes_sup"})
+        dist_rows += [row("cross", rec) for rec in
+                      [*result.cross_distances, result.pooled_cross]]
+    write_table(out_dir / "distances.csv", ("trial", "ks", "w1", "stieltjes_sup"),
+                dist_rows, [*config.items(),
+                            ("schema", "trial,ks,w1,stieltjes_sup")])
 
     if result.errors:
-        err_lines = ["trial,ensemble,stage,message"]
-        err_lines += [f"{e.trial},{e.ensemble},{e.stage},"
-                      f"\"{e.message}\"" for e in result.errors]
-        (out_dir / "errors.csv").write_text("\n".join(err_lines) + "\n")
+        write_table(out_dir / "errors.csv",
+                    ("trial", "ensemble", "stage", "message"),
+                    [[e.trial, e.ensemble, e.stage, e.message]
+                     for e in result.errors])
 
     _write_report_svg(result, out_dir / "report.svg")
 
@@ -425,7 +397,7 @@ def _write_report_svg(result: ExperimentResult, path: Path) -> None:
         cdf_series.append((e.points, np.arange(1, e.n + 1) / e.n,
                            f"esd {fam}"))
     if result.law is not None:
-        xs, dens, cdfs = law_table(result.law)
+        xs, dens, cdfs = result.law.table()
         density_series.append((xs, dens, "law"))
         cdf_series.append((xs, cdfs, "law"))
     if not density_series:
@@ -462,11 +434,10 @@ def run_l2_perturbation(config: ExperimentConfig, f1: Envelope, f2: Envelope,
     ens = VectorEnsemble(config.ensemble, config.p)
     pair_seed = derive_seed(config.seed, TAG_TRIAL, 2 ** 32)
     sq_sum = 0.0
-    done = 0
     batch = max(100, min(pair_samples, 2_000_000 // max(config.p, 1)))
-    while done < pair_samples:
+    for b, done in enumerate(range(0, pair_samples, batch)):
         count = min(batch, pair_samples - done)
-        S = sample_matrix(ens, 2 * count, pair_seed + done)
+        S = sample_matrix(ens, 2 * count, derive_seed(pair_seed, TAG_BATCH, b))
         a_cols = S.data[:, :count]
         b_cols = S.data[:, count:2 * count]
         if config.kernel == "distance":
@@ -476,15 +447,12 @@ def run_l2_perturbation(config: ExperimentConfig, f1: Envelope, f2: Envelope,
         diff = np.asarray(f1(g, config.p), dtype=float) \
             - np.asarray(f2(g, config.p), dtype=float)
         sq_sum += float(np.sum(diff ** 2))
-        done += count
     eps_hat = float(np.sqrt(config.p * sq_sum / pair_samples))
 
+    spec1 = KernelSpec(config.kernel, config.diagonal, f1)
+    spec2 = KernelSpec(config.kernel, config.diagonal, f2)
     deltas = []
-    for t in range(config.trials):
-        trial_seed = derive_seed(config.seed, TAG_TRIAL, t)
-        S = sample_matrix(ens, config.n, trial_seed)
-        spec1 = KernelSpec(config.kernel, config.diagonal, f1)
-        spec2 = KernelSpec(config.kernel, config.diagonal, f2)
+    for _, _, S in trial_samples(config, (config.ensemble,)):
         m1 = empirical_stieltjes(eigenvalues(build(spec1, S)), z)
         m2 = empirical_stieltjes(eigenvalues(build(spec2, S)), z)
         deltas.append(abs(m1 - m2))
@@ -494,10 +462,3 @@ def run_l2_perturbation(config: ExperimentConfig, f1: Envelope, f2: Envelope,
     return PerturbationReport(epsilon_hat=eps_hat, z=z,
                               delta_m=tuple(deltas), ratio=ratio)
 
-
-def make_config(**kwargs) -> ExperimentConfig:
-    return ExperimentConfig(**kwargs)
-
-
-def with_overrides(config: ExperimentConfig, **kwargs) -> ExperimentConfig:
-    return replace(config, **kwargs)

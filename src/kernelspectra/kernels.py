@@ -164,8 +164,8 @@ def nonsmooth_sin_envelope() -> Envelope:
     def fn(x, p):
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = x + x * x * np.sin(np.divide(1.0, x, where=x != 0.0))
-        return np.where(x == 0.0, 0.0, out)
+            inv = np.divide(1.0, x, out=np.zeros_like(x), where=x != 0.0)
+            return x + x * x * np.sin(inv)
 
     d2 = 1.0 + 4.0 * np.sin(0.5) - np.cos(0.5)
     return Envelope("nonsmooth-sin", fn,

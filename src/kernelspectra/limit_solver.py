@@ -19,7 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
+from ._csvio import read_table, write_table
 from .errors import SolverError
+from .spectral import Law
 
 RESIDUAL_TOL = 1e-10      # functional-equation residual bound on returned m
 STEP_TOL = 1e-13          # successive-change stopping rule
@@ -174,11 +176,11 @@ def _refine_atom(a: float, nu: float, gamma: float, lo: float, hi: float,
 
 
 @dataclass(frozen=True)
-class LimitLaw:
+class LimitLaw(Law):
     """Numerically inverted limit law on a grid.
 
     ``density`` is the raw inversion Im m / pi at the requested epsilon
-    (atoms appear in it as spikes of height ~ mass/(pi eps)); ``cdf``
+    (atoms appear in it as spikes of height ~ mass/(pi eps)); ``cdf_values``
     holds right-continuous values at the grid points with detected atoms
     integrated exactly as steps rather than through the quadrature.
     """
@@ -190,7 +192,7 @@ class LimitLaw:
     grid: np.ndarray
     m_values: np.ndarray
     density: np.ndarray
-    cdf: np.ndarray
+    cdf_values: np.ndarray
     atoms: tuple[tuple[float, float], ...]
 
     @property
@@ -198,10 +200,27 @@ class LimitLaw:
         steps = np.zeros_like(self.grid)
         for loc, mass in self.atoms:
             steps += mass * (self.grid >= loc)
-        return self.cdf - steps
+        return self.cdf_values - steps
 
-    def cdf_at(self, x) -> np.ndarray | float:
-        return law_cdf(self, x)
+    def cdf(self, x) -> np.ndarray | float:
+        """Trapezoidal CDF evaluator: 0 below the grid, 1 above it."""
+        x_arr = np.asarray(x, dtype=float)
+        cont = self.continuous_cdf
+        out = np.interp(x_arr, self.grid, cont, left=0.0, right=float(cont[-1]))
+        for loc, mass in self.atoms:
+            out = out + mass * (x_arr >= loc)
+        out = np.where(x_arr > self.grid[-1], 1.0, out)
+        out = np.clip(out, 0.0, 1.0)
+        return out if np.ndim(x) else float(out)
+
+    @property
+    def window(self) -> tuple[float, float]:
+        """The solved grid's end points."""
+        return float(self.grid[0]), float(self.grid[-1])
+
+    def table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x, density, cdf) at the grid points."""
+        return self.grid, self.density, self.cdf_values
 
     def stieltjes(self, z) -> np.ndarray | complex:
         """Exact transform by re-solving the equation (no interpolation)."""
@@ -214,19 +233,6 @@ class LimitLaw:
         return {"type": "functional-equation", "a": self.a, "nu": self.nu,
                 "gamma": self.gamma, "epsilon": self.epsilon,
                 "atoms": list(self.atoms)}
-
-
-def law_cdf(law: LimitLaw, x) -> np.ndarray | float:
-    """Trapezoidal CDF evaluator: 0 below the grid, 1 above it."""
-    x_arr = np.asarray(x, dtype=float)
-    cont = np.interp(x_arr, law.grid, law.continuous_cdf,
-                     left=0.0, right=float(law.continuous_cdf[-1]))
-    out = cont
-    for loc, mass in law.atoms:
-        out = out + mass * (x_arr >= loc)
-    out = np.where(x_arr > law.grid[-1], 1.0, out)
-    out = np.clip(out, 0.0, 1.0)
-    return out if np.ndim(x) else float(out)
 
 
 def _detect_atoms(a: float, nu: float, gamma: float, grid: np.ndarray,
@@ -351,37 +357,29 @@ def solve_grid(a: float, nu: float, gamma: float,
         raise SolverError(f"recovered mass {cdf[-1]:.6f} misses 1 beyond "
                           f"tolerance {_MASS_TOL}")
     return LimitLaw(a=a, nu=nu, gamma=gamma, epsilon=epsilon, grid=grid,
-                    m_values=m_eps, density=density, cdf=cdf, atoms=atoms)
+                    m_values=m_eps, density=density, cdf_values=cdf,
+                    atoms=atoms)
+
+
+_LAW_COLUMNS = ("x", "density", "cdf", "re_m", "im_m")
 
 
 def save_limit_law(path: str | Path, law: LimitLaw) -> None:
     """CSV columns x, density, cdf, re_m, im_m; parameters in <path>.meta."""
-    path = Path(path)
-    lines = ["x,density,cdf,re_m,im_m"]
-    for x, d, c, m in zip(law.grid, law.density, law.cdf, law.m_values):
-        lines.append(f"{float(x)!r},{float(d)!r},{float(c)!r},"
-                     f"{float(m.real)!r},{float(m.imag)!r}")
-    path.write_text("\n".join(lines) + "\n")
-    sidecar = path.with_name(path.name + ".meta")
-    sidecar.write_text("".join(f"{k}={v}\n"
-                               for k, v in law.to_record().items()))
+    columns = (law.grid, law.density, law.cdf_values, law.m_values.real,
+               law.m_values.imag)
+    write_table(path, _LAW_COLUMNS, np.column_stack(columns).tolist(),
+                law.to_record().items())
 
 
 def load_limit_law(path: str | Path) -> LimitLaw:
-    path = Path(path)
-    rows = path.read_text().strip().splitlines()
-    if not rows or rows[0] != "x,density,cdf,re_m,im_m":
-        raise ValueError(f"{path} is not a limit-law csv")
-    data = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
-    meta: dict[str, str] = {}
-    sidecar = path.with_name(path.name + ".meta")
-    for line in sidecar.read_text().splitlines():
-        if line.strip():
-            key, _, val = line.partition("=")
-            meta[key] = val
+    rows, meta = read_table(path, _LAW_COLUMNS)
+    if not {"a", "nu", "gamma", "epsilon"} <= meta.keys():
+        raise ValueError(f"{path}.meta lacks the law's parameters")
+    data = np.array([[float(v) for v in row] for row in rows])
     atoms = tuple(ast.literal_eval(meta.get("atoms", "[]")))
     return LimitLaw(a=float(meta["a"]), nu=float(meta["nu"]),
                     gamma=float(meta["gamma"]),
                     epsilon=float(meta["epsilon"]), grid=data[:, 0],
                     m_values=data[:, 3] + 1j * data[:, 4],
-                    density=data[:, 1], cdf=data[:, 2], atoms=atoms)
+                    density=data[:, 1], cdf_values=data[:, 2], atoms=atoms)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DerivativeError
 from .kernels import KernelSpec, linearization_coefficients
+from .spectral import Law
 
 
 def mp_support(gamma: float) -> tuple[float, float]:
@@ -108,7 +109,7 @@ def mp_stieltjes(gamma: float, z) -> np.ndarray | complex:
 
 
 @dataclass(frozen=True)
-class AffineMPLaw:
+class AffineMPLaw(Law):
     """Image of the MP law under x -> shift + scale * x.
 
     scale = 0 marks the degenerate case: the law collapses to a unit atom
@@ -150,6 +151,21 @@ class AffineMPLaw:
         a, b = mp_support(self.gamma)
         lo, hi = self.shift + self.scale * a, self.shift + self.scale * b
         return (min(lo, hi), max(lo, hi))
+
+    def _widened(self, margin: float) -> tuple[float, float]:
+        lo, hi = self.support
+        span = max(hi - lo, 1.0)
+        return lo - margin * span, hi + margin * span
+
+    @property
+    def window(self) -> tuple[float, float]:
+        """Support widened by 5% of its span (at least 0.05) on each side."""
+        return self._widened(0.05)
+
+    def table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x, density, cdf) on 2001 points over the support widened by 10%."""
+        x = np.linspace(*self._widened(0.1), 2001)
+        return x, np.asarray(self.density(x)), np.asarray(self.cdf(x))
 
     def _pullback(self, x) -> np.ndarray:
         return (np.asarray(x, dtype=float) - self.shift) / self.scale

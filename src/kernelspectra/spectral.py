@@ -8,6 +8,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._csvio import read_table, write_table
 from .errors import NumericalError
 from .kernels import KernelMatrix
 
@@ -24,6 +25,10 @@ class SpectralSample:
     p: int | None = None
     gamma: float | None = None
     seed: int | None = None
+
+    @property
+    def points(self) -> np.ndarray:
+        return self.eigenvalues
 
 
 def eigenvalues(A: KernelMatrix | np.ndarray) -> SpectralSample:
@@ -50,6 +55,23 @@ def eigenvalues(A: KernelMatrix | np.ndarray) -> SpectralSample:
         p=prov.p if prov else None,
         gamma=(prov.p / n) if prov else None,
         seed=prov.seed if prov else None)
+
+
+class Law:
+    """A limit law: right-continuous ``cdf(x)`` and point masses ``atoms``.
+
+    Subclasses also define ``stieltjes(z)``, ``window`` (the interval W1
+    integrates over), ``table()`` (law.csv's x, density, cdf columns) and
+    ``to_record()``.
+    """
+
+    def cdf_left(self, x) -> np.ndarray | float:
+        """Left limit F(x-): the CDF less the mass of an atom sitting at x."""
+        x_arr = np.asarray(x, dtype=float)
+        out = np.asarray(self.cdf(x_arr), dtype=float)
+        for loc, mass in self.atoms:
+            out = out - mass * (x_arr == loc)
+        return out if np.ndim(x) else float(out)
 
 
 @dataclass(frozen=True)
@@ -87,44 +109,33 @@ class ESD:
                               side="left") / self.n
         return out if np.ndim(x) else float(out)
 
+    @property
+    def atoms(self) -> tuple[tuple[float, float], ...]:
+        """(location, mass) of every distinct point."""
+        locs, counts = np.unique(self.points, return_counts=True)
+        return tuple(zip(locs.tolist(), (counts / self.n).tolist()))
+
 
 def empirical_stieltjes(s: SpectralSample | ESD, z: complex) -> complex:
     """m(z) = (1/n) sum_i 1/(lambda_i - z) for Im z > 0."""
     if np.imag(z) <= 0:
         raise ValueError(f"empirical_stieltjes requires Im z > 0, got z={z}")
-    pts = s.points if isinstance(s, ESD) else s.eigenvalues
-    return complex(np.mean(1.0 / (pts - z)))
-
-
-def _law_cdf_both(law, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(F(t), F(t-)) for an ESD or any law exposing cdf plus optional atoms."""
-    if isinstance(law, ESD):
-        return np.asarray(law.cdf(t)), np.asarray(law.cdf_left(t))
-    evaluator = law.cdf if callable(law.cdf) else law.cdf_at
-    right = np.asarray(evaluator(t), dtype=float)
-    left = right.copy()
-    for loc, mass in getattr(law, "atoms", ()):
-        left = left - mass * (t == loc)
-    return right, left
-
-
-def law_atom_locations(law) -> np.ndarray:
-    if isinstance(law, ESD):
-        return law.points
-    return np.array([loc for loc, _ in getattr(law, "atoms", ())], dtype=float)
+    return complex(np.mean(1.0 / (s.points - z)))
 
 
 def ks_distance(e: ESD, law) -> float:
     """sup_x |F_e(x) - F_law(x)|, exact for step vs smooth-plus-atom laws.
 
+    ``law`` is an ESD or a limit law (``cdf``, ``cdf_left``, ``atoms``).
     The sup is evaluated at the empirical jump points and the law's atom
     locations, from both sides; between those points the empirical CDF is
     constant and the law CDF is monotone, so no other candidates matter.
     """
-    candidates = np.unique(np.concatenate([e.points, law_atom_locations(law)]))
-    fe_r, fe_l = _law_cdf_both(e, candidates)
-    fl_r, fl_l = _law_cdf_both(law, candidates)
-    return float(max(np.max(np.abs(fe_r - fl_r)), np.max(np.abs(fe_l - fl_l))))
+    locs = np.array([loc for loc, _ in law.atoms], dtype=float)
+    candidates = np.unique(np.concatenate([e.points, locs]))
+    right = np.abs(e.cdf(candidates) - np.asarray(law.cdf(candidates)))
+    left = np.abs(e.cdf_left(candidates) - np.asarray(law.cdf_left(candidates)))
+    return float(max(np.max(right), np.max(left)))
 
 
 def wasserstein1(e1: ESD, e2: ESD) -> float:
@@ -188,27 +199,10 @@ def save_esd(path: str | Path, e: ESD, metadata: dict | None = None) -> None:
     Metadata (n, p, gamma, seed, spec string, ...) goes to a sidecar
     key=value file at <path>.meta.
     """
-    path = Path(path)
-    lines = ["lambda"] + [repr(float(x)) for x in e.points]
-    path.write_text("\n".join(lines) + "\n")
-    meta = {"n": e.n}
-    if metadata:
-        meta.update(metadata)
-    sidecar = path.with_name(path.name + ".meta")
-    sidecar.write_text("".join(f"{k}={v}\n" for k, v in meta.items()))
+    write_table(path, ("lambda",), ([x] for x in e.points.tolist()),
+                {"n": e.n, **(metadata or {})}.items())
 
 
 def load_esd(path: str | Path) -> tuple[ESD, dict]:
-    path = Path(path)
-    rows = path.read_text().strip().splitlines()
-    if not rows or rows[0].strip() != "lambda":
-        raise ValueError(f"{path} is not an ESD csv (missing 'lambda' header)")
-    points = np.array([float(r) for r in rows[1:]])
-    meta: dict = {}
-    sidecar = path.with_name(path.name + ".meta")
-    if sidecar.exists():
-        for line in sidecar.read_text().splitlines():
-            if line.strip():
-                key, _, val = line.partition("=")
-                meta[key] = val
-    return ESD(points=points), meta
+    rows, meta = read_table(path, ("lambda",))
+    return ESD(points=np.array([float(r[0]) for r in rows])), meta

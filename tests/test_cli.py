@@ -1,8 +1,9 @@
 import numpy as np
 from scipy.integrate import quad
 
-from kernelspectra import (load_esd, load_limit_law, mp_atom_mass,
-                           mp_density, mp_support)
+from kernelspectra import (ESD, VectorEnsemble, envelope_coeffs, load_esd,
+                           load_limit_law, mp_atom_mass, mp_density,
+                           mp_support, parse_envelope)
 from kernelspectra.cli import cli_main
 
 
@@ -31,6 +32,21 @@ def test_simulate_sphere_identity(tmp_path, capsys):
     # unit diagonal: trace = 10
     assert abs(e.points.sum() - 10.0) < 1e-8
     assert meta["spec"] == "inner/keep/identity"
+
+
+def test_simulate_matches_compare_trials(tmp_path, capsys):
+    model = {"ensemble": "rademacher", "p": "12", "n": "20", "seed": "5",
+             "envelope": "exp:a=1", "kernel": "inner", "diag": "zero"}
+    flags = [arg for key, val in model.items() for arg in (f"--{key}", val)]
+    assert cli_main(["simulate", *flags, "--trials", "3",
+                     "--out", str(tmp_path / "sim.csv")]) == 0
+    sets = [arg for key, val in {**model, "trials": "3"}.items()
+            for arg in ("--set", f"{key}={val}")]
+    assert cli_main(["compare", *sets, "--out", str(tmp_path / "cmp")]) == 0
+    simulated, _ = load_esd(tmp_path / "sim.csv")
+    rows = (tmp_path / "cmp" / "esd.csv").read_text().splitlines()[1:]
+    compared = ESD(points=np.array([float(r.split(",")[1]) for r in rows]))
+    assert np.array_equal(simulated.points, compared.points)
 
 
 def test_simulate_numerical_failure_exits_two(capsys):
@@ -74,7 +90,7 @@ def test_predict_fe_writes_law(tmp_path, capsys):
     assert np.all(data[:, 4] > 0)  # Herglotz column
     law = load_limit_law(out)
     assert law.gamma == 1.0 and law.epsilon == 1e-3
-    assert np.array_equal(law.cdf, data[:, 2])
+    assert np.array_equal(law.cdf_values, data[:, 2])
 
 
 def test_predict_rejects_nu_below_a_squared(capsys):
@@ -124,6 +140,11 @@ def test_expand_prints_table(capsys):
     assert code == 0
     printed = capsys.readouterr().out
     assert "a=" in printed and "nu=" in printed
+    params = envelope_coeffs(parse_envelope("identity"),
+                             VectorEnsemble("gaussian", 100), 2,
+                             samples=20000, seed=0)
+    assert params.nu_stderr > 0.0
+    assert f"nu_stderr={params.nu_stderr:.4e}" in printed
 
 
 def test_swap_check_reports_rank(capsys):

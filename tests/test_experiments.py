@@ -1,11 +1,14 @@
+import csv
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from kernelspectra import (Envelope, KernelSpec, VectorEnsemble, build,
-                           build_basis, eigenvalues, envelope_coeffs,
-                           parse_config, parse_envelope, run_l2_perturbation,
-                           run_universality, sample_matrix, xi_moments)
-from kernelspectra.experiments import make_config, with_overrides
+from kernelspectra import (Envelope, ExperimentConfig, KernelSpec,
+                           VectorEnsemble, build, build_basis, eigenvalues,
+                           envelope_coeffs, parse_config, parse_envelope,
+                           run_l2_perturbation, run_universality,
+                           sample_matrix, xi_moments)
 
 
 def _esd_points(result, fam):
@@ -47,17 +50,17 @@ def test_parse_config_overrides_and_unknown_key():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        make_config(trials=0)
+        ExperimentConfig(trials=0)
     with pytest.raises(ValueError):
-        make_config(target="cross-ensemble")  # needs ensemble_b
+        ExperimentConfig(target="cross-ensemble")  # needs ensemble_b
     with pytest.raises(ValueError):
-        make_config(target="functional-equation")  # needs law params
+        ExperimentConfig(target="functional-equation")  # needs law params
     with pytest.raises(ValueError):
-        make_config(ensemble="cauchy")
+        ExperimentConfig(ensemble="cauchy")
     with pytest.raises(ValueError):
-        make_config(z_grid=(1.0 - 1j,))
+        ExperimentConfig(z_grid=(1.0 - 1j,))
     with pytest.raises(ValueError):
-        make_config(n=10 ** 9, trials=1000)  # desk-scale cap
+        ExperimentConfig(n=10 ** 9, trials=1000)  # desk-scale cap
 
 
 # ---------------------------------------------------------------------------
@@ -65,9 +68,9 @@ def test_config_validation():
 # ---------------------------------------------------------------------------
 
 def test_run_universality_affine_mp(tmp_path):
-    cfg = make_config(ensemble="gaussian", p=50, n=100, trials=3, seed=4,
-                      kernel="inner", diagonal="zero", envelope="exp:a=1",
-                      target="affine-mp", out=str(tmp_path / "run"))
+    cfg = ExperimentConfig(ensemble="gaussian", p=50, n=100, trials=3, seed=4,
+                           kernel="inner", diagonal="zero", envelope="exp:a=1",
+                           target="affine-mp", out=str(tmp_path / "run"))
     result = run_universality(cfg)
     assert not result.incomplete
     assert _esd_points(result, "gaussian").size == 300
@@ -84,9 +87,9 @@ def test_run_universality_affine_mp(tmp_path):
 def test_run_universality_outputs_are_byte_identical(tmp_path):
     texts = []
     for sub in ("a", "b"):
-        cfg = make_config(ensemble="rademacher", p=30, n=60, trials=2, seed=11,
-                          kernel="inner", diagonal="zero", envelope="exp:a=1",
-                          target="affine-mp", out=str(tmp_path / sub))
+        cfg = ExperimentConfig(ensemble="rademacher", p=30, n=60, trials=2, seed=11,
+                               kernel="inner", diagonal="zero", envelope="exp:a=1",
+                               target="affine-mp", out=str(tmp_path / sub))
         run_universality(cfg)
         texts.append({name: (tmp_path / sub / name).read_bytes()
                       for name in ("esd.csv", "law.csv", "distances.csv")})
@@ -94,9 +97,9 @@ def test_run_universality_outputs_are_byte_identical(tmp_path):
 
 
 def test_cross_ensemble_run():
-    cfg = make_config(ensemble="gaussian", ensemble_b="rademacher", p=40,
-                      n=80, trials=2, seed=6, kernel="inner", diagonal="zero",
-                      envelope="sign-scaled", target="cross-ensemble")
+    cfg = ExperimentConfig(ensemble="gaussian", ensemble_b="rademacher", p=40,
+                           n=80, trials=2, seed=6, kernel="inner", diagonal="zero",
+                           envelope="sign-scaled", target="cross-ensemble")
     result = run_universality(cfg)
     assert result.pooled_cross is not None
     assert len(result.cross_distances) == 2
@@ -106,9 +109,9 @@ def test_cross_ensemble_run():
 
 def test_failing_envelope_records_errors():
     # exp(1000 x) overflows on distance values near 2 for every trial
-    cfg = make_config(ensemble="gaussian", p=30, n=40, trials=3, seed=7,
-                      kernel="distance", diagonal="keep",
-                      envelope="exp:a=1000", target="affine-mp")
+    cfg = ExperimentConfig(ensemble="gaussian", p=30, n=40, trials=3, seed=7,
+                           kernel="distance", diagonal="keep",
+                           envelope="exp:a=1000", target="affine-mp")
     result = run_universality(cfg)
     assert result.incomplete
     build_errors = [e for e in result.errors if e.stage == "build"]
@@ -117,6 +120,23 @@ def test_failing_envelope_records_errors():
     assert any(e.stage == "law" for e in result.errors)
     assert result.law is None
     assert result.pooled == {}
+
+
+def test_errors_csv_round_trips_quotes_and_commas(tmp_path):
+    message = 'bad "value", here'
+
+    def refuse(x, p):
+        raise ValueError(message)
+
+    cfg = ExperimentConfig(p=10, n=12, trials=2, envelope=Envelope("refuse", refuse),
+                           out=str(tmp_path))
+    result = run_universality(cfg)
+    assert [e.message for e in result.errors] == [message] * len(result.errors)
+    with open(tmp_path / "errors.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["trial", "ensemble", "stage", "message"]
+    assert [row[3] for row in rows[1:]] == [e.message for e in result.errors]
+    assert [row[2] for row in rows[1:]].count("build") == 2
 
 
 def test_sphere_diagonal_shift_is_exact():
@@ -144,8 +164,8 @@ def test_distance_diagonal_shift_is_exact():
 # ---------------------------------------------------------------------------
 
 def test_l2_perturbation_identical_envelopes():
-    cfg = make_config(ensemble="gaussian", p=40, n=80, trials=2, seed=15,
-                      kernel="inner", diagonal="zero", envelope="identity")
+    cfg = ExperimentConfig(ensemble="gaussian", p=40, n=80, trials=2, seed=15,
+                           kernel="inner", diagonal="zero", envelope="identity")
     f = parse_envelope("exp:a=1")
     rep = run_l2_perturbation(cfg, f, f, z=1j, pair_samples=5_000)
     assert rep.epsilon_hat == 0.0
@@ -171,8 +191,8 @@ def test_l2_perturbation_truncated_expansion_bound():
         return out / np.sqrt(p_)
 
     f2 = Envelope("truncated-exp", truncated)
-    cfg = make_config(ensemble="gaussian", p=p, n=300, trials=4, seed=21,
-                      kernel="inner", diagonal="zero", envelope="identity")
+    cfg = ExperimentConfig(ensemble="gaussian", p=p, n=300, trials=4, seed=21,
+                           kernel="inner", diagonal="zero", envelope="identity")
     rep = run_l2_perturbation(cfg, f1, f2, z=1j, pair_samples=50_000)
     assert rep.epsilon_hat > 0.0
     assert rep.ratio <= 1.0
@@ -185,15 +205,15 @@ def test_l2_perturbation_rank_one_shift_vanishes():
     f3 = Envelope("exp-shift", lambda x, p: np.exp(x) + 0.5)
     means = []
     for n in (250, 500, 1000):
-        cfg = make_config(ensemble="gaussian", p=n // 2, n=n, trials=3,
-                          seed=5, kernel="inner", diagonal="keep",
-                          envelope="identity")
+        cfg = ExperimentConfig(ensemble="gaussian", p=n // 2, n=n, trials=3,
+                               seed=5, kernel="inner", diagonal="keep",
+                               envelope="identity")
         rep = run_l2_perturbation(cfg, f1, f3, z=1j, pair_samples=2_000)
         means.append(float(np.mean(rep.delta_m)))
     assert means[0] > means[1] > means[2]
 
 
 def test_with_overrides():
-    cfg = make_config(p=10, n=20)
-    cfg2 = with_overrides(cfg, p=15)
+    cfg = ExperimentConfig(p=10, n=20)
+    cfg2 = replace(cfg, p=15)
     assert cfg2.p == 15 and cfg2.n == 20

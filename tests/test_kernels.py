@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -317,6 +319,14 @@ def test_nonsmooth_sin_extension_and_derivative():
     assert env.analytic.d0 == 1.0
     x = 1.0 / (100.5 * np.pi)
     assert abs(env(x, 1) - (x + x * x * np.sin(1.0 / x))) < 1e-18
+
+
+def test_nonsmooth_sin_at_zero_warns_nothing():
+    env = parse_envelope("nonsmooth-sin")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = env(np.array([-0.5, 0.0, 0.25]), 1)
+    assert out[1] == 0.0
 
 
 def test_parse_envelope_errors():

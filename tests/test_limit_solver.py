@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kernelspectra import AffineMPLaw, SolverError, law_cdf, solve_grid, solve_point
+from kernelspectra import AffineMPLaw, SolverError, solve_grid, solve_point
 from kernelspectra.limit_solver import equation_residual
 
 
@@ -80,8 +80,8 @@ def test_nu_equal_a_squared_matches_affine_mp_transform():
 
 def test_grid_mass_and_monotone_cdf():
     law = solve_grid(np.sqrt(2 / np.pi), 1.0, 1.0, epsilon=1e-3)
-    assert abs(law.cdf[-1] - 1.0) <= 1e-3
-    assert np.all(np.diff(law.cdf) >= -1e-12)
+    assert abs(law.cdf_values[-1] - 1.0) <= 1e-3
+    assert np.all(np.diff(law.cdf_values) >= -1e-12)
     assert np.all(law.m_values.imag > 0)
     assert np.all(equation_residual(law.m_values, law.a, law.nu,
                                     law.gamma, law.grid + 1j * law.epsilon)
@@ -103,13 +103,13 @@ def test_semicircle_density_is_even():
 
 def test_semicircle_median_at_zero():
     law = solve_grid(0.0, 1.0, 1.0, epsilon=1e-3)
-    assert abs(law_cdf(law, 0.0) - 0.5) < 1e-3
+    assert abs(law.cdf(0.0) - 0.5) < 1e-3
 
 
 def test_law_cdf_clamps_outside_grid():
     law = solve_grid(0.0, 1.0, 1.0, epsilon=1e-3)
-    assert law_cdf(law, law.grid[0] - 10.0) == 0.0
-    assert law_cdf(law, law.grid[-1] + 10.0) == 1.0
+    assert law.cdf(law.grid[0] - 10.0) == 0.0
+    assert law.cdf(law.grid[-1] + 10.0) == 1.0
 
 
 def test_epsilon_refinement_stability():
@@ -120,7 +120,7 @@ def test_epsilon_refinement_stability():
     assert np.max(np.abs(coarse.density - fine.density)) < 0.05
     # smooth-region cdf values move by less than 1e-3
     for x in (-1.5, -0.5, 0.0, 0.8, 1.7):
-        assert abs(law_cdf(coarse, x) - law_cdf(fine, x)) < 1e-3
+        assert abs(coarse.cdf(x) - fine.cdf(x)) < 1e-3
 
 
 def test_atom_detection_matches_affine_mp():
@@ -132,8 +132,8 @@ def test_atom_detection_matches_affine_mp():
     assert abs(mass - 0.5) < 0.02
     mp = AffineMPLaw(gamma=0.5, shift=-1.0, scale=1.0)
     for x in (-2.0, -1.1, -0.9, 0.5, 1.5, 2.5, 3.2):
-        assert abs(law_cdf(law, x) - float(mp.cdf(x))) < 0.01
-    assert abs(law.cdf[-1] - 1.0) <= 1e-3
+        assert abs(law.cdf(x) - float(mp.cdf(x))) < 0.01
+    assert abs(law.cdf_values[-1] - 1.0) <= 1e-3
 
 
 def test_grid_validation():

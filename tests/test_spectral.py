@@ -5,8 +5,8 @@ from scipy import stats
 from kernelspectra import (ESD, KernelSpec, VectorEnsemble, build,
                            eigenvalues, empirical_stieltjes, ks_distance,
                            load_esd, mp_cdf, mp_stieltjes, parse_envelope,
-                           sample_matrix, save_esd, stieltjes_variance_decay,
-                           wasserstein1)
+                           sample_matrix, save_esd, solve_grid,
+                           stieltjes_variance_decay, wasserstein1)
 from kernelspectra.mp_theory import AffineMPLaw, _mp_cdf_table
 
 
@@ -131,6 +131,25 @@ def test_ks_vs_law_matches_dense_grid_oracle():
                            - np.asarray(law.cdf(grid))))
     assert ours >= oracle - 1e-9
     assert ours <= oracle + 1e-3  # grid oracle undershoots at jumps only
+
+
+@pytest.mark.parametrize("make", [
+    lambda: AffineMPLaw(gamma=0.5, shift=-2.0, scale=1.0),
+    lambda: AffineMPLaw(gamma=0.5, shift=1.0, scale=-2.0),
+    lambda: AffineMPLaw(gamma=0.5, shift=0.3, scale=0.0),
+    lambda: solve_grid(1.0, 1.0, 0.5, epsilon=1e-3),
+    lambda: ESD(points=np.array([0.0, 1.0, 1.0, 3.0])),
+], ids=["affine-mp", "affine-mp-reversed", "degenerate", "limit-law", "esd"])
+def test_cdf_left_drops_exactly_the_atom(make):
+    law = make()
+    assert law.atoms
+    locs = np.array([loc for loc, _ in law.atoms])
+    for loc, mass in law.atoms:
+        assert law.cdf_left(loc) == law.cdf(loc) - mass
+        assert law.cdf_left(np.array([loc]))[0] == law.cdf(loc) - mass
+    xs = np.linspace(locs.min() - 3.0, locs.max() + 3.0, 97)
+    xs = xs[~np.isin(xs, locs)]
+    assert np.array_equal(law.cdf_left(xs), law.cdf(xs))
 
 
 def test_ks_against_atomic_law_counts_the_atom():
