@@ -16,7 +16,8 @@ from .ensembles import (VectorEnsemble, concentration_diagnostic,
 from .errors import KernelSpectraError
 from .experiments import (ExperimentConfig, load_config, parse_config,
                           run_universality, trial_samples, write_law_csv)
-from .kernels import KernelSpec, build, parse_envelope, single_entry_swap
+from .kernels import (KernelSpec, build, gram, parse_envelope,
+                      single_entry_swap)
 from .limit_solver import save_limit_law, solve_grid
 from .mp_theory import AffineMPLaw, predicted_law
 from .orthopoly import envelope_coeffs
@@ -97,7 +98,7 @@ def _cmd_simulate(args) -> int:
                               kernel=args.kernel, diagonal=args.diag,
                               envelope=args.envelope)
     spec = config.kernel_spec()
-    pooled = ESD.pooled([eigenvalues(build(spec, S)) for _, _, S
+    pooled = ESD.pooled([eigenvalues(build(spec, S, gram(S))) for _, _, S
                          in trial_samples(config, (config.ensemble,))])
     lam = pooled.points
     print(f"model {spec.label()}  ensemble={args.ensemble} n={args.n} "
@@ -196,7 +197,7 @@ def _cmd_diagnose(args) -> int:
           f"+- {mom.stderr_2p:.2g})")
     print(f"growth flagged: {mom.growth_flagged}")
     S = sample_matrix(ens, args.n, args.seed)
-    conc = concentration_diagnostic(S)
+    conc = concentration_diagnostic(S, gram(S))
     print(f"max |  ||X_i||^2 - 1 | = {conc.max_norm_dev:.6f}")
     print(f"max | X_i^T X_j |     = {conc.max_inner:.6f}")
     return 0

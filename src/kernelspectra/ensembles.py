@@ -8,10 +8,11 @@ gives ||X|| = 1 exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from ._rng import TAG_COLUMN, TAG_DIAGNOSTIC, substream
+from ._rng import TAG_COLUMN, TAG_DIAGNOSTIC, substreams
 
 GAUSSIAN = "gaussian"
 RADEMACHER = "rademacher"
@@ -57,19 +58,38 @@ class SampleMatrix:
         return self.data.shape[1]
 
 
+def _fill_columns(family: str, rows: np.ndarray,
+                  streams: Iterable[np.random.Generator]) -> np.ndarray:
+    """Fill each row of ``rows`` with one column of the family.
+
+    Row i is drawn from the i-th generator of ``streams`` and normalized
+    so that E||X||^2 = 1; the iid families are scaled in one pass at the
+    end, which rounds exactly as scaling each row would.
+    """
+    p = rows.shape[1]
+    for row, rng in zip(rows, streams):
+        if family == RADEMACHER:
+            row[:] = rng.integers(0, 2, size=p)
+            continue
+        rng.standard_normal(out=row)
+        if family == SPHERE:
+            # Normalized Gaussian vector, exact in distribution.
+            norm = np.linalg.norm(row)
+            while norm == 0.0:  # probability zero, but keep the map total
+                rng.standard_normal(out=row)
+                norm = np.linalg.norm(row)
+            row /= norm
+    if family == RADEMACHER:
+        rows *= 2.0
+        rows -= 1.0
+    if family != SPHERE:
+        rows /= np.sqrt(p)
+    return rows
+
+
 def _draw(family: str, p: int, rng: np.random.Generator) -> np.ndarray:
     """One column of the family, normalized so that E||X||^2 = 1."""
-    if family == GAUSSIAN:
-        return rng.standard_normal(p) / np.sqrt(p)
-    if family == RADEMACHER:
-        return (2.0 * rng.integers(0, 2, size=p) - 1.0) / np.sqrt(p)
-    # Sphere: normalized Gaussian vector, exact in distribution.
-    g = rng.standard_normal(p)
-    norm = np.linalg.norm(g)
-    while norm == 0.0:  # probability zero, but keep the map total
-        g = rng.standard_normal(p)
-        norm = np.linalg.norm(g)
-    return g / norm
+    return _fill_columns(family, np.empty((1, p)), (rng,))[0]
 
 
 def sample_matrix(ensemble: VectorEnsemble, n: int, seed: int) -> SampleMatrix:
@@ -78,15 +98,14 @@ def sample_matrix(ensemble: VectorEnsemble, n: int, seed: int) -> SampleMatrix:
     Column j is generated from the counter-based substream keyed by
     (seed, j), so the output is independent of generation order and
     sample_matrix(ensemble, m, seed) for m < n yields the leading m
-    columns of sample_matrix(ensemble, n, seed).
+    columns of sample_matrix(ensemble, n, seed). Columns are stored
+    contiguously: ``data`` is the transpose of an n x p row array.
     """
     if n < 1:
         raise ValueError(f"sample count n must be >= 1, got {n}")
-    p = ensemble.p
-    data = np.empty((p, n))
-    for j in range(n):
-        data[:, j] = _draw(ensemble.family, p, substream(seed, TAG_COLUMN, j))
-    return SampleMatrix(data=data, ensemble=ensemble, seed=seed)
+    columns = _fill_columns(ensemble.family, np.empty((n, ensemble.p)),
+                            substreams(seed, TAG_COLUMN, range(n)))
+    return SampleMatrix(data=columns.T, ensemble=ensemble, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -117,8 +136,9 @@ def _abs_entry_moment(family: str, p: int, K: int, trials: int,
     # across-column standard error is valid even when entries within a
     # column are dependent (sphere).
     per_column = np.empty(trials)
-    for t in range(trials):
-        rng = substream(seed, TAG_DIAGNOSTIC, stream_offset + t)
+    streams = substreams(seed, TAG_DIAGNOSTIC,
+                         range(stream_offset, stream_offset + trials))
+    for t, rng in enumerate(streams):
         col = np.sqrt(p) * _draw(family, p, rng)
         per_column[t] = np.mean(np.abs(col) ** K)
     est = float(np.mean(per_column))
@@ -156,15 +176,24 @@ class ConcentrationDiagnostic:
     p: int
 
 
-def concentration_diagnostic(S: SampleMatrix) -> ConcentrationDiagnostic:
-    """Exact concentration maxima over the realized sample."""
+def concentration_diagnostic(S: SampleMatrix, G: np.ndarray
+                             ) -> ConcentrationDiagnostic:
+    """Exact concentration maxima over the realized sample.
+
+    ``G`` is the sample's Gram matrix (``kernels.gram(S)``). Its diagonal
+    is zeroed while the off-diagonal maximum is taken and restored before
+    returning, so no n x n temporary is made.
+    """
     if S.n < 2:
         raise ValueError("max_inner needs at least two columns (n >= 2)")
-    G = S.data.T @ S.data
     norms_sq = np.diag(G).copy()
-    off = G - np.diag(norms_sq)
+    np.fill_diagonal(G, 0.0)
+    try:
+        max_inner = max(G.max(), -G.min())
+    finally:
+        np.fill_diagonal(G, norms_sq)
     return ConcentrationDiagnostic(
         max_norm_dev=float(np.max(np.abs(norms_sq - 1.0))),
-        max_inner=float(np.max(np.abs(off))),
+        max_inner=float(max_inner),
         n=S.n, p=S.p,
     )

@@ -21,7 +21,7 @@ from .ensembles import (FAMILIES, ConcentrationDiagnostic, SampleMatrix,
                         VectorEnsemble, concentration_diagnostic,
                         sample_matrix)
 from .errors import KernelSpectraError
-from .kernels import (DIAGONALS, KERNELS, Envelope, KernelSpec, build,
+from .kernels import (DIAGONALS, KERNELS, Envelope, KernelSpec, build, gram,
                       parse_envelope)
 from .limit_solver import solve_grid
 from .mp_theory import predicted_law
@@ -272,12 +272,17 @@ def run_universality(config: ExperimentConfig) -> ExperimentResult:
     for t, fam, S in trial_samples(config, families):
         step = "sample"
         try:
+            # One Gram matrix per trial feeds both the diagnostic and the
+            # kernel; each n x n array is dropped as soon as it is spent.
+            G = gram(S)
             if config.n >= 2:
-                conc[fam].append(concentration_diagnostic(S))
+                conc[fam].append(concentration_diagnostic(S, G))
             step = "build"
-            A = build(spec, S)
+            A = build(spec, S, G)
+            del G
             step = "eigenvalues"
             samples[fam].append(eigenvalues(A))
+            del A
         except (KernelSpectraError, ValueError) as exc:
             errors.append(TrialError(trial=t, ensemble=fam, stage=step,
                                      message=str(exc)))
@@ -453,8 +458,9 @@ def run_l2_perturbation(config: ExperimentConfig, f1: Envelope, f2: Envelope,
     spec2 = KernelSpec(config.kernel, config.diagonal, f2)
     deltas = []
     for _, _, S in trial_samples(config, (config.ensemble,)):
-        m1 = empirical_stieltjes(eigenvalues(build(spec1, S)), z)
-        m2 = empirical_stieltjes(eigenvalues(build(spec2, S)), z)
+        G = gram(S)
+        m1 = empirical_stieltjes(eigenvalues(build(spec1, S, G)), z)
+        m2 = empirical_stieltjes(eigenvalues(build(spec2, S, G)), z)
         deltas.append(abs(m1 - m2))
     mean_delta = float(np.mean(deltas))
     ratio = mean_delta / eps_hat if eps_hat > 0 else (

@@ -1,9 +1,12 @@
 """Random kernel matrices A_ij = f(g(X_i, X_j), p) and their linearizations.
 
 The kernel g is either the inner product X^T Y or the squared distance
-||X - Y||^2; the scalar envelope f is applied entrywise. Matrices are
-always built from the upper triangle so symmetry is exact, and the
-diagonal convention (keep or zero) is part of the kernel specification.
+||X - Y||^2; the scalar envelope f is applied entrywise. Symmetry is
+exact without copying a triangle: the Gram matrix X^T X is one symmetric
+rank-k product (BLAS syrk) with G_ij and G_ji bit-equal, the distances
+(g_i + g_j) - 2 G_ij are symmetric because addition commutes, and the
+envelope maps equal values to equal values. The diagonal convention
+(keep or zero) is part of the kernel specification.
 """
 
 from __future__ import annotations
@@ -246,58 +249,48 @@ class KernelMatrix:
         return self.data.shape[0]
 
 
-def _symmetrize_upper(M: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    out = np.triu(M, k=1)
-    out = out + out.T
-    np.fill_diagonal(out, diag)
-    return out
-
-
 def gram(S: SampleMatrix) -> np.ndarray:
     """Gram matrix G_ij = X_i^T X_j, exactly symmetric."""
-    G = S.data.T @ S.data
-    return _symmetrize_upper(G, np.diag(G).copy())
+    return S.data.T @ S.data
 
 
-def squared_distances(S: SampleMatrix) -> np.ndarray:
-    """D_ij = ||X_i - X_j||^2 with exact zero diagonal, clamped at 0."""
-    G = gram(S)
+def _distances_from_gram(G: np.ndarray) -> np.ndarray:
     g = np.diag(G)
-    D = g[:, None] + g[None, :] - 2.0 * G
+    D = g[:, None] + g[None, :]
+    D -= 2.0 * G
     np.maximum(D, 0.0, out=D)
     np.fill_diagonal(D, 0.0)
     return D
 
 
-def _kernel_values(spec: KernelSpec, S: SampleMatrix) -> np.ndarray:
-    if spec.kernel == INNER_PRODUCT:
-        return gram(S)
-    return squared_distances(S)
+def squared_distances(S: SampleMatrix) -> np.ndarray:
+    """D_ij = ||X_i - X_j||^2 with exact zero diagonal, clamped at 0."""
+    return _distances_from_gram(gram(S))
 
 
 def _provenance(S: SampleMatrix) -> Provenance:
     return Provenance(family=S.ensemble.family, p=S.p, n=S.n, seed=S.seed)
 
 
-def build(spec: KernelSpec, S: SampleMatrix) -> KernelMatrix:
-    """A_ij = f(g(X_i, X_j), p) for i != j; diagonal per the spec."""
-    K = _kernel_values(spec, S)
+def build(spec: KernelSpec, S: SampleMatrix, G: np.ndarray) -> KernelMatrix:
+    """A_ij = f(g(X_i, X_j), p) for i != j; diagonal per the spec.
+
+    ``G`` is the sample's Gram matrix, ``gram(S)``; it is left unchanged.
+    """
+    K = G if spec.kernel == INNER_PRODUCT else _distances_from_gram(G)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        vals = np.asarray(spec.envelope(K, S.p), dtype=float)
-    bad = ~np.isfinite(vals)
+        A = np.asarray(spec.envelope(K, S.p), dtype=float)
+    if np.may_share_memory(A, G):
+        A = A.copy()
     if spec.diagonal == ZERO:
-        np.fill_diagonal(bad, False)
-    if np.any(bad):
-        i, j = map(int, np.argwhere(bad)[0])
+        np.fill_diagonal(A, 0.0)
+    finite = np.isfinite(A)
+    if not finite.all():
+        i, j = map(int, np.argwhere(~finite)[0])
         raise EnvelopeError(
             f"envelope {spec.envelope.name!r} returned a non-finite value at "
             f"entry (i={i}, j={j}) for kernel value x={K[i, j]!r}",
             i=i, j=j, x=float(K[i, j]))
-    if spec.diagonal == ZERO:
-        diag = np.zeros(S.n)
-    else:
-        diag = np.diag(vals).copy()
-    A = _symmetrize_upper(vals, diag)
     return KernelMatrix(data=A, spec=spec, provenance=_provenance(S))
 
 
@@ -342,7 +335,7 @@ def transference_linearized(g_matrix: np.ndarray, envelope: Envelope,
     M = np.asarray(g_matrix, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"kernel matrix must be square, got shape {M.shape}")
-    if np.max(np.abs(M - M.T)) != 0.0:
+    if not np.array_equal(M, M.T):
         raise ValueError("kernel matrix must be exactly symmetric")
     fa = envelope.value(float(a), p)
     da = envelope.derivative(float(a), p)
@@ -362,8 +355,8 @@ def single_entry_swap(S: SampleMatrix, i: int, j: int, new_value: float,
     if not (0 <= i < S.p and 0 <= j < S.n):
         raise ValueError(f"entry ({i}, {j}) out of range for a "
                          f"{S.p} x {S.n} sample matrix")
-    before = build(spec, S)
+    before = build(spec, S, gram(S))
     data = S.data.copy()
     data[i, j] = new_value
-    after = build(spec, SampleMatrix(data=data, ensemble=S.ensemble, seed=S.seed))
-    return before, after
+    swapped = SampleMatrix(data=data, ensemble=S.ensemble, seed=S.seed)
+    return before, build(spec, swapped, gram(swapped))

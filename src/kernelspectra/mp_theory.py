@@ -13,6 +13,7 @@ the Herglotz property (Im m > 0), not by a principal-branch convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,12 +42,18 @@ def mp_atom_mass(gamma: float) -> float:
 def mp_density(gamma: float, x) -> np.ndarray | float:
     """Continuous density; the atom at 0 is reported separately."""
     a, b = mp_support(gamma)
+    if np.ndim(x) == 0:  # scalar path for quadrature integrands, same rounding
+        xs = float(x)
+        if not a < xs < b:
+            return 0.0
+        return float(gamma / (2.0 * np.pi * xs)
+                     * math.sqrt((b - xs) * (xs - a)))
     x_arr = np.asarray(x, dtype=float)
     inside = (x_arr > a) & (x_arr < b)
     out = np.zeros_like(x_arr)
     xs = x_arr[inside]
     out[inside] = gamma / (2.0 * np.pi * xs) * np.sqrt((b - xs) * (xs - a))
-    return out if np.ndim(x) else float(out)
+    return out
 
 
 @lru_cache(maxsize=32)

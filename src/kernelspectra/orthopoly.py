@@ -411,6 +411,7 @@ def envelope_coeffs(f: Envelope, ensemble: VectorEnsemble, L: int,
     sum_xi = np.zeros(n_mom + 1)        # sum xi^m
     sum_k_xi = np.zeros(L + 1)          # sum k(xi) xi^j
     sum_k2_xi = np.zeros(n_mom + 1)     # sum k(xi)^2 xi^m
+    sum_k3 = 0.0
     sum_k4 = 0.0
     done = 0
     batch_index = 0
@@ -430,6 +431,7 @@ def envelope_coeffs(f: Envelope, ensemble: VectorEnsemble, L: int,
         sum_xi[0] += count
         sum_k_xi[0] += kv.sum()
         sum_k2_xi[0] += kv2.sum()
+        sum_k3 += float((kv2 * kv).sum())
         sum_k4 += float((kv2 * kv2).sum())
         for mdeg in range(1, n_mom + 1):
             powers = powers * xi
@@ -465,7 +467,13 @@ def envelope_coeffs(f: Envelope, ensemble: VectorEnsemble, L: int,
 
     mean_k = cross[0]
     nu = float(k2[0] - mean_k ** 2)
-    nu_stderr = float(np.sqrt(max(sum_k4 / samples - k2[0] ** 2, 0.0) / samples))
+    # Delta method: nu_hat - nu is to first order the mean of k^2 - 2 mu k,
+    # so the subtracted (mean k)^2 term adds its own sampling error.
+    # Var(k^2 - 2 mu k) = Var(k^2) - 4 mu Cov(k^2, k) + 4 mu^2 Var(k).
+    var_k2 = sum_k4 / samples - k2[0] ** 2
+    cov_k2_k = sum_k3 / samples - k2[0] * mean_k
+    var_nu = var_k2 - 4.0 * mean_k * cov_k2_k + 4.0 * mean_k ** 2 * nu
+    nu_stderr = float(np.sqrt(max(var_nu, 0.0) / samples))
     tail = float(nu - np.sum(coeffs[1:] ** 2))
     tail_stderr = float(np.sqrt(nu_stderr ** 2
                                 + np.sum((2.0 * coeffs[1:] * errs[1:]) ** 2)))

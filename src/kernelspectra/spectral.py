@@ -45,7 +45,7 @@ def eigenvalues(A: KernelMatrix | np.ndarray) -> SpectralSample:
         raise NumericalError(
             f"symmetric eigensolver failed ({exc}); provenance: {prov}") from exc
     n = data.shape[0]
-    scale = np.max(np.abs(data)) if n else 0.0
+    scale = max(data.max(), -data.min()) if n else 0.0
     if abs(lam.sum() - np.trace(data)) > _TRACE_RTOL * n * max(scale, 1e-300):
         raise NumericalError(
             f"eigenvalue sum disagrees with trace beyond tolerance; "

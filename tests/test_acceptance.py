@@ -13,6 +13,7 @@ from scipy.integrate import quad
 
 import kernelspectra as ks
 from kernelspectra._rng import TAG_TRIAL, derive_seed
+from kernelspectra.experiments import trial_samples
 from kernelspectra.orthopoly import normal_moment
 
 
@@ -23,12 +24,10 @@ def _verdict(num, name, ok, detail, elapsed, limit):
 
 
 def _pooled_esd(family, p, n, spec, trials, seed):
-    samples = []
-    for t in range(trials):
-        S = ks.sample_matrix(ks.VectorEnsemble(family, p), n,
-                             derive_seed(seed, TAG_TRIAL, t))
-        samples.append(ks.eigenvalues(ks.build(spec, S)))
-    return ks.ESD.pooled(samples)
+    config = ks.ExperimentConfig(ensemble=family, p=p, n=n, trials=trials,
+                                 seed=seed)
+    return ks.ESD.pooled([ks.eigenvalues(ks.build(spec, S, ks.gram(S)))
+                          for _, _, S in trial_samples(config, (family,))])
 
 
 def test_criterion_01_mp_self_consistency():
@@ -243,7 +242,7 @@ def test_criterion_10_structural_properties():
 
     # symmetry, zero trace, PSD gram
     S = ks.sample_matrix(ks.VectorEnsemble("gaussian", 60), 80, seed=1)
-    A = ks.build(ks.KernelSpec("inner", "zero", env), S)
+    A = ks.build(ks.KernelSpec("inner", "zero", env), S, ks.gram(S))
     assert np.max(np.abs(A.data - A.data.T)) == 0.0
     assert np.trace(A.data) == 0.0
     G = ks.gram(S)
@@ -286,8 +285,11 @@ def test_criterion_10_structural_properties():
 
     # exact diagonal shift for the sphere ensemble
     Ssph = ks.sample_matrix(ks.VectorEnsemble("sphere", 40), 60, seed=2)
-    keep = ks.eigenvalues(ks.build(ks.KernelSpec("inner", "keep", env), Ssph))
-    zero = ks.eigenvalues(ks.build(ks.KernelSpec("inner", "zero", env), Ssph))
+    Gsph = ks.gram(Ssph)
+    keep = ks.eigenvalues(
+        ks.build(ks.KernelSpec("inner", "keep", env), Ssph, Gsph))
+    zero = ks.eigenvalues(
+        ks.build(ks.KernelSpec("inner", "zero", env), Ssph, Gsph))
     shift = keep.eigenvalues - zero.eigenvalues
     assert np.max(np.abs(shift - np.e)) < 1e-10
 
@@ -307,7 +309,7 @@ def test_criterion_11_stieltjes_concentration_trend():
     def model(n, t):
         seed = derive_seed(9, TAG_TRIAL, 1000 * n + t)
         S = ks.sample_matrix(ks.VectorEnsemble("gaussian", n), n, seed)
-        return ks.build(spec, S)
+        return ks.build(spec, S, ks.gram(S))
 
     rep = ks.stieltjes_variance_decay(model, 1j, trials=20,
                                       sizes=(250, 500, 1000))

@@ -2,8 +2,57 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from kernelspectra import (VectorEnsemble, concentration_diagnostic,
+from kernelspectra import (VectorEnsemble, concentration_diagnostic, gram,
                            moment_diagnostic, sample_matrix)
+from kernelspectra._rng import TAG_COLUMN, substream, substreams
+from kernelspectra.ensembles import FAMILIES, _draw
+
+
+# Reference: the column sampler sample_matrix called with a freshly keyed
+# generator per column. sample_matrix must match it bit for bit.
+def _reference_column(family, p, rng):
+    if family == "gaussian":
+        return rng.standard_normal(p) / np.sqrt(p)
+    if family == "rademacher":
+        return (2.0 * rng.integers(0, 2, size=p) - 1.0) / np.sqrt(p)
+    g = rng.standard_normal(p)
+    norm = np.linalg.norm(g)
+    while norm == 0.0:
+        g = rng.standard_normal(p)
+        norm = np.linalg.norm(g)
+    return g / norm
+
+
+# Odd p leaves a buffered 32-bit half behind in rademacher's integer draws;
+# re-keying must discard it.
+@pytest.mark.parametrize("p,n", [(7, 9), (601, 40), (8, 1), (601, 1)])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_sample_matrix_matches_per_column_substreams(family, p, n):
+    S = sample_matrix(VectorEnsemble(family, p), n, seed=2024)
+    ref = np.empty((p, n))
+    for j in range(n):
+        ref[:, j] = _reference_column(family, p,
+                                      substream(2024, TAG_COLUMN, j))
+        assert (_draw(family, p, substream(2024, TAG_COLUMN, j)).tobytes()
+                == ref[:, j].tobytes())
+    assert S.data.shape == (p, n)
+    assert S.data.tobytes() == ref.tobytes()
+
+
+def test_substreams_rekey_to_the_fresh_substream_state():
+    indices = [3, 0, 2**48 - 1, 3]
+    for index, rng in zip(indices, substreams(99, TAG_COLUMN, indices)):
+        fresh = substream(99, TAG_COLUMN, index).bit_generator.state
+        state = rng.bit_generator.state
+        assert np.array_equal(state["state"]["key"], fresh["state"]["key"])
+        assert np.array_equal(state["state"]["counter"],
+                              fresh["state"]["counter"])
+        assert np.array_equal(state["buffer"], fresh["buffer"])
+        for field in ("buffer_pos", "has_uint32", "uinteger"):
+            assert state[field] == fresh[field]
+        rng.integers(0, 2, size=5)  # leave a buffered half behind
+    with pytest.raises(ValueError):
+        next(substreams(99, TAG_COLUMN, [2**48]))
 
 
 def test_sphere_columns_have_unit_norm():
@@ -99,9 +148,22 @@ def test_moment_diagnostic_argument_validation():
 
 def test_concentration_sphere_norm_dev_is_zero():
     S = sample_matrix(VectorEnsemble("sphere", 64), 30, seed=9)
-    rep = concentration_diagnostic(S)
+    rep = concentration_diagnostic(S, gram(S))
     assert rep.max_norm_dev < 1e-12
     assert rep.max_inner > 0.0
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_concentration_matches_off_diagonal_copy_reference(family):
+    S = sample_matrix(VectorEnsemble(family, 33), 21, seed=4)
+    G = gram(S)
+    untouched = G.copy()
+    rep = concentration_diagnostic(S, G)
+    norms_sq = np.diag(untouched).copy()
+    off = untouched - np.diag(norms_sq)
+    assert rep.max_inner == float(np.max(np.abs(off)))
+    assert rep.max_norm_dev == float(np.max(np.abs(norms_sq - 1.0)))
+    assert G.tobytes() == untouched.tobytes()  # diagonal restored
 
 
 def test_concentration_gaussian_calibrated_bound():
@@ -122,7 +184,7 @@ def test_concentration_gaussian_calibrated_bound():
 def test_concentration_needs_two_columns():
     S = sample_matrix(VectorEnsemble("gaussian", 10), 1, seed=0)
     with pytest.raises(ValueError):
-        concentration_diagnostic(S)
+        concentration_diagnostic(S, gram(S))
 
 
 def test_norm_deviation_decreases_stochastically_in_p():
@@ -131,6 +193,6 @@ def test_norm_deviation_decreases_stochastically_in_p():
         devs = []
         for seed in range(50):
             S = sample_matrix(VectorEnsemble("gaussian", p), 20, seed=seed)
-            devs.append(concentration_diagnostic(S).max_norm_dev)
+            devs.append(concentration_diagnostic(S, gram(S)).max_norm_dev)
         medians.append(np.median(devs))
     assert medians[1] < medians[0]

@@ -6,7 +6,7 @@ import pytest
 
 from kernelspectra import (Envelope, ExperimentConfig, KernelSpec,
                            VectorEnsemble, build, build_basis, eigenvalues,
-                           envelope_coeffs, parse_config, parse_envelope,
+                           envelope_coeffs, gram, parse_config, parse_envelope,
                            run_l2_perturbation, run_universality,
                            sample_matrix, xi_moments)
 
@@ -107,6 +107,29 @@ def test_cross_ensemble_run():
     assert result.law is None  # no law params given
 
 
+def test_run_universality_forms_one_gram_per_trial_and_family(monkeypatch):
+    import kernelspectra.experiments as experiments_module
+    import kernelspectra.kernels as kernels_module
+    real_gram = kernels_module.gram
+    families = []
+
+    def counting_gram(S):
+        families.append(S.ensemble.family)
+        return real_gram(S)
+
+    # kernels.gram is patched too, so a build that formed G again counts
+    monkeypatch.setattr(experiments_module, "gram", counting_gram)
+    monkeypatch.setattr(kernels_module, "gram", counting_gram)
+    cfg = ExperimentConfig(ensemble="rademacher", ensemble_b="sphere", p=30,
+                           n=20, trials=3, seed=6, kernel="distance",
+                           diagonal="keep", envelope="exp:a=-1",
+                           target="cross-ensemble")
+    result = run_universality(cfg)
+    assert not result.incomplete
+    assert families == ["rademacher", "sphere"] * 3
+    assert all(len(c) == 3 for c in result.concentration.values())
+
+
 def test_failing_envelope_records_errors():
     # exp(1000 x) overflows on distance values near 2 for every trial
     cfg = ExperimentConfig(ensemble="gaussian", p=30, n=40, trials=3, seed=7,
@@ -143,8 +166,8 @@ def test_sphere_diagonal_shift_is_exact():
     # g(X_i, X_i) = 1 on the sphere, so keep vs zero spectra differ by f(1)
     env = parse_envelope("exp:a=1")
     S = sample_matrix(VectorEnsemble("sphere", 60), 90, seed=13)
-    keep = eigenvalues(build(KernelSpec("inner", "keep", env), S))
-    zero = eigenvalues(build(KernelSpec("inner", "zero", env), S))
+    keep = eigenvalues(build(KernelSpec("inner", "keep", env), S, gram(S)))
+    zero = eigenvalues(build(KernelSpec("inner", "zero", env), S, gram(S)))
     shift = keep.eigenvalues - zero.eigenvalues
     assert np.max(np.abs(shift - np.e)) < 1e-10
 
@@ -153,8 +176,8 @@ def test_distance_diagonal_shift_is_exact():
     # distance diagonal entries are f(0) exactly, any ensemble
     env = parse_envelope("exp:a=-1")
     S = sample_matrix(VectorEnsemble("gaussian", 50), 70, seed=14)
-    keep = eigenvalues(build(KernelSpec("distance", "keep", env), S))
-    zero = eigenvalues(build(KernelSpec("distance", "zero", env), S))
+    keep = eigenvalues(build(KernelSpec("distance", "keep", env), S, gram(S)))
+    zero = eigenvalues(build(KernelSpec("distance", "zero", env), S, gram(S)))
     shift = keep.eigenvalues - zero.eigenvalues
     assert np.max(np.abs(shift - 1.0)) < 1e-10
 

@@ -71,17 +71,95 @@ def test_squared_distances_match_direct_subtraction_oracle():
 # build
 # ---------------------------------------------------------------------------
 
+# Reference: the construction build used when gram and build each mirrored
+# an upper triangle into a fresh matrix. build must match it bit for bit.
+def _mirror_upper(M, diag):
+    out = np.triu(M, k=1)
+    out = out + out.T
+    np.fill_diagonal(out, diag)
+    return out
+
+
+def _reference_build(spec, S):
+    """(matrix, first non-finite (i, j) or None) of the mirrored build."""
+    G = S.data.T @ S.data
+    G = _mirror_upper(G, np.diag(G).copy())
+    K = G
+    if spec.kernel == "distance":
+        g = np.diag(G)
+        K = g[:, None] + g[None, :] - 2.0 * G
+        np.maximum(K, 0.0, out=K)
+        np.fill_diagonal(K, 0.0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        vals = np.asarray(spec.envelope(K, S.p), dtype=float)
+    bad = ~np.isfinite(vals)
+    if spec.diagonal == "zero":
+        np.fill_diagonal(bad, False)
+    first = tuple(map(int, np.argwhere(bad)[0])) if bad.any() else None
+    diag = np.zeros(S.n) if spec.diagonal == "zero" else np.diag(vals).copy()
+    return _mirror_upper(vals, diag), first
+
+
+def _layouts(p=17, n=13, seed=31):
+    """Samples whose data is C-order, F-order, column-sliced and strided."""
+    wide = np.ascontiguousarray(_sample(p=p, n=3 * n, seed=seed).data)
+    datas = [wide[:, :n].copy(), np.asfortranarray(wide[:, :n]),
+             wide[:, n:2 * n], wide[:, ::3]]
+    return [SampleMatrix(data=d, ensemble=VectorEnsemble("gaussian", p),
+                         seed=seed) for d in datas]
+
+
+_REGISTRY_ENVELOPES = ["identity", "const:c=1", "exp:a=1", "exp:a=-1",
+                       "power:a=0.5", "sign-scaled", "nonsmooth-sin"]
+
+
+@pytest.mark.parametrize("diagonal", ["keep", "zero"])
+@pytest.mark.parametrize("kernel", ["inner", "distance"])
+@pytest.mark.parametrize("envelope", _REGISTRY_ENVELOPES)
+def test_build_matches_mirrored_reference_bit_for_bit(envelope, kernel,
+                                                      diagonal):
+    spec = KernelSpec(kernel, diagonal, parse_envelope(envelope))
+    for S in _layouts():
+        G = gram(S)
+        untouched = G.copy()
+        A = build(spec, S, G)
+        assert A.data.tobytes() == _reference_build(spec, S)[0].tobytes()
+        assert G.tobytes() == untouched.tobytes()  # build leaves G alone
+
+
+@pytest.mark.parametrize("kernel,diagonal", [("inner", "keep"),
+                                             ("inner", "zero"),
+                                             ("distance", "keep"),
+                                             ("distance", "zero")])
+def test_build_reports_the_reference_first_non_finite_entry(kernel, diagonal):
+    # log(x - c) is NaN below c: c = 0 hits negative inner products, c = 2
+    # hits distances below their concentration point and the distance
+    # diagonal
+    shift = 0.0 if kernel == "inner" else 2.0
+
+    def quiet_log(x, p):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.log(x - shift)
+
+    spec = KernelSpec(kernel, diagonal, Envelope("log", quiet_log))
+    for S in _layouts():
+        _, first = _reference_build(spec, S)
+        assert first is not None
+        with pytest.raises(EnvelopeError) as err:
+            build(spec, S, gram(S))
+        assert (err.value.i, err.value.j) == first
+
 def test_build_identity_envelope_equals_gram():
     S = _sample(seed=2)
     spec = KernelSpec("inner", "keep", parse_envelope("identity"))
-    A = build(spec, S)
+    A = build(spec, S, gram(S))
     assert np.array_equal(A.data, gram(S))
 
 
 def test_build_exp_distance_keep_diagonal_is_one():
     S = _sample(seed=5)
     spec = KernelSpec("distance", "keep", parse_envelope("exp:a=1"))
-    A = build(spec, S)
+    A = build(spec, S, gram(S))
     assert np.array_equal(np.diag(A.data), np.ones(S.n))
 
 
@@ -89,7 +167,7 @@ def test_build_sign_scaled_value_range():
     p = 49
     S = _sample(p=p, n=30, seed=6)
     spec = KernelSpec("inner", "zero", parse_envelope("sign-scaled"))
-    A = build(spec, S)
+    A = build(spec, S, gram(S))
     allowed = {-1.0 / np.sqrt(p), 0.0, 1.0 / np.sqrt(p)}
     assert set(np.unique(A.data)).issubset(allowed)
 
@@ -103,7 +181,7 @@ def test_build_flags_non_finite_envelope_values():
 
     spec = KernelSpec("inner", "zero", Envelope("log", quiet_log))
     with pytest.raises(EnvelopeError) as err:
-        build(spec, S)
+        build(spec, S, gram(S))
     assert err.value.i is not None and err.value.j is not None
     assert err.value.x is not None
 
@@ -115,7 +193,7 @@ def test_build_zero_diagonal_ignores_diagonal_envelope_values():
     inv = Envelope("inv", lambda x, p: np.divide(1.0, x,
                                                  out=np.full_like(x, np.inf),
                                                  where=x != 0))
-    A = build(KernelSpec("distance", "zero", inv), S)
+    A = build(KernelSpec("distance", "zero", inv), S, gram(S))
     assert np.all(np.isfinite(A.data))
 
 
@@ -125,7 +203,8 @@ def test_build_zero_diagonal_ignores_diagonal_envelope_values():
        seed=st.integers(0, 1000))
 def test_built_matrices_are_exactly_symmetric(kernel, diagonal, seed):
     S = _sample(p=15, n=12, seed=seed)
-    A = build(KernelSpec(kernel, diagonal, parse_envelope("exp:a=0.5")), S)
+    spec = KernelSpec(kernel, diagonal, parse_envelope("exp:a=0.5"))
+    A = build(spec, S, gram(S))
     assert np.max(np.abs(A.data - A.data.T)) == 0.0
     if diagonal == "zero":
         assert np.trace(A.data) == 0.0
@@ -201,6 +280,13 @@ def test_transference_matches_distance_linearization_up_to_bookkeeping():
 
 def test_transference_rejects_asymmetric_input():
     M = np.arange(9.0).reshape(3, 3)
+    with pytest.raises(ValueError):
+        transference_linearized(M, parse_envelope("identity"), a=0.0)
+
+
+def test_transference_rejects_nan_input():
+    M = np.zeros((3, 3))
+    M[1, 1] = np.nan
     with pytest.raises(ValueError):
         transference_linearized(M, parse_envelope("identity"), a=0.0)
 

@@ -33,6 +33,14 @@ def test_density_outside_support_is_zero():
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)
+def test_scalar_density_equals_array_density_bit_for_bit(gamma):
+    a, b = mp_support(gamma)
+    xs = np.concatenate([np.linspace(a - 1.0, b + 1.0, 997), [a, b]])
+    scalar = np.array([mp_density(gamma, float(x)) for x in xs])
+    assert scalar.tobytes() == mp_density(gamma, xs).tobytes()
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
 def test_total_mass_is_one(gamma):
     mass = _quad_density(gamma, lambda x: 1.0) + mp_atom_mass(gamma)
     assert abs(mass - 1.0) < 1e-6

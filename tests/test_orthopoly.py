@@ -267,6 +267,17 @@ def test_sign_envelope_coefficients_match_gaussian_integral():
     assert abs(params.nu - 1.0) < 0.01
 
 
+@pytest.mark.parametrize("family", ["gaussian", "sphere"])
+def test_sign_scaled_nu_stderr_covers_exact_nu(family):
+    # k = sign(xi) = +-1, so k^2 is constant and all of nu_hat's error
+    # comes from the subtracted (mean k)^2; the exact nu is 1
+    params = envelope_coeffs(parse_envelope("sign-scaled"),
+                             VectorEnsemble(family, 500), L=4,
+                             samples=200_000, seed=12)
+    assert params.nu_stderr > 0.0
+    assert abs(params.nu - 1.0) <= 5.0 * params.nu_stderr
+
+
 def test_coefficients_bounded_by_l2_norm():
     # |a_k| <= ||k||_{L2} = sqrt(nu + mean^2), Cauchy-Schwarz
     params = envelope_coeffs(parse_envelope("exp:a=1"),

@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from kernelspectra import (ESD, KernelSpec, VectorEnsemble, build,
-                           eigenvalues, empirical_stieltjes, ks_distance,
+                           eigenvalues, empirical_stieltjes, gram, ks_distance,
                            load_esd, mp_cdf, mp_stieltjes, parse_envelope,
                            sample_matrix, save_esd, solve_grid,
                            stieltjes_variance_decay, wasserstein1)
@@ -12,7 +12,8 @@ from kernelspectra.mp_theory import AffineMPLaw, _mp_cdf_table
 
 def _kernel_matrix(p=40, n=30, seed=0, envelope="exp:a=1", diagonal="zero"):
     S = sample_matrix(VectorEnsemble("gaussian", p), n, seed)
-    return build(KernelSpec("inner", diagonal, parse_envelope(envelope)), S)
+    spec = KernelSpec("inner", diagonal, parse_envelope(envelope))
+    return build(spec, S, gram(S))
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +259,8 @@ def test_variance_decay_deterministic_family_is_zero():
 def test_variance_decay_random_family_decreases():
     def model(n, t):
         S = sample_matrix(VectorEnsemble("gaussian", n), n, seed=7000 + 17 * n + t)
-        return build(KernelSpec("inner", "zero", parse_envelope("exp:a=1")), S)
+        spec = KernelSpec("inner", "zero", parse_envelope("exp:a=1"))
+        return build(spec, S, gram(S))
 
     rep = stieltjes_variance_decay(model, 1j, trials=12, sizes=(60, 120, 240))
     assert rep.strictly_decreasing
