@@ -11,9 +11,9 @@ from .experiments import (ExperimentConfig, ExperimentResult,
                           PerturbationReport, load_config, parse_config,
                           run_l2_perturbation, run_universality)
 from .kernels import (INNER_PRODUCT, KEEP, SQUARED_DISTANCE, ZERO, Envelope,
-                      EnvelopeAnalytic, KernelMatrix, KernelSpec, build, gram,
-                      linearized, parse_envelope, single_entry_swap,
-                      squared_distances, transference_linearized)
+                      EnvelopeAnalytic, KernelSpec, build, gram, linearized,
+                      parse_envelope, single_entry_swap, squared_distances,
+                      transference_linearized)
 from .limit_solver import (LimitLaw, load_limit_law, save_limit_law,
                            solve_grid, solve_point)
 from .mp_theory import (AffineMPLaw, mp_atom_mass, mp_cdf, mp_density,
@@ -22,7 +22,7 @@ from .orthopoly import (AdmissibleParams, MomentSequence, OrthoBasis,
                         build_basis, envelope_coeffs, gaussian_limit_moments,
                         hermite, hermite_deviation, orthopoly_from_moments,
                         xi_moments)
-from .spectral import (ESD, SpectralSample, VarianceDecayReport, eigenvalues,
+from .spectral import (ESD, VarianceDecayReport, eigenvalues,
                        empirical_stieltjes, ks_distance, load_esd, save_esd,
                        stieltjes_variance_decay, wasserstein1)
 
@@ -33,10 +33,10 @@ __all__ = [
     "sample_matrix", "moment_diagnostic", "concentration_diagnostic",
     "MomentDiagnostic", "ConcentrationDiagnostic",
     "Envelope", "EnvelopeAnalytic", "parse_envelope", "KernelSpec",
-    "KernelMatrix", "INNER_PRODUCT", "SQUARED_DISTANCE", "KEEP", "ZERO",
+    "INNER_PRODUCT", "SQUARED_DISTANCE", "KEEP", "ZERO",
     "gram", "squared_distances", "build", "linearized",
     "transference_linearized", "single_entry_swap",
-    "SpectralSample", "ESD", "eigenvalues", "empirical_stieltjes",
+    "ESD", "eigenvalues", "empirical_stieltjes",
     "ks_distance", "wasserstein1", "stieltjes_variance_decay",
     "VarianceDecayReport", "save_esd", "load_esd",
     "AffineMPLaw", "mp_density", "mp_cdf", "mp_stieltjes", "mp_support",

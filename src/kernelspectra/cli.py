@@ -207,7 +207,7 @@ def _cmd_swap_check(args) -> int:
     spec = KernelSpec(args.kernel, args.diag, parse_envelope(args.envelope))
     S = sample_matrix(VectorEnsemble(args.ensemble, args.p), args.n, args.seed)
     before, after = single_entry_swap(S, args.i, args.j, args.value, spec)
-    delta = after.data - before.data
+    delta = after - before
     sv = np.linalg.svd(delta, compute_uv=False)
     norm = sv[0] if sv[0] > 0 else 1.0
     third = sv[2] if sv.size > 2 else 0.0

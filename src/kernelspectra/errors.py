@@ -39,4 +39,9 @@ class SolverError(KernelSpectraError):
 
 
 class NumericalError(KernelSpectraError):
-    """A dense linear-algebra routine failed; carries matrix provenance."""
+    """A dense linear-algebra routine failed or failed its own check.
+
+    Raised by ``eigenvalues`` when the eigensolver does not converge or the
+    eigenvalue sum misses the trace. The message names the failure only;
+    ``run_universality`` records the trial and ensemble next to it.
+    """

@@ -25,8 +25,8 @@ from .kernels import (DIAGONALS, KERNELS, Envelope, KernelSpec, build, gram,
                       parse_envelope)
 from .limit_solver import solve_grid
 from .mp_theory import predicted_law
-from .spectral import (ESD, Law, SpectralSample, eigenvalues,
-                       empirical_stieltjes, ks_distance, wasserstein1)
+from .spectral import (ESD, Law, eigenvalues, empirical_stieltjes,
+                       ks_distance, wasserstein1)
 from .svgplot import write_overlay_svg
 
 AFFINE_MP = "affine-mp"
@@ -82,8 +82,11 @@ class ExperimentConfig:
                                                    or self.law_nu is None):
             raise ValueError("functional-equation target needs law_a and law_nu "
                              "(run the 'expand' subcommand to estimate them)")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, "
+                             f"got {self.epsilon}")
+        if not self.z_grid:
+            raise ValueError("z_grid needs at least one point")
         if any(np.imag(z) <= 0 for z in self.z_grid):
             raise ValueError("z_grid points must have Im z > 0")
 
@@ -192,7 +195,7 @@ class DistanceRecord:
 @dataclass(frozen=True)
 class ExperimentResult:
     config: ExperimentConfig
-    samples: dict[str, list[SpectralSample]]
+    samples: dict[str, list[ESD]]
     pooled: dict[str, ESD]
     law: Law | None
     distances: dict[str, list[DistanceRecord]]
@@ -266,7 +269,7 @@ def run_universality(config: ExperimentConfig) -> ExperimentResult:
     if config.target == CROSS_ENSEMBLE:
         families.append(config.ensemble_b)
 
-    samples: dict[str, list[SpectralSample]] = {f: [] for f in families}
+    samples: dict[str, list[ESD]] = {f: [] for f in families}
     conc: dict[str, list[ConcentrationDiagnostic]] = {f: [] for f in families}
     errors: list[TrialError] = []
     for t, fam, S in trial_samples(config, families):
@@ -301,8 +304,8 @@ def run_universality(config: ExperimentConfig) -> ExperimentResult:
     if law is not None:
         for fam in families:
             distances[fam] = [
-                _distance_record(t, ESD.of(s), law, config.z_grid)
-                for t, s in enumerate(samples[fam])]
+                _distance_record(t, e, law, config.z_grid)
+                for t, e in enumerate(samples[fam])]
             if fam in pooled:
                 pooled_distances[fam] = _distance_record(
                     -1, pooled[fam], law, config.z_grid)
@@ -312,8 +315,8 @@ def run_universality(config: ExperimentConfig) -> ExperimentResult:
     if config.target == CROSS_ENSEMBLE and all(samples[f] for f in families):
         fam_a, fam_b = families
         n_pairs = min(len(samples[fam_a]), len(samples[fam_b]))
-        cross = [_cross_record(t, ESD.of(samples[fam_a][t]),
-                               ESD.of(samples[fam_b][t]), config.z_grid)
+        cross = [_cross_record(t, samples[fam_a][t], samples[fam_b][t],
+                               config.z_grid)
                  for t in range(n_pairs)]
         pooled_cross = _cross_record(-1, pooled[fam_a], pooled[fam_b],
                                      config.z_grid)
@@ -352,8 +355,8 @@ def write_result(result: ExperimentResult, out_dir: Path) -> None:
 
     esd_rows = ((label(fam, t), lam)
                 for fam, per_trial in result.samples.items()
-                for t, s in enumerate(per_trial)
-                for lam in s.eigenvalues.tolist())
+                for t, e in enumerate(per_trial)
+                for lam in e.points.tolist())
     write_table(out_dir / "esd.csv", ("trial", "lambda"), esd_rows,
                 [*config.items(), ("schema", "trial,lambda"),
                  ("spec", config.kernel_spec().label())])

@@ -228,27 +228,6 @@ class KernelSpec:
         return f"{self.kernel}/{self.diagonal}/{self.envelope.name}"
 
 
-@dataclass(frozen=True)
-class Provenance:
-    family: str
-    p: int
-    n: int
-    seed: int
-
-
-@dataclass(frozen=True)
-class KernelMatrix:
-    """n x n symmetric kernel matrix with its build provenance."""
-
-    data: np.ndarray
-    spec: KernelSpec | None = None
-    provenance: Provenance | None = None
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-
 def gram(S: SampleMatrix) -> np.ndarray:
     """Gram matrix G_ij = X_i^T X_j, exactly symmetric."""
     return S.data.T @ S.data
@@ -268,11 +247,7 @@ def squared_distances(S: SampleMatrix) -> np.ndarray:
     return _distances_from_gram(gram(S))
 
 
-def _provenance(S: SampleMatrix) -> Provenance:
-    return Provenance(family=S.ensemble.family, p=S.p, n=S.n, seed=S.seed)
-
-
-def build(spec: KernelSpec, S: SampleMatrix, G: np.ndarray) -> KernelMatrix:
+def build(spec: KernelSpec, S: SampleMatrix, G: np.ndarray) -> np.ndarray:
     """A_ij = f(g(X_i, X_j), p) for i != j; diagonal per the spec.
 
     ``G`` is the sample's Gram matrix, ``gram(S)``; it is left unchanged.
@@ -291,7 +266,7 @@ def build(spec: KernelSpec, S: SampleMatrix, G: np.ndarray) -> KernelMatrix:
             f"envelope {spec.envelope.name!r} returned a non-finite value at "
             f"entry (i={i}, j={j}) for kernel value x={K[i, j]!r}",
             i=i, j=j, x=float(K[i, j]))
-    return KernelMatrix(data=A, spec=spec, provenance=_provenance(S))
+    return A
 
 
 def linearization_coefficients(spec: KernelSpec, p: int) -> tuple[float, float]:
@@ -316,16 +291,16 @@ def linearization_coefficients(spec: KernelSpec, p: int) -> tuple[float, float]:
     return alpha, -2.0 * d2
 
 
-def linearized(spec: KernelSpec, S: SampleMatrix) -> KernelMatrix:
+def linearized(spec: KernelSpec, S: SampleMatrix) -> np.ndarray:
     """The linearized companion matrix B of the matching theorem."""
     alpha, beta = linearization_coefficients(spec, S.p)
     B = beta * gram(S)
     B[np.diag_indices(S.n)] += alpha
-    return KernelMatrix(data=B, spec=spec, provenance=_provenance(S))
+    return B
 
 
 def transference_linearized(g_matrix: np.ndarray, envelope: Envelope,
-                            a: float, p: int = 1) -> KernelMatrix:
+                            a: float, p: int = 1) -> np.ndarray:
     """B = (a f'(a) - f(a)) I + f'(a) * g_matrix.
 
     ``g_matrix`` is a realized kernel matrix (zero-diagonal model) whose
@@ -341,11 +316,11 @@ def transference_linearized(g_matrix: np.ndarray, envelope: Envelope,
     da = envelope.derivative(float(a), p)
     B = da * M
     B[np.diag_indices(M.shape[0])] += a * da - fa
-    return KernelMatrix(data=B, spec=None, provenance=None)
+    return B
 
 
 def single_entry_swap(S: SampleMatrix, i: int, j: int, new_value: float,
-                      spec: KernelSpec) -> tuple[KernelMatrix, KernelMatrix]:
+                      spec: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
     """Kernel matrices before and after replacing sample entry (i, j).
 
     Entry (i, j) of the p x n sample matrix is coordinate i of column X_j,

@@ -33,10 +33,12 @@ _PROBE_EPS = 1e-9         # imaginary offset used for the edge probes
 
 
 def _check_params(a: float, nu: float, gamma: float) -> None:
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    if a < 0:
-        raise ValueError(f"a must be nonnegative, got {a}")
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    if not 0 <= a < np.inf:
+        raise ValueError(f"a must be nonnegative and finite, got {a}")
+    if not np.isfinite(nu):
+        raise ValueError(f"nu must be finite, got {nu}")
     if nu < a * a * (1.0 - 1e-12):
         raise ValueError(f"need a^2 <= nu, got a^2={a*a:.6g}, nu={nu:.6g}")
 
@@ -293,8 +295,8 @@ def solve_grid(a: float, nu: float, gamma: float,
     against branch hopping.
     """
     _check_params(a, nu, gamma)
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if n_points < 16:
         raise ValueError(f"need n_points >= 16, got {n_points}")
     if x_range is None:

@@ -130,8 +130,12 @@ class AffineMPLaw(Law):
     scale: float
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be positive and finite, "
+                             f"got {self.gamma}")
+        if not (np.isfinite(self.shift) and np.isfinite(self.scale)):
+            raise ValueError(f"shift and scale must be finite, got "
+                             f"shift={self.shift}, scale={self.scale}")
 
     @property
     def degenerate(self) -> bool:

@@ -14,6 +14,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -27,6 +28,7 @@ MONTE_CARLO = "monte-carlo"
 
 MAX_EXACT_ORDER = 16
 MAX_DEGREE = 8  # Hankel matrices of higher-order MC moments are ill-conditioned
+_MC_BATCH = 200_000  # xi draws per Monte Carlo batch
 
 # det M_j <= this multiple of its Hadamard bound counts as degenerate
 _DEGENERACY_RTOL = 1e-10
@@ -185,6 +187,34 @@ def _sample_xi(family: str, p: int, rng: np.random.Generator,
     raise ValueError(f"unknown family {family!r}")
 
 
+def _xi_batches(ensemble: VectorEnsemble, samples: int,
+                seed: int) -> Iterator[np.ndarray]:
+    """``samples`` draws of xi_p in batches of up to _MC_BATCH; batch b
+    comes from substream(seed, TAG_BATCH, b)."""
+    for b, done in enumerate(range(0, samples, _MC_BATCH)):
+        yield _sample_xi(ensemble.family, ensemble.p,
+                         substream(seed, TAG_BATCH, b),
+                         min(_MC_BATCH, samples - done))
+
+
+def _mc_moments(ensemble: VectorEnsemble, power_sums: np.ndarray,
+                samples: int, order: int) -> MomentSequence:
+    """Monte Carlo moments m_0 ... m_order from sums of xi^j over the draws.
+
+    m_0 is pinned to 1. Moment m_k gets the standard error
+    sqrt((mean xi^2k - m_k^2) / samples) when xi^2k was summed, else NaN.
+    """
+    raw = power_sums / samples
+    values = raw[:order + 1].copy()
+    values[0] = 1.0
+    known = np.arange(min(order, (raw.size - 1) // 2) + 1)
+    stderr = np.full(order + 1, np.nan)
+    stderr[known] = np.sqrt(np.maximum(raw[2 * known] - values[known] ** 2,
+                                       0.0) / samples)
+    return MomentSequence(values=values, source=MONTE_CARLO,
+                          family=ensemble.family, p=ensemble.p, stderr=stderr)
+
+
 def xi_moments(ensemble: VectorEnsemble, K: int, method: str = EXACT,
                seed: int = 0, samples: int = 1_000_000) -> MomentSequence:
     """Moments m_0 ... m_K of xi_p for the given ensemble.
@@ -212,26 +242,13 @@ def xi_moments(ensemble: VectorEnsemble, K: int, method: str = EXACT,
     if samples < 100:
         raise ValueError(f"need samples >= 100, got {samples}")
     sums = np.zeros(2 * K + 1)
-    done = 0
-    batch_index = 0
-    while done < samples:
-        count = min(200_000, samples - done)
-        rng = substream(seed, TAG_BATCH, batch_index)
-        xi = _sample_xi(ensemble.family, ensemble.p, rng, count)
+    for xi in _xi_batches(ensemble, samples, seed):
         powers = np.ones_like(xi)
-        sums[0] += count
+        sums[0] += xi.size
         for m in range(1, 2 * K + 1):
             powers = powers * xi
             sums[m] += powers.sum()
-        done += count
-        batch_index += 1
-    raw = sums / samples
-    values = raw[:K + 1].copy()
-    values[0] = 1.0
-    stderr = np.sqrt(np.maximum(raw[2 * np.arange(K + 1)]
-                                - values ** 2, 0.0) / samples)
-    return MomentSequence(values=values, source=MONTE_CARLO,
-                          family=ensemble.family, p=ensemble.p, stderr=stderr)
+    return _mc_moments(ensemble, sums, samples, K)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +280,15 @@ def _hankel(values: np.ndarray, j: int) -> np.ndarray:
     return np.array([[values[r + c] for c in range(j + 1)] for r in range(j + 1)])
 
 
+def _hankel_form(u: np.ndarray, v: np.ndarray, h: np.ndarray) -> float:
+    """sum_r sum_s u_r v_s h_{r+s}, accumulated in row order."""
+    total = 0.0
+    for r, a in enumerate(u):
+        for s, b in enumerate(v):
+            total += a * b * h[r + s]
+    return total
+
+
 def hankel_determinants(m: MomentSequence, k: int) -> np.ndarray:
     """det M_0, ..., det M_k, raising DegeneracyError on a collapsed one."""
     if m.order < 2 * k:
@@ -291,7 +317,11 @@ def orthopoly_from_moments(m: MomentSequence, k: int) -> np.ndarray:
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    dets = hankel_determinants(m, k)
+    return _orthopoly(m, k, hankel_determinants(m, k))
+
+
+def _orthopoly(m: MomentSequence, k: int, dets: np.ndarray) -> np.ndarray:
+    """orthopoly_from_moments given det M_0, ..., det M_j for some j >= k."""
     if k == 0:
         return np.array([1.0])
     c_k = 1.0 / np.sqrt(dets[k - 1] * dets[k])
@@ -319,12 +349,8 @@ class OrthoBasis:
 
     def inner_product(self, j: int, k: int) -> float:
         """<p_j, p_k> under the moment functional."""
-        cj, ck = self.coefficients[j], self.coefficients[k]
-        total = 0.0
-        for r, a in enumerate(cj):
-            for s, b in enumerate(ck):
-                total += a * b * self.moments.values[r + s]
-        return total
+        return _hankel_form(self.coefficients[j], self.coefficients[k],
+                            self.moments.values)
 
     def gram_residual(self) -> float:
         """max_{j,k} |<p_j, p_k> - delta_jk|."""
@@ -340,7 +366,7 @@ def build_basis(m: MomentSequence, degree: int) -> OrthoBasis:
     if degree > MAX_DEGREE:
         raise ValueError(f"degree capped at {MAX_DEGREE}, got {degree}")
     dets = hankel_determinants(m, degree)
-    coeffs = tuple(orthopoly_from_moments(m, k) for k in range(degree + 1))
+    coeffs = tuple(_orthopoly(m, k, dets) for k in range(degree + 1))
     return OrthoBasis(moments=m, degree=degree, coefficients=coeffs,
                       hankel_dets=dets)
 
@@ -413,12 +439,7 @@ def envelope_coeffs(f: Envelope, ensemble: VectorEnsemble, L: int,
     sum_k2_xi = np.zeros(n_mom + 1)     # sum k(xi)^2 xi^m
     sum_k3 = 0.0
     sum_k4 = 0.0
-    done = 0
-    batch_index = 0
-    while done < samples:
-        count = min(200_000, samples - done)
-        rng = substream(seed, TAG_BATCH, batch_index)
-        xi = _sample_xi(ensemble.family, p, rng, count)
+    for xi in _xi_batches(ensemble, samples, seed):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             kv = sqrt_p * np.asarray(f(xi / sqrt_p, p), dtype=float)
         if not np.all(np.isfinite(kv)):
@@ -428,7 +449,7 @@ def envelope_coeffs(f: Envelope, ensemble: VectorEnsemble, L: int,
                 x=float(xi[bad]))
         kv2 = kv * kv
         powers = np.ones_like(xi)
-        sum_xi[0] += count
+        sum_xi[0] += xi.size
         sum_k_xi[0] += kv.sum()
         sum_k2_xi[0] += kv2.sum()
         sum_k3 += float((kv2 * kv).sum())
@@ -439,17 +460,7 @@ def envelope_coeffs(f: Envelope, ensemble: VectorEnsemble, L: int,
             if mdeg <= L:
                 sum_k_xi[mdeg] += (kv * powers).sum()
             sum_k2_xi[mdeg] += (kv2 * powers).sum()
-        done += count
-        batch_index += 1
-    raw = sum_xi / samples
-    values = raw.copy()
-    values[0] = 1.0
-    stderr_m = np.full(n_mom + 1, np.nan)
-    stderr_m[:L + 1] = np.sqrt(np.maximum(
-        raw[2 * np.arange(L + 1)] - values[:L + 1] ** 2, 0.0) / samples)
-    mhat = MomentSequence(values=values, source=MONTE_CARLO,
-                          family=ensemble.family, p=p, stderr=stderr_m)
-    basis = build_basis(mhat, L)
+    basis = build_basis(_mc_moments(ensemble, sum_xi, samples, n_mom), L)
 
     cross = sum_k_xi / samples
     coeffs = np.array([float(np.dot(basis.coefficients[k],
@@ -459,11 +470,8 @@ def envelope_coeffs(f: Envelope, ensemble: VectorEnsemble, L: int,
     errs = np.empty(L + 1)
     for k in range(L + 1):
         c = basis.coefficients[k]
-        second = 0.0
-        for r, a_r in enumerate(c):
-            for s, a_s in enumerate(c):
-                second += a_r * a_s * k2[r + s]
-        errs[k] = np.sqrt(max(second - coeffs[k] ** 2, 0.0) / samples)
+        errs[k] = np.sqrt(max(_hankel_form(c, c, k2) - coeffs[k] ** 2, 0.0)
+                          / samples)
 
     mean_k = cross[0]
     nu = float(k2[0] - mean_k ** 2)

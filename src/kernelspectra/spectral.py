@@ -10,51 +10,37 @@ import numpy as np
 
 from ._csvio import read_table, write_table
 from .errors import NumericalError
-from .kernels import KernelMatrix
 
 # Sum of eigenvalues must reproduce the trace to this relative accuracy.
 _TRACE_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
-class SpectralSample:
-    """Sorted real spectrum of one realized kernel matrix."""
+def eigenvalues(A: np.ndarray) -> ESD:
+    """ESD of a symmetric matrix's full spectrum (dense eigensolver).
 
-    eigenvalues: np.ndarray
-    n: int
-    p: int | None = None
-    gamma: float | None = None
-    seed: int | None = None
-
-    @property
-    def points(self) -> np.ndarray:
-        return self.eigenvalues
-
-
-def eigenvalues(A: KernelMatrix | np.ndarray) -> SpectralSample:
-    """Full spectrum via a dense symmetric eigensolver, ascending order."""
-    if isinstance(A, KernelMatrix):
-        data = A.data
-        prov = A.provenance
-    else:
-        data = np.asarray(A, dtype=float)
-        prov = None
+    Raises ValueError on a non-square or non-finite matrix, and
+    NumericalError when the solver fails or its eigenvalue sum misses the
+    trace.
+    """
+    data = np.asarray(A, dtype=float)
+    if data.ndim != 2 or data.shape[0] != data.shape[1]:
+        raise ValueError(f"eigenvalues needs a square matrix, got shape "
+                         f"{data.shape}")
+    n = data.shape[0]
+    # max and min propagate NaN, so scale is non-finite iff an entry is.
+    scale = max(data.max(), -data.min()) if n else 0.0
+    if not np.isfinite(scale):
+        raise ValueError("eigenvalues needs finite entries; the matrix has "
+                         "a NaN or infinite entry")
     try:
         lam = np.linalg.eigvalsh(data)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"symmetric eigensolver failed ({exc}); provenance: {prov}") from exc
-    n = data.shape[0]
-    scale = max(data.max(), -data.min()) if n else 0.0
-    if abs(lam.sum() - np.trace(data)) > _TRACE_RTOL * n * max(scale, 1e-300):
-        raise NumericalError(
-            f"eigenvalue sum disagrees with trace beyond tolerance; "
-            f"provenance: {prov}")
-    return SpectralSample(
-        eigenvalues=lam, n=n,
-        p=prov.p if prov else None,
-        gamma=(prov.p / n) if prov else None,
-        seed=prov.seed if prov else None)
+        raise NumericalError(f"symmetric eigensolver failed ({exc})") from exc
+    tol = _TRACE_RTOL * n * max(scale, 1e-300)
+    if not abs(lam.sum() - np.trace(data)) <= tol:
+        raise NumericalError("eigenvalue sum disagrees with trace beyond "
+                             "tolerance")
+    return ESD(points=lam)
 
 
 class Law:
@@ -81,16 +67,13 @@ class ESD:
     points: np.ndarray
 
     @staticmethod
-    def of(sample: SpectralSample) -> "ESD":
-        return ESD(points=np.sort(sample.eigenvalues))
-
-    @staticmethod
-    def pooled(samples: Sequence[SpectralSample]) -> "ESD":
-        return ESD(points=np.sort(np.concatenate(
-            [s.eigenvalues for s in samples])))
+    def pooled(esds: Sequence["ESD"]) -> "ESD":
+        return ESD(points=np.concatenate([e.points for e in esds]))
 
     def __post_init__(self):
-        pts = np.sort(np.asarray(self.points, dtype=float))
+        # Stable, so already-ascending input (eigvalsh's) keeps its exact
+        # order, signed zeros included.
+        pts = np.sort(np.asarray(self.points, dtype=float), kind="stable")
         object.__setattr__(self, "points", pts)
         if pts.size == 0:
             raise ValueError("an ESD needs at least one point")
@@ -116,11 +99,11 @@ class ESD:
         return tuple(zip(locs.tolist(), (counts / self.n).tolist()))
 
 
-def empirical_stieltjes(s: SpectralSample | ESD, z: complex) -> complex:
+def empirical_stieltjes(e: ESD, z: complex) -> complex:
     """m(z) = (1/n) sum_i 1/(lambda_i - z) for Im z > 0."""
     if np.imag(z) <= 0:
         raise ValueError(f"empirical_stieltjes requires Im z > 0, got z={z}")
-    return complex(np.mean(1.0 / (s.points - z)))
+    return complex(np.mean(1.0 / (e.points - z)))
 
 
 def ks_distance(e: ESD, law) -> float:
@@ -166,7 +149,7 @@ class VarianceDecayReport:
     strictly_decreasing: bool
 
 
-def stieltjes_variance_decay(model: Callable[[int, int], KernelMatrix | np.ndarray],
+def stieltjes_variance_decay(model: Callable[[int, int], np.ndarray],
                              z: complex, trials: int,
                              sizes: Sequence[int]) -> VarianceDecayReport:
     """Variance of m_A(z) across trials for each size in ``sizes``.

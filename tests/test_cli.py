@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from scipy.integrate import quad
 
 from kernelspectra import (ESD, VectorEnsemble, envelope_coeffs, load_esd,
@@ -96,6 +97,30 @@ def test_predict_fe_writes_law(tmp_path, capsys):
 def test_predict_rejects_nu_below_a_squared(capsys):
     assert cli_main(["predict", "--law", "fe", "--a", "2", "--nu", "1",
                      "--gamma", "1"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--law", "mp", "--gamma", "nan"],
+    ["--law", "mp", "--gamma", "inf"],
+    ["--law", "mp", "--gamma", "1", "--shift", "nan"],
+    ["--law", "mp", "--gamma", "1", "--scale", "inf"],
+    ["--law", "mp", "--gamma", "nan", "--envelope", "exp:a=1"],
+    ["--law", "fe", "--a", "0", "--nu", "1", "--gamma", "nan"],
+    ["--law", "fe", "--a", "0", "--nu", "1", "--gamma", "inf"],
+    ["--law", "fe", "--a", "nan", "--nu", "1", "--gamma", "1"],
+    ["--law", "fe", "--a", "0", "--nu", "nan", "--gamma", "1"],
+    ["--law", "fe", "--a", "0", "--nu", "1", "--gamma", "1",
+     "--epsilon", "nan"],
+])
+def test_predict_rejects_non_finite_parameters(argv, capsys):
+    assert cli_main(["predict", *argv]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_compare_rejects_non_finite_epsilon(capsys):
+    assert cli_main(["compare", "--set", "p=10", "--set", "n=20",
+                     "--set", "epsilon=nan"]) == 1
+    assert "epsilon" in capsys.readouterr().err
 
 
 def test_compare_with_config_file(tmp_path, capsys):

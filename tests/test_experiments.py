@@ -61,6 +61,11 @@ def test_config_validation():
         ExperimentConfig(z_grid=(1.0 - 1j,))
     with pytest.raises(ValueError):
         ExperimentConfig(n=10 ** 9, trials=1000)  # desk-scale cap
+    with pytest.raises(ValueError, match="z_grid"):
+        ExperimentConfig(z_grid=())
+    for epsilon in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="epsilon"):
+            ExperimentConfig(epsilon=epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +173,7 @@ def test_sphere_diagonal_shift_is_exact():
     S = sample_matrix(VectorEnsemble("sphere", 60), 90, seed=13)
     keep = eigenvalues(build(KernelSpec("inner", "keep", env), S, gram(S)))
     zero = eigenvalues(build(KernelSpec("inner", "zero", env), S, gram(S)))
-    shift = keep.eigenvalues - zero.eigenvalues
+    shift = keep.points - zero.points
     assert np.max(np.abs(shift - np.e)) < 1e-10
 
 
@@ -178,7 +183,7 @@ def test_distance_diagonal_shift_is_exact():
     S = sample_matrix(VectorEnsemble("gaussian", 50), 70, seed=14)
     keep = eigenvalues(build(KernelSpec("distance", "keep", env), S, gram(S)))
     zero = eigenvalues(build(KernelSpec("distance", "zero", env), S, gram(S)))
-    shift = keep.eigenvalues - zero.eigenvalues
+    shift = keep.points - zero.points
     assert np.max(np.abs(shift - 1.0)) < 1e-10
 
 

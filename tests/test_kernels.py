@@ -123,7 +123,7 @@ def test_build_matches_mirrored_reference_bit_for_bit(envelope, kernel,
         G = gram(S)
         untouched = G.copy()
         A = build(spec, S, G)
-        assert A.data.tobytes() == _reference_build(spec, S)[0].tobytes()
+        assert A.tobytes() == _reference_build(spec, S)[0].tobytes()
         assert G.tobytes() == untouched.tobytes()  # build leaves G alone
 
 
@@ -153,14 +153,14 @@ def test_build_identity_envelope_equals_gram():
     S = _sample(seed=2)
     spec = KernelSpec("inner", "keep", parse_envelope("identity"))
     A = build(spec, S, gram(S))
-    assert np.array_equal(A.data, gram(S))
+    assert np.array_equal(A, gram(S))
 
 
 def test_build_exp_distance_keep_diagonal_is_one():
     S = _sample(seed=5)
     spec = KernelSpec("distance", "keep", parse_envelope("exp:a=1"))
     A = build(spec, S, gram(S))
-    assert np.array_equal(np.diag(A.data), np.ones(S.n))
+    assert np.array_equal(np.diag(A), np.ones(S.n))
 
 
 def test_build_sign_scaled_value_range():
@@ -169,7 +169,7 @@ def test_build_sign_scaled_value_range():
     spec = KernelSpec("inner", "zero", parse_envelope("sign-scaled"))
     A = build(spec, S, gram(S))
     allowed = {-1.0 / np.sqrt(p), 0.0, 1.0 / np.sqrt(p)}
-    assert set(np.unique(A.data)).issubset(allowed)
+    assert set(np.unique(A)).issubset(allowed)
 
 
 def test_build_flags_non_finite_envelope_values():
@@ -194,7 +194,7 @@ def test_build_zero_diagonal_ignores_diagonal_envelope_values():
                                                  out=np.full_like(x, np.inf),
                                                  where=x != 0))
     A = build(KernelSpec("distance", "zero", inv), S, gram(S))
-    assert np.all(np.isfinite(A.data))
+    assert np.all(np.isfinite(A))
 
 
 @settings(max_examples=20, deadline=None)
@@ -205,9 +205,9 @@ def test_built_matrices_are_exactly_symmetric(kernel, diagonal, seed):
     S = _sample(p=15, n=12, seed=seed)
     spec = KernelSpec(kernel, diagonal, parse_envelope("exp:a=0.5"))
     A = build(spec, S, gram(S))
-    assert np.max(np.abs(A.data - A.data.T)) == 0.0
+    assert np.max(np.abs(A - A.T)) == 0.0
     if diagonal == "zero":
-        assert np.trace(A.data) == 0.0
+        assert np.trace(A) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +218,7 @@ def test_linearized_identity_inner_keep_is_gram():
     S = _sample(seed=11)
     spec = KernelSpec("inner", "keep", parse_envelope("identity"))
     B = linearized(spec, S)
-    assert np.max(np.abs(B.data - gram(S))) < 1e-14
+    assert np.max(np.abs(B - gram(S))) < 1e-14
 
 
 def test_linearized_exp_inner_keep():
@@ -227,7 +227,7 @@ def test_linearized_exp_inner_keep():
     spec = KernelSpec("inner", "keep", parse_envelope("exp:a=1"))
     B = linearized(spec, S)
     expected = (np.e - 2.0) * np.eye(S.n) + gram(S)
-    assert np.max(np.abs(B.data - expected)) < 1e-12
+    assert np.max(np.abs(B - expected)) < 1e-12
 
 
 def test_linearized_exp_distance():
@@ -237,7 +237,7 @@ def test_linearized_exp_distance():
     B = linearized(spec, S)
     expected = (1.0 - 3.0 * np.exp(-2.0)) * np.eye(S.n) \
         + 2.0 * np.exp(-2.0) * gram(S)
-    assert np.max(np.abs(B.data - expected)) < 1e-12
+    assert np.max(np.abs(B - expected)) < 1e-12
 
 
 def test_linearized_requires_derivative():
@@ -255,14 +255,14 @@ def test_transference_identity_at_zero_returns_input():
     S = _sample(seed=15)
     D = squared_distances(S)
     B = transference_linearized(D, parse_envelope("identity"), a=0.0)
-    assert np.max(np.abs(B.data - D)) < 1e-14
+    assert np.max(np.abs(B - D)) < 1e-14
 
 
 def test_transference_constant_envelope():
     S = _sample(seed=16)
     D = squared_distances(S)
     B = transference_linearized(D, parse_envelope("const:c=3"), a=1.5)
-    assert np.max(np.abs(B.data - (-3.0) * np.eye(S.n))) < 1e-14
+    assert np.max(np.abs(B - (-3.0) * np.eye(S.n))) < 1e-14
 
 
 def test_transference_matches_distance_linearization_up_to_bookkeeping():
@@ -270,8 +270,8 @@ def test_transference_matches_distance_linearization_up_to_bookkeeping():
     S = _sample(seed=17)
     env = parse_envelope("exp:a=-1")
     D = squared_distances(S)
-    Bt = transference_linearized(D, env, a=2.0).data
-    Bl = linearized(KernelSpec("distance", "keep", env), S).data
+    Bt = transference_linearized(D, env, a=2.0)
+    Bl = linearized(KernelSpec("distance", "keep", env), S)
     g = np.diag(gram(S))
     d2 = -np.exp(-2.0)
     bookkeeping = d2 * (g[:, None] + g[None, :]) - 1.0 * np.eye(S.n)
@@ -299,7 +299,7 @@ def test_swap_with_same_value_is_identity():
     S = _sample(p=20, n=15, seed=18)
     spec = KernelSpec("inner", "zero", parse_envelope("exp:a=1"))
     before, after = single_entry_swap(S, 3, 5, float(S.data[3, 5]), spec)
-    assert np.array_equal(before.data, after.data)
+    assert np.array_equal(before, after)
 
 
 @settings(max_examples=15, deadline=None)
@@ -308,7 +308,7 @@ def test_swap_difference_has_rank_at_most_two(seed, i, j):
     S = _sample(p=20, n=15, seed=seed)
     spec = KernelSpec("inner", "zero", parse_envelope("exp:a=1"))
     before, after = single_entry_swap(S, i, j, 0.37, spec)
-    delta = after.data - before.data
+    delta = after - before
     sv = np.linalg.svd(delta, compute_uv=False)
     if sv[0] > 0:
         assert sv[2] <= 1e-9 * sv[0]

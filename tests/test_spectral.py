@@ -22,27 +22,38 @@ def _kernel_matrix(p=40, n=30, seed=0, envelope="exp:a=1", diagonal="zero"):
 
 def test_eigenvalues_of_scaled_identity():
     s = eigenvalues(2.5 * np.eye(12))
-    assert np.allclose(s.eigenvalues, 2.5)
+    assert np.allclose(s.points, 2.5)
     assert s.n == 12
 
 
 def test_eigenvalues_of_all_ones_matrix():
     n = 9
     s = eigenvalues(np.ones((n, n)))
-    assert np.allclose(s.eigenvalues[:-1], 0.0, atol=1e-12)
-    assert abs(s.eigenvalues[-1] - n) < 1e-10
+    assert np.allclose(s.points[:-1], 0.0, atol=1e-12)
+    assert abs(s.points[-1] - n) < 1e-10
 
 
 def test_zero_diagonal_spectrum_sums_to_zero():
     A = _kernel_matrix(seed=3)
     s = eigenvalues(A)
-    assert abs(s.eigenvalues.sum()) < 1e-8 * s.n * np.max(np.abs(A.data))
-    assert s.gamma == A.provenance.p / A.provenance.n
+    assert abs(s.points.sum()) < 1e-8 * s.n * np.max(np.abs(A))
 
 
 def test_eigenvalues_ascending():
     s = eigenvalues(_kernel_matrix(seed=4))
-    assert np.all(np.diff(s.eigenvalues) >= 0)
+    assert np.all(np.diff(s.points) >= 0)
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ([[np.nan, 0.0], [0.0, 1.0]], "finite"),
+    ([[np.inf, 0.0], [0.0, 1.0]], "finite"),
+    ([[1.0, 0.0], [0.0, -np.inf]], "finite"),
+    (np.ones((2, 3)), "square"),
+    (np.ones(3), "square"),
+])
+def test_eigenvalues_rejects_bad_input(matrix, message):
+    with pytest.raises(ValueError, match=message):
+        eigenvalues(matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +204,8 @@ def test_wasserstein_unequal_counts_matches_scipy_oracle():
 
 
 def test_wasserstein_two_seeds_same_model():
-    lam1 = eigenvalues(_kernel_matrix(p=500, n=1000, seed=1)).eigenvalues
-    lam2 = eigenvalues(_kernel_matrix(p=500, n=1000, seed=2)).eigenvalues
+    lam1 = eigenvalues(_kernel_matrix(p=500, n=1000, seed=1)).points
+    lam2 = eigenvalues(_kernel_matrix(p=500, n=1000, seed=2)).points
     e1, e2 = ESD(points=lam1), ESD(points=lam2)
     w = wasserstein1(e1, e2)
     ks = ks_distance(e1, e2)
