@@ -29,7 +29,11 @@ class DegeneracyError(KernelSpectraError):
 
 
 class SolverError(KernelSpectraError):
-    """Fixed-point solver failed to converge or left the Herglotz domain."""
+    """The limit law could not be computed where it was asked for.
+
+    Raised when a point has no unique root of the functional equation's
+    cubic with Im m > 0, and when a grid misses part of the law's mass.
+    """
 
     def __init__(self, message: str, z: complex | None = None,
                  residual: float | None = None):

@@ -66,7 +66,8 @@ class Envelope:
                 known = getattr(self.analytic, name)
                 if known is not None:
                     return float(known)
-        return float(self(x0, p))
+        with np.errstate(over="ignore"):  # callers reject a non-finite value
+            return float(self(x0, p))
 
     def has_analytic_derivative(self, x0: float) -> bool:
         if x0 == 0.0:

@@ -1,14 +1,53 @@
-"""Solver for the limiting functional equation of the p-dependent model.
+"""Closed-form limit law of the p-dependent model.
 
 The Stieltjes transform m(z) of the limit law with parameters (a, nu,
 gamma) satisfies
 
-    -1/m = z + a (1 - 1/(1 + (a/gamma) m)) + ((nu - a^2)/gamma) m ,
+    -1/m = z + a (1 - 1/(1 + (a/gamma) m)) + ((nu - a^2)/gamma) m .
 
-whose Herglotz solution is unique. The solver is a damped fixed-point
-iteration (damping 0.5, restarted with stronger damping if the iterate
-leaves the upper half-plane or approaches the pole), and densities come
-from Stieltjes inversion rho(x) ~ Im m(x + i eps) / pi on a grid.
+With c = a/gamma and d = (nu - a^2)/gamma, multiplying by m (1 + c m)
+gives the cubic
+
+    d c m^3 + ((z + a) c + d) m^2 + (z + c) m + 1 = 0 ,
+
+and m(z) is its root with Im m > 0. The solver takes the roots w = 1/m
+of the reversed cubic w^3 + (z + c) w^2 + ((z + a) c + d) w + d c as the
+eigenvalues of its companion matrix, batched over z. That cubic is
+monic, so no case divides by d c. Where d c = 0 the degree in m drops
+(the MP quadratic at nu = a^2, the semicircle of variance nu/gamma at
+a = 0, m = -1/z at a = nu = 0) and the lost root shows up as w = 0.
+Every Stieltjes transform has Im(-1/m) >= Im z, while a root with
+Im m <= 0 has Im w >= 0, so the Herglotz root is the one with
+Im w < -Im z / 2. Rounding cannot tip that test, even where another
+root is huge and nearly real.
+
+Atoms and the support are closed-form too:
+
+- A root can only blow up where the leading coefficient in m vanishes.
+  For d > 0 it is the constant d c (or d), so there is no atom. At
+  nu = a^2 > 0 it is (z + a) c: an atom at -a of mass 1 - gamma when
+  gamma < 1. At a = nu = 0 the law is the unit atom at 0.
+- The support edges are the real roots of the cubic's discriminant in x,
+  which are the critical values of the inverse map
+  x(m) = -1/m - a c m / (1 + c m) - d m. At d c = 0 they are
+  c -+ 2 sqrt(a c + d). Otherwise, with w = 1/m, x'(m) (w + c)^2 is the
+  monic quartic R(w) = (w^2 - d)(w + c)^2 - a c w^2. R(0) and R(-c) are
+  negative, so R has a root above 0 and one below -c. The largest root
+  gives the left end of the support's hull, the smallest the right end.
+  The discriminant's own roots are not used: for small a, a complex
+  pair of them near x = d/c comes out real in floating point.
+
+On a grid over the hull, the density is the Stieltjes inversion
+Im m(x + i eps) / pi: the law smoothed by a Cauchy kernel of width eps.
+The smoothed law's CDF is closed-form as well. Since x is a rational
+function of m, an antiderivative G of m in z, dG/dz = m, is elementary:
+
+    G(m) = log m - gamma (log(1 + c m) + 1/(1 + c m)) - d m^2 / 2 ,
+
+with the gamma term only for a > 0, because m x'(m) = 1/m
+- a c m / (1 + c m)^2 - d m. Im m and Im(1 + c m) stay positive, so the
+principal logs are continuous along x + i eps, and Im G -> 0 as
+x -> -inf: the smoothed CDF is Im G(m(x + i eps)) / pi.
 """
 
 from __future__ import annotations
@@ -23,13 +62,7 @@ from ._csvio import read_table, write_table
 from .errors import SolverError
 from .spectral import Law
 
-RESIDUAL_TOL = 1e-10      # functional-equation residual bound on returned m
-STEP_TOL = 1e-13          # successive-change stopping rule
-MAX_STEPS = 10_000
-_POLE_TOL = 1e-12
-_MASS_TOL = 1e-3          # CDF terminal mass must reach 1 within this
-_BOUNDARY_DENSITY = 1e-8  # unsmoothed density bound at the window edges
-_PROBE_EPS = 1e-9         # imaginary offset used for the edge probes
+_MASS_TOL = 1e-3          # the window must hold all mass but this
 
 
 def _check_params(a: float, nu: float, gamma: float) -> None:
@@ -43,9 +76,39 @@ def _check_params(a: float, nu: float, gamma: float) -> None:
         raise ValueError(f"need a^2 <= nu, got a^2={a*a:.6g}, nu={nu:.6g}")
 
 
-def _rhs(m, a: float, nu: float, gamma: float, z):
-    pole = 1.0 + (a / gamma) * m
-    return -1.0 / (z + a * (1.0 - 1.0 / pole) + ((nu - a * a) / gamma) * m)
+def _cd(a: float, nu: float, gamma: float) -> tuple[float, float]:
+    """c = a/gamma and d = (nu - a^2)/gamma, d clamped at 0."""
+    return a / gamma, max(nu - a * a, 0.0) / gamma
+
+
+def _reciprocal_roots(a: float, nu: float, gamma: float, z) -> np.ndarray:
+    """Roots w = 1/m of the reversed cubic at each z, shape z.shape + (3,)."""
+    c, d = _cd(a, nu, gamma)
+    z = np.asarray(z, dtype=complex)
+    companion = np.zeros(z.shape + (3, 3), dtype=complex)
+    companion[..., 0, 0] = -(z + c)
+    companion[..., 0, 1] = -((z + a) * c + d)
+    companion[..., 0, 2] = -d * c
+    companion[..., 1, 0] = companion[..., 2, 1] = 1.0
+    return np.linalg.eigvals(companion)
+
+
+def _stieltjes(a: float, nu: float, gamma: float, z) -> np.ndarray:
+    """m(z) at every point of ``z``; raises SolverError where the
+    Herglotz root is not unique."""
+    z = np.asarray(z, dtype=complex)
+    if np.any(z.imag <= 0):
+        raise ValueError("the limit law's Stieltjes transform requires "
+                         "Im z > 0")
+    w = _reciprocal_roots(a, nu, gamma, z)
+    herglotz = w.imag < -0.5 * z.imag[..., None]
+    unique = herglotz.sum(axis=-1) == 1
+    if not unique.all():
+        at = complex(z[~unique].flat[0])
+        raise SolverError(
+            f"{int(np.sum(~unique))} point(s) without exactly one Herglotz "
+            f"root, first at z={at} (a={a}, nu={nu}, gamma={gamma})", z=at)
+    return 1.0 / w[herglotz].reshape(z.shape)
 
 
 def equation_residual(m, a: float, nu: float, gamma: float, z):
@@ -56,135 +119,54 @@ def equation_residual(m, a: float, nu: float, gamma: float, z):
                   - ((nu - a * a) / gamma) * np.asarray(m))
 
 
-def _scaled_residual(m, a: float, nu: float, gamma: float, z):
-    """|1 + m D(m)|, the residual of the pole-free form of the equation.
-
-    Multiplying through by m avoids the 1/|m|^2 float floor of the raw
-    residual at far-field points where |m| ~ 1/|z| is tiny.
-    """
-    pole = 1.0 + (a / gamma) * np.asarray(m)
-    den = (np.asarray(z) + a * (1.0 - 1.0 / pole)
-           + ((nu - a * a) / gamma) * np.asarray(m))
-    return np.abs(1.0 + np.asarray(m) * den)
-
-
-_SCALED_RESIDUAL_TOL = 1e-11
-
-
-def _residual_ok(m, a: float, nu: float, gamma: float, z) -> np.ndarray:
-    return ((equation_residual(m, a, nu, gamma, z) < RESIDUAL_TOL)
-            | (_scaled_residual(m, a, nu, gamma, z) < _SCALED_RESIDUAL_TOL))
-
-
-def solve_point(a: float, nu: float, gamma: float, z: complex,
-                m0: complex | None = None) -> complex:
+def solve_point(a: float, nu: float, gamma: float, z: complex) -> complex:
     """Herglotz solution m(z) of the functional equation at one point.
 
-    Damped fixed-point iteration from m0 = -1/z with damping 0.5; on a
-    Herglotz violation or pole approach the iteration restarts with the
-    damping halved. The returned value satisfies the residual bound
-    RESIDUAL_TOL and Im m > 0.
+    Raises ValueError unless Im z > 0, and SolverError where rounding
+    leaves no unique root with Im m > 0.
     """
     _check_params(a, nu, gamma)
-    z = complex(z)
-    if z.imag <= 0:
-        raise ValueError(f"solve_point requires Im z > 0, got z={z}")
-    start = complex(m0) if m0 is not None else -1.0 / z
-    damping = 0.5
-    last_residual = np.inf
-    for _attempt in range(6):
-        m = start
-        ok = True
-        for _step in range(MAX_STEPS):
-            if abs(1.0 + (a / gamma) * m) < _POLE_TOL:
-                ok = False
-                break
-            m_new = (1.0 - damping) * m + damping * _rhs(m, a, nu, gamma, z)
-            if m_new.imag <= 0 or not np.isfinite(m_new):
-                ok = False
-                break
-            step = abs(m_new - m)
-            m = m_new
-            if step < STEP_TOL:
-                break
-        if ok:
-            last_residual = float(equation_residual(m, a, nu, gamma, z))
-            if bool(_residual_ok(m, a, nu, gamma, z)):
-                return m
-        damping *= 0.5
-        start = -1.0 / z
-    raise SolverError(
-        f"fixed point did not converge at z={z} (a={a}, nu={nu}, "
-        f"gamma={gamma}); last residual {last_residual:.3g}",
-        z=z, residual=last_residual)
+    return complex(_stieltjes(a, nu, gamma, complex(z)))
 
 
-def _solve_vector(a: float, nu: float, gamma: float, zs: np.ndarray,
-                  m0: np.ndarray | None = None,
-                  damping: float = 0.5) -> np.ndarray:
-    """Cold vectorized fixed point over a batch of points.
-
-    Points that stall or leave the Herglotz domain are re-solved one at a
-    time through solve_point's restart ladder.
-    """
-    zs = np.asarray(zs, dtype=complex)
-    m = (-1.0 / zs) if m0 is None else np.array(m0, dtype=complex)
-    active = np.ones(zs.shape, dtype=bool)
-    failed = np.zeros(zs.shape, dtype=bool)
-    for _step in range(MAX_STEPS):
-        if not active.any():
-            break
-        ma = m[active]
-        za = zs[active]
-        m_new = (1.0 - damping) * ma + damping * _rhs(ma, a, nu, gamma, za)
-        bad = (m_new.imag <= 0) | ~np.isfinite(m_new)
-        conv = (np.abs(m_new - ma) < STEP_TOL) & ~bad
-        m_new[bad] = ma[bad]
-        m[active] = m_new
-        idx = np.flatnonzero(active)
-        failed[idx[bad]] = True
-        active[idx[bad | conv]] = False
-    still = active | failed
-    still |= ~_residual_ok(m, a, nu, gamma, zs)
-    for i in np.flatnonzero(still):
-        warm = complex(m[i - 1]) if i > 0 and not still[i - 1] else None
-        m[i] = solve_point(a, nu, gamma, complex(zs[i]), m0=warm)
-    return m
+def _atoms(a: float, nu: float, gamma: float
+           ) -> tuple[tuple[float, float], ...]:
+    if _cd(a, nu, gamma)[1] > 0:
+        return ()
+    if a == 0:
+        return ((0.0, 1.0),)
+    return ((float(-a), float(1.0 - gamma)),) if gamma < 1 else ()
 
 
-def _cauchy_profile(x: np.ndarray, loc: float, mass: float,
-                    eps: float) -> np.ndarray:
-    return mass * eps / (np.pi * ((x - loc) ** 2 + eps ** 2))
+def _support(a: float, nu: float, gamma: float) -> tuple[float, float]:
+    c, d = _cd(a, nu, gamma)
+    if d * c == 0:
+        r = 2.0 * np.sqrt(a * c + d)
+        return float(c - r), float(c + r)
+    w = np.roots([1.0, 2.0 * c, c * c - d - a * c, -2.0 * c * d, -c * c * d])
+    w = np.array([w.real.max(), w.real.min()])
+    lo, hi = -w - a * c / (w + c) - d / w
+    return float(lo), float(hi)
 
 
-def _refine_atom(a: float, nu: float, gamma: float, lo: float, hi: float,
-                 eps: float) -> float:
-    """Golden-section maximization of Im m(x + i eps) over [lo, hi]."""
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - phi * (hi - lo)
-    x2 = lo + phi * (hi - lo)
-    f1 = solve_point(a, nu, gamma, complex(x1, eps)).imag
-    f2 = solve_point(a, nu, gamma, complex(x2, eps)).imag
-    for _ in range(30):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + phi * (hi - lo)
-            f2 = solve_point(a, nu, gamma, complex(x2, eps)).imag
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - phi * (hi - lo)
-            f1 = solve_point(a, nu, gamma, complex(x1, eps)).imag
-    return 0.5 * (lo + hi)
+def _smoothed_cdf(a: float, nu: float, gamma: float,
+                  m: np.ndarray) -> np.ndarray:
+    """CDF of the eps-smoothed law at x, from m = m(x + i eps)."""
+    c, d = _cd(a, nu, gamma)
+    g = np.log(m) - 0.5 * d * m * m
+    if a > 0:
+        g -= gamma * (np.log(1.0 + c * m) + 1.0 / (1.0 + c * m))
+    return g.imag / np.pi
 
 
 @dataclass(frozen=True)
 class LimitLaw(Law):
-    """Numerically inverted limit law on a grid.
+    """Limit law inverted on a grid.
 
     ``density`` is the raw inversion Im m / pi at the requested epsilon
     (atoms appear in it as spikes of height ~ mass/(pi eps)); ``cdf_values``
-    holds right-continuous values at the grid points with detected atoms
-    integrated exactly as steps rather than through the quadrature.
+    holds the smoothed law's CDF at the grid points, right-continuous,
+    with each atom as an exact step instead of its smoothed profile.
     """
 
     a: float
@@ -216,6 +198,11 @@ class LimitLaw(Law):
         return out if np.ndim(x) else float(out)
 
     @property
+    def support(self) -> tuple[float, float]:
+        """Hull of the continuous part's support, from the closed form."""
+        return _support(self.a, self.nu, self.gamma)
+
+    @property
     def window(self) -> tuple[float, float]:
         """The solved grid's end points."""
         return float(self.grid[0]), float(self.grid[-1])
@@ -225,11 +212,9 @@ class LimitLaw(Law):
         return self.grid, self.density, self.cdf_values
 
     def stieltjes(self, z) -> np.ndarray | complex:
-        """Exact transform by re-solving the equation (no interpolation)."""
-        z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = np.array([solve_point(self.a, self.nu, self.gamma, zz)
-                        for zz in z_arr])
-        return out if np.ndim(z) else complex(out[0])
+        """Exact transform from the cubic's roots (no interpolation)."""
+        m = _stieltjes(self.a, self.nu, self.gamma, z)
+        return m if np.ndim(z) else complex(m)
 
     def to_record(self) -> dict:
         return {"type": "functional-equation", "a": self.a, "nu": self.nu,
@@ -237,129 +222,44 @@ class LimitLaw(Law):
                 "atoms": list(self.atoms)}
 
 
-def _detect_atoms(a: float, nu: float, gamma: float, grid: np.ndarray,
-                  im_eps: np.ndarray, eps: float
-                  ) -> tuple[tuple[float, float], ...]:
-    """Locate atoms as spikes whose Im m doubles when eps halves.
-
-    Candidate spikes are local maxima of Im m on the grid; each peak is
-    refined off-grid by golden-section search (an atom between grid
-    points shows up damped by (grid offset / eps)^2, so the scaling test
-    only works at the refined location). Atoms lighter than ~10 eps are
-    indistinguishable from smoothing noise and are not reported.
-    """
-    med = float(np.median(im_eps))
-    threshold = max(1.0, 5.0 * med)
-    inner = im_eps[1:-1]
-    is_peak = ((inner > threshold) & (inner >= im_eps[:-2])
-               & (inner >= im_eps[2:]))
-    peaks = np.flatnonzero(is_peak) + 1
-    if peaks.size == 0:
-        return ()
-    h = grid[1] - grid[0]
-    merged: list[int] = []
-    for i in peaks:
-        if merged and i - merged[-1] <= 3:
-            if im_eps[i] > im_eps[merged[-1]]:
-                merged[-1] = i
-        else:
-            merged.append(i)
-    atoms: list[tuple[float, float]] = []
-    for peak in merged:
-        loc = _refine_atom(a, nu, gamma, grid[peak] - h, grid[peak] + h,
-                           eps / 2)
-        im1 = solve_point(a, nu, gamma, complex(loc, eps)).imag
-        im2 = solve_point(a, nu, gamma, complex(loc, eps / 2)).imag
-        if im2 > 1.6 * im1:  # 1/eps scaling; hard edges grow only ~sqrt(2)
-            mass = (eps / 2) * im2
-            if mass > 10.0 * eps:
-                atoms.append((float(loc), float(mass)))
-    return tuple(atoms)
-
-
-def _initial_range(a: float, nu: float, gamma: float) -> tuple[float, float]:
-    w = 2.0 * np.sqrt(max(nu, 1e-12)) * (1.0 + 1.0 / np.sqrt(gamma))
-    w += abs(a) * (2.0 + 1.0 / gamma) + 1.0
-    return -w, w
-
-
 def solve_grid(a: float, nu: float, gamma: float,
                x_range: tuple[float, float] | None = None,
                n_points: int = 2000, epsilon: float = 1e-3) -> LimitLaw:
     """Invert the limit law on a real grid at imaginary offset epsilon.
 
-    The window auto-widens geometrically until the unsmoothed density at
-    both edges (probed at a tiny offset) is below 1e-8 and the recovered
-    mass is within 1e-3 of 1. Grid points are solved cold in a vectorized
-    chunk; a warm-vs-cold consistency check on sample points guards
-    against branch hopping.
+    The default window is the support's hull and the atoms, widened on
+    each side by 4 epsilon / (pi * 1e-3): the smoothed law's Cauchy tails
+    put at most 5e-4 of its mass outside it. A given ``x_range`` is used
+    as is. Raises SolverError when the grid holds less than 1 - 1e-3 of
+    the mass.
     """
     _check_params(a, nu, gamma)
     if not 0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if n_points < 16:
         raise ValueError(f"need n_points >= 16, got {n_points}")
+    atoms = _atoms(a, nu, gamma)
     if x_range is None:
-        lo, hi = _initial_range(a, nu, gamma)
+        ends = [*_support(a, nu, gamma), *(loc for loc, _ in atoms)]
+        margin = 4.0 * epsilon / (np.pi * _MASS_TOL)
+        lo, hi = min(ends) - margin, max(ends) + margin
     else:
         lo, hi = float(x_range[0]), float(x_range[1])
         if not lo < hi:
             raise ValueError(f"empty x_range {x_range}")
-    symmetric = a == 0.0 and x_range is None
 
-    for _expansion in range(60):
-        grid = np.linspace(lo, hi, n_points)
-        m_eps = _solve_vector(a, nu, gamma, grid + 1j * epsilon)
-        atoms = _detect_atoms(a, nu, gamma, grid, m_eps.imag, epsilon)
-        density = m_eps.imag / np.pi
-        cont_density = density.copy()
-        for loc, mass in atoms:
-            cont_density -= _cauchy_profile(grid, loc, mass, epsilon)
-        np.maximum(cont_density, 0.0, out=cont_density)
-        h = grid[1] - grid[0]
-        cont_cdf = np.concatenate(([0.0], np.cumsum(
-            0.5 * (cont_density[1:] + cont_density[:-1]) * h)))
-        mass_total = cont_cdf[-1] + sum(m for _, m in atoms)
-
-        probe_lo = solve_point(a, nu, gamma, complex(lo, _PROBE_EPS)).imag / np.pi
-        probe_hi = solve_point(a, nu, gamma, complex(hi, _PROBE_EPS)).imag / np.pi
-        widen_lo = probe_lo >= _BOUNDARY_DENSITY
-        widen_hi = probe_hi >= _BOUNDARY_DENSITY
-        if mass_total < 1.0 - _MASS_TOL and not (widen_lo or widen_hi):
-            widen_lo = widen_hi = True
-        if not (widen_lo or widen_hi):
-            break
-        width = hi - lo
-        if symmetric:
-            lo -= 0.5 * width
-            hi += 0.5 * width
-        else:
-            if widen_lo:
-                lo -= 0.5 * width
-            if widen_hi:
-                hi += 0.5 * width
-    else:
-        raise SolverError(
-            f"support window did not stabilize for (a={a}, nu={nu}, "
-            f"gamma={gamma}); last mass {mass_total:.6f}")
-
-    # continuation-consistency guard: cold and warm solves must agree
-    for idx in (n_points // 4, n_points // 2, (3 * n_points) // 4):
-        cold = solve_point(a, nu, gamma, complex(grid[idx], epsilon))
-        if abs(cold - m_eps[idx]) > 1e-10:
-            raise SolverError(
-                f"warm/cold mismatch at x={grid[idx]}: "
-                f"|diff|={abs(cold - m_eps[idx]):.3g}", z=complex(grid[idx], epsilon))
-
-    cdf = cont_cdf.copy()
+    grid = np.linspace(lo, hi, n_points)
+    m_eps = _stieltjes(a, nu, gamma, grid + 1j * epsilon)
+    cdf = _smoothed_cdf(a, nu, gamma, m_eps)
     for loc, mass in atoms:
-        cdf += mass * (grid >= loc)
+        cdf += mass * ((grid >= loc) - 0.5
+                       - np.arctan((grid - loc) / epsilon) / np.pi)
+    if cdf[-1] - cdf[0] < 1.0 - _MASS_TOL:
+        raise SolverError(f"recovered mass {cdf[-1] - cdf[0]:.6f} misses 1 "
+                          f"beyond tolerance {_MASS_TOL}")
     np.clip(cdf, 0.0, 1.0, out=cdf)
-    if abs(cdf[-1] - 1.0) > _MASS_TOL:
-        raise SolverError(f"recovered mass {cdf[-1]:.6f} misses 1 beyond "
-                          f"tolerance {_MASS_TOL}")
     return LimitLaw(a=a, nu=nu, gamma=gamma, epsilon=epsilon, grid=grid,
-                    m_values=m_eps, density=density, cdf_values=cdf,
+                    m_values=m_eps, density=m_eps.imag / np.pi, cdf_values=cdf,
                     atoms=atoms)
 
 

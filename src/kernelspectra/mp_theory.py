@@ -24,18 +24,21 @@ from .kernels import KernelSpec, linearization_coefficients
 from .spectral import Law
 
 
+def _check_gamma(gamma: float) -> None:
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+
+
 def mp_support(gamma: float) -> tuple[float, float]:
     """Endpoints [a, b] of the continuous part."""
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    _check_gamma(gamma)
     r = 1.0 / np.sqrt(gamma)
     return float((1.0 - r) ** 2), float((1.0 + r) ** 2)
 
 
 def mp_atom_mass(gamma: float) -> float:
     """Mass of the atom at 0; nonzero only for gamma < 1."""
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    _check_gamma(gamma)
     return float(max(0.0, 1.0 - gamma))
 
 
@@ -99,8 +102,7 @@ def _mp_cdf_left(gamma: float, x) -> np.ndarray:
 
 def mp_stieltjes(gamma: float, z) -> np.ndarray | complex:
     """Stieltjes transform m(z) of the full law (atom included), Im z > 0."""
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    _check_gamma(gamma)
     z_arr = np.asarray(z, dtype=complex)
     if np.any(z_arr.imag <= 0):
         raise ValueError("mp_stieltjes requires Im z > 0")
@@ -130,9 +132,7 @@ class AffineMPLaw(Law):
     scale: float
 
     def __post_init__(self):
-        if not 0 < self.gamma < np.inf:
-            raise ValueError(f"gamma must be positive and finite, "
-                             f"got {self.gamma}")
+        _check_gamma(self.gamma)
         if not (np.isfinite(self.shift) and np.isfinite(self.scale)):
             raise ValueError(f"shift and scale must be finite, got "
                              f"shift={self.shift}, scale={self.scale}")

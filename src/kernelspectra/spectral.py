@@ -77,6 +77,9 @@ class ESD:
         object.__setattr__(self, "points", pts)
         if pts.size == 0:
             raise ValueError("an ESD needs at least one point")
+        if not np.isfinite(pts).all():
+            raise ValueError("an ESD needs finite points; got a NaN or "
+                             "infinite point")
 
     @property
     def n(self) -> int:

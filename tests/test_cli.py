@@ -94,6 +94,14 @@ def test_predict_fe_writes_law(tmp_path, capsys):
     assert np.array_equal(law.cdf_values, data[:, 2])
 
 
+def test_predict_overflowing_envelope_exits_one_without_warning(capsys):
+    # exp(1000) overflows; the law's non-finite shift is the error, and
+    # filterwarnings = error turns any overflow warning into a failure.
+    assert cli_main(["predict", "--law", "mp", "--envelope", "exp:a=1000",
+                     "--gamma", "1"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_predict_rejects_nu_below_a_squared(capsys):
     assert cli_main(["predict", "--law", "fe", "--a", "2", "--nu", "1",
                      "--gamma", "1"]) == 1

@@ -108,6 +108,20 @@ def test_stieltjes_rejects_lower_half_plane():
         mp_stieltjes(1.0, 2.0)
 
 
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("call", [
+    lambda g: mp_support(g),
+    lambda g: mp_atom_mass(g),
+    lambda g: mp_density(g, 1.0),
+    lambda g: mp_density(g, np.array([0.5, 1.0])),
+    lambda g: mp_cdf(g, 1.0),
+    lambda g: mp_stieltjes(g, 1j),
+])
+def test_public_functions_reject_non_positive_or_non_finite_gamma(call, gamma):
+    with pytest.raises(ValueError, match="positive and finite"):
+        call(gamma)
+
+
 # ---------------------------------------------------------------------------
 # predicted laws
 # ---------------------------------------------------------------------------

@@ -296,3 +296,16 @@ def test_load_esd_rejects_wrong_header(tmp_path):
     path.write_text("eigen\n1.0\n")
     with pytest.raises(ValueError):
         load_esd(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_esd_rejects_non_finite_points(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ESD(points=[1.0, bad])
+
+
+def test_load_esd_rejects_nan_row(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("lambda\n1.0\nnan\n")
+    with pytest.raises(ValueError, match="finite"):
+        load_esd(path)
