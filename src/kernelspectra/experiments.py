@@ -23,7 +23,7 @@ from .ensembles import (FAMILIES, ConcentrationDiagnostic, SampleMatrix,
 from .errors import KernelSpectraError
 from .kernels import (DIAGONALS, KERNELS, Envelope, KernelSpec, build, gram,
                       parse_envelope)
-from .limit_solver import solve_grid
+from .limit_solver import _check_params, solve_grid
 from .mp_theory import predicted_law
 from .spectral import (ESD, Law, eigenvalues, empirical_stieltjes,
                        ks_distance, wasserstein1)
@@ -82,6 +82,10 @@ class ExperimentConfig:
                                                    or self.law_nu is None):
             raise ValueError("functional-equation target needs law_a and law_nu "
                              "(run the 'expand' subcommand to estimate them)")
+        if (self.law_a is None) != (self.law_nu is None):
+            raise ValueError("law_a and law_nu must be given together")
+        if self.law_a is not None:
+            _check_params(self.law_a, self.law_nu, self.gamma)
         if not 0 < self.epsilon < np.inf:
             raise ValueError(f"epsilon must be positive and finite, "
                              f"got {self.epsilon}")
@@ -147,9 +151,8 @@ def parse_config(text: str, overrides: dict[str, str] | None = None
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
     kwargs: dict = {}
+    gamma = raw.pop("gamma", "")  # derived; accepted as an echo of p/n
     for key, val in raw.items():
-        if key == "gamma":  # derived, accepted on input for provenance echo
-            continue
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
         if val == "":
@@ -164,7 +167,11 @@ def parse_config(text: str, overrides: dict[str, str] | None = None
             kwargs["diagonal"] = val
         else:
             kwargs[key] = val
-    return ExperimentConfig(**kwargs)
+    config = ExperimentConfig(**kwargs)
+    if gamma and float(gamma) != config.gamma:
+        raise ValueError(f"gamma={gamma} differs from p/n = {config.gamma!r}; "
+                         f"set p and n instead")
+    return config
 
 
 def load_config(path: str | Path, overrides: dict[str, str] | None = None

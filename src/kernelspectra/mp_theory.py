@@ -9,13 +9,14 @@ The closed-form Stieltjes transform is derived by mapping to the standard
 sample-covariance parameterization with ratio lambda = 1/gamma, where m
 solves lambda z m^2 + (z + lambda - 1) m + 1 = 0; the root is selected by
 the Herglotz property (Im m > 0), not by a principal-branch convention.
+The CDF is closed-form too: on the support, Im G(m(x + i0)) / pi for an
+elementary antiderivative G of m, exact to rounding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -59,32 +60,26 @@ def mp_density(gamma: float, x) -> np.ndarray | float:
     return out
 
 
-@lru_cache(maxsize=32)
-def _mp_cdf_table(gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cached continuous-part CDF grid via the theta substitution.
+def _mp_continuous_cdf(gamma: float, x) -> np.ndarray:
+    """CDF of the continuous part, in closed form.
 
-    With x(theta) = a + (b - a) sin^2(theta) the integrand is smooth on
-    [0, pi/2] even at gamma = 1 where the density has an inverse-sqrt
-    edge, so a dense trapezoid rule is accurate to ~1e-9.
+    On (a, b) the boundary value m(x + i0) is elementary and
+    G(m) = log m - gamma (log(1 + m/gamma) + 1/(1 + m/gamma)) is an
+    antiderivative of m, so the full CDF (atom included) is Im G / pi.
+    Im m and Im(1 + m/gamma) are positive there, so the principal logs
+    are continuous. Outside (a, b) the CDF is constant.
     """
     a, b = mp_support(gamma)
-    theta = np.linspace(0.0, np.pi / 2.0, 4001)
-    s2 = np.sin(theta) ** 2
-    den = a + (b - a) * s2
-    # limit of sin^2/den as both vanish (only possible when a = 0)
-    ratio = np.divide(s2, den, out=np.full_like(s2, 1.0 / (b - a)), where=den > 0)
-    integrand = gamma * (b - a) ** 2 / np.pi * ratio * np.cos(theta) ** 2
-    dtheta = theta[1] - theta[0]
-    cdf = np.concatenate(([0.0], np.cumsum(
-        0.5 * (integrand[1:] + integrand[:-1]) * dtheta)))
-    xs = a + (b - a) * s2
-    return xs, cdf
-
-
-def _mp_continuous_cdf(gamma: float, x) -> np.ndarray:
-    xs, cdf = _mp_cdf_table(gamma)
+    atom = mp_atom_mass(gamma)
     x_arr = np.asarray(x, dtype=float)
-    return np.interp(x_arr, xs, cdf, left=0.0, right=float(cdf[-1]))
+    out = np.where(x_arr >= b, 1.0 - atom, 0.0)
+    inside = (x_arr > a) & (x_arr < b)
+    xs = x_arr[inside]
+    m = gamma * ((1.0 - 1.0 / gamma) - xs
+                 + 1j * np.sqrt((b - xs) * (xs - a))) / (2.0 * xs)
+    w = 1.0 + m / gamma
+    out[inside] = (np.log(m) - gamma * (np.log(w) + 1.0 / w)).imag / np.pi - atom
+    return out
 
 
 def mp_cdf(gamma: float, x) -> np.ndarray | float:

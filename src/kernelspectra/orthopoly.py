@@ -1,10 +1,11 @@
 """Moments of xi_p = sqrt(p) X^T Y and orthonormal polynomials built from them.
 
-The exact route enumerates partitions of the moment order over distinct
-coordinate indices, valid for iid-entry ensembles; Monte Carlo covers the
-rest. Polynomials come from the bordered Hankel determinant construction
-with normalization c_k^2 = 1/(det M_{k-1} det M_k), and the p -> infinity
-comparison target is the orthonormal Hermite family.
+The exact route raises the exponential moment series of one coordinate
+product to the p-th power in rational arithmetic, valid for iid-entry
+ensembles; Monte Carlo covers the rest. Polynomials come from the
+bordered Hankel determinant construction with normalization
+c_k^2 = 1/(det M_{k-1} det M_k), and the p -> infinity comparison target
+is the orthonormal Hermite family.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -58,67 +58,23 @@ def _entry_moment(family: str, j: int) -> Fraction:
         f"exact entry moments unavailable for family {family!r}")
 
 
-@lru_cache(maxsize=64)
-def _partitions_min2(k: int) -> tuple[tuple[int, ...], ...]:
-    """Partitions of k into parts >= 2, non-increasing."""
-    out: list[tuple[int, ...]] = []
+def _exact_xi_moments(family: str, p: int, K: int) -> tuple[Fraction, ...]:
+    """E xi_p^k for k = 0 ... K, exactly.
 
-    def rec(remaining: int, cap: int, prefix: tuple[int, ...]):
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for part in range(min(cap, remaining), 1, -1):
-            if remaining - part in (1,):
-                continue  # a leftover of 1 can never be completed
-            rec(remaining - part, part, prefix + (part,))
-
-    rec(k, k, ())
-    return tuple(out)
-
-
-def _exact_xi_moment(family: str, p: int, k: int) -> Fraction:
-    """E xi_p^k by summing over multiplicity patterns of the index tuple.
-
-    Tuples (i_1, ..., i_k) are grouped by the partition of k given by
-    their value multiplicities; a partition with m parts contributes
-    (number of position set-partitions) * (falling factorial of p over m)
-    * prod_r (entry moment of order part_r)^2.
+    sqrt(p) xi_p is a sum of p iid copies of u = x y, with x and y
+    standardized entries, so E (sqrt(p) xi_p)^k = k! [t^k] A(t)^p with
+    A(t) = sum_j E[x^j]^2 t^j / j!. J.C.P. Miller's recurrence takes the
+    power: b_n = (1/n) sum_{j=1..n} ((p + 1) j - n) a_j b_{n-j}. Odd
+    moments vanish, since A has only even terms.
     """
-    if k == 0:
-        return Fraction(1)
-    if k % 2 == 1:
-        return Fraction(0)  # symmetric entries kill every odd pattern
-    total = Fraction(0)
-    for parts in _partitions_min2(k):
-        m = len(parts)
-        if m > p:
-            continue
-        moment_prod = Fraction(1)
-        for part in parts:
-            q = _entry_moment(family, part)
-            if q == 0:
-                moment_prod = Fraction(0)
-                break
-            moment_prod *= q * q
-        if moment_prod == 0:
-            continue
-        ways = math.factorial(k)
-        for part in parts:
-            ways //= math.factorial(part)
-        for mult in _multiplicities(parts).values():
-            ways //= math.factorial(mult)
-        falling = 1
-        for r in range(m):
-            falling *= (p - r)
-        total += Fraction(ways * falling) * moment_prod
-    return total / Fraction(p ** (k // 2))
-
-
-def _multiplicities(parts: tuple[int, ...]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for part in parts:
-        out[part] = out.get(part, 0) + 1
-    return out
+    a = [_entry_moment(family, j) ** 2 / math.factorial(j)
+         for j in range(K + 1)]
+    b = [Fraction(1)]
+    for n in range(1, K + 1):
+        b.append(sum(((p + 1) * j - n) * a[j] * b[n - j]
+                     for j in range(1, n + 1)) / n)
+    return tuple(math.factorial(k) * b[k] / p ** (k // 2)
+                 for k in range(K + 1))
 
 
 @dataclass(frozen=True)
@@ -219,9 +175,9 @@ def xi_moments(ensemble: VectorEnsemble, K: int, method: str = EXACT,
                seed: int = 0, samples: int = 1_000_000) -> MomentSequence:
     """Moments m_0 ... m_K of xi_p for the given ensemble.
 
-    The exact method enumerates index partitions and needs iid entries
-    (gaussian, rademacher) and K <= 16; Monte Carlo works for any family
-    and returns standard errors.
+    The exact method raises a series to the p-th power and needs iid
+    entries (gaussian, rademacher) and K <= 16; Monte Carlo works for any
+    family and returns standard errors.
     """
     if K < 2:
         raise ValueError(f"need K >= 2, got {K}")
@@ -232,8 +188,7 @@ def xi_moments(ensemble: VectorEnsemble, K: int, method: str = EXACT,
             raise CapabilityError(
                 f"exact moments need iid entries; family "
                 f"{ensemble.family!r} requires the monte-carlo method")
-        exact = tuple(_exact_xi_moment(ensemble.family, ensemble.p, k)
-                      for k in range(K + 1))
+        exact = _exact_xi_moments(ensemble.family, ensemble.p, K)
         return MomentSequence(values=np.array([float(e) for e in exact]),
                               source=EXACT, family=ensemble.family,
                               p=ensemble.p, exact_values=exact)

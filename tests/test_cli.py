@@ -131,6 +131,21 @@ def test_compare_rejects_non_finite_epsilon(capsys):
     assert "epsilon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("settings", [
+    ["target=functional-equation", "law_a=-1", "law_nu=1"],
+    ["target=functional-equation", "law_a=1", "law_nu=0.5"],
+    ["target=cross-ensemble", "ensemble_b=sphere", "law_a=1"],
+    ["gamma=0.3"],
+])
+def test_compare_rejects_bad_law_or_gamma_before_any_trial(settings, capsys):
+    argv = ["compare", "--set", "p=20", "--set", "n=40"]
+    for item in settings:
+        argv += ["--set", item]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and captured.out == ""
+
+
 def test_compare_with_config_file(tmp_path, capsys):
     config = tmp_path / "uni.cfg"
     config.write_text(

@@ -9,6 +9,7 @@ from kernelspectra import (Envelope, ExperimentConfig, KernelSpec,
                            envelope_coeffs, gram, parse_config, parse_envelope,
                            run_l2_perturbation, run_universality,
                            sample_matrix, xi_moments)
+from kernelspectra.experiments import config_text
 
 
 def _esd_points(result, fam):
@@ -66,6 +67,20 @@ def test_config_validation():
     for epsilon in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="epsilon"):
             ExperimentConfig(epsilon=epsilon)
+    for law_a, law_nu in ((-1.0, 1.0), (1.0, 0.5), (float("nan"), 1.0)):
+        with pytest.raises(ValueError):
+            ExperimentConfig(p=20, n=40, target="functional-equation",
+                             law_a=law_a, law_nu=law_nu)
+    for half in ({"law_a": 1.0}, {"law_nu": 1.0}):
+        with pytest.raises(ValueError, match="together"):
+            ExperimentConfig(target="cross-ensemble", ensemble_b="sphere",
+                             **half)
+    with pytest.raises(ValueError, match="gamma"):
+        parse_config("p=20\nn=40\ngamma=0.3\n")
+    # a written config.resolved echoes gamma=repr(p/n) and loads unchanged
+    cfg = ExperimentConfig(p=1, n=3, target="functional-equation",
+                           law_a=0.5, law_nu=0.75, out="run")
+    assert parse_config(config_text(cfg)) == cfg
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,31 @@ def test_cdf_monotone_and_consistent_with_quadrature(gamma):
     assert abs(mp_cdf(gamma, mid) - oracle) < 1e-6
 
 
+def test_cdf_matches_arcsine_closed_form_at_gamma_one():
+    # at gamma = 1: F(x) = (2/pi)(phi + sin phi cos phi), phi = arcsin(sqrt(x)/2)
+    x = np.array([1e-6, 1e-4, 0.004, 0.5, 2.0, 3.9])
+    phi = np.arcsin(np.sqrt(x) / 2.0)
+    exact = 2.0 / np.pi * (phi + np.sin(phi) * np.cos(phi))
+    assert np.max(np.abs(mp_cdf(1.0, x) - exact)) <= 1e-14
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.5, 2.0, 10.0])
+def test_cdf_matches_quadrature_to_rounding(gamma):
+    # x = a + (b - a) sin^2(theta) makes the integrand smooth for quad
+    a, b = mp_support(gamma)
+
+    def integrand(theta):
+        s2 = np.sin(theta) ** 2
+        return (gamma * (b - a) ** 2 * s2 * np.cos(theta) ** 2
+                / (np.pi * (a + (b - a) * s2)))
+
+    xs = np.linspace(a, b, 9)[1:-1]
+    oracle = [mp_atom_mass(gamma)
+              + quad(integrand, 0.0, np.arcsin(np.sqrt((x - a) / (b - a))),
+                     epsabs=1e-13)[0] for x in xs]
+    assert np.max(np.abs(mp_cdf(gamma, xs) - oracle)) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # Stieltjes transform
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ def _oracle_xi_moment(family, p, k):
 
 
 @pytest.mark.parametrize("family", ["gaussian", "rademacher"])
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_exact_moments_match_tuple_enumeration_oracle(family, p):
     m = xi_moments(VectorEnsemble(family, p), K=6)
     for k in range(7):

@@ -4,10 +4,10 @@ from scipy import stats
 
 from kernelspectra import (ESD, KernelSpec, VectorEnsemble, build,
                            eigenvalues, empirical_stieltjes, gram, ks_distance,
-                           load_esd, mp_cdf, mp_stieltjes, parse_envelope,
-                           sample_matrix, save_esd, solve_grid,
-                           stieltjes_variance_decay, wasserstein1)
-from kernelspectra.mp_theory import AffineMPLaw, _mp_cdf_table
+                           load_esd, mp_atom_mass, mp_cdf, mp_stieltjes,
+                           mp_support, parse_envelope, sample_matrix, save_esd,
+                           solve_grid, stieltjes_variance_decay, wasserstein1)
+from kernelspectra.mp_theory import AffineMPLaw
 
 
 def _kernel_matrix(p=40, n=30, seed=0, envelope="exp:a=1", diagonal="zero"):
@@ -91,12 +91,12 @@ def test_stieltjes_herglotz_and_norm_bound():
 
 
 def _sample_mp(gamma, n, seed):
-    # inverse-CDF sampling from the cached MP table (test oracle)
-    xs, cont = _mp_cdf_table(gamma)
-    atom = max(0.0, 1.0 - gamma)
+    # inverse-CDF sampling: interpolate the public mp_cdf on a dense grid
+    xs = np.linspace(*mp_support(gamma), 4001)
+    cdf = np.asarray(mp_cdf(gamma, xs))
     u = np.random.default_rng(seed).uniform(0, 1, size=n)
-    out = np.interp(np.clip(u - atom, 0.0, cont[-1]), cont, xs)
-    out[u < atom] = 0.0
+    out = np.interp(u, cdf, xs)
+    out[u < mp_atom_mass(gamma)] = 0.0
     return out
 
 
