@@ -172,13 +172,12 @@ def _cmd_compare(args) -> int:
     else:
         config = parse_config("", overrides)
     result = run_universality(config)
-    for fam, rec in result.pooled_distances.items():
-        print(f"{fam}: pooled ks={rec.ks:.4f} w1={rec.w1:.4f} "
-              f"stieltjes_sup={rec.stieltjes_sup:.4f}")
-    if result.pooled_cross is not None:
-        rec = result.pooled_cross
-        print(f"cross-ensemble: ks={rec.ks:.4f} w1={rec.w1:.4f} "
-              f"stieltjes_sup={rec.stieltjes_sup:.4f}")
+    for rec in result.distances:
+        if rec.trial < 0:
+            head = ("cross-ensemble:" if rec.family == "cross"
+                    else f"{rec.family}: pooled")
+            print(f"{head} ks={rec.ks:.4f} w1={rec.w1:.4f} "
+                  f"stieltjes_sup={rec.stieltjes_sup:.4f}")
     if result.errors:
         print(f"{len(result.errors)} trial error(s); results incomplete")
         for err in result.errors[:5]:

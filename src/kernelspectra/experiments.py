@@ -193,6 +193,10 @@ class TrialError:
 
 @dataclass(frozen=True)
 class DistanceRecord:
+    """One distances.csv row: ``family`` is an ensemble or "cross" for a
+    pair of ensembles; ``trial`` is -1 for the pooled spectra."""
+
+    family: str
     trial: int
     ks: float
     w1: float
@@ -202,44 +206,25 @@ class DistanceRecord:
 @dataclass(frozen=True)
 class ExperimentResult:
     config: ExperimentConfig
-    samples: dict[str, list[ESD]]
+    samples: dict[str, dict[int, ESD]]  # family -> trial -> spectrum
     pooled: dict[str, ESD]
     law: Law | None
-    distances: dict[str, list[DistanceRecord]]
-    pooled_distances: dict[str, DistanceRecord]
-    cross_distances: list[DistanceRecord] | None
-    pooled_cross: DistanceRecord | None
+    distances: list[DistanceRecord]  # in distances.csv row order
     concentration: dict[str, list[ConcentrationDiagnostic]]
     errors: list[TrialError]
     timings: dict[str, float]
-    incomplete: bool
+
+    @property
+    def incomplete(self) -> bool:
+        return bool(self.errors)
 
 
-def _w1_vs_law(e: ESD, law: Law) -> float:
-    """Integral of |F_esd - F_law| over a merged fine grid."""
-    lo, hi = law.window
-    lo = min(lo, float(e.points[0]))
-    hi = max(hi, float(e.points[-1]))
-    base = np.linspace(lo, hi, 4001)
-    grid = np.unique(np.concatenate([base, e.points]))
-    diff = np.abs(np.asarray(e.cdf(grid)) - np.asarray(law.cdf(grid)))
-    return float(np.trapezoid(diff, grid))
-
-
-def _distance_record(trial: int, e: ESD, law: Law, z_grid: Sequence[complex]
-                     ) -> DistanceRecord:
-    sup = max(abs(empirical_stieltjes(e, z) - law.stieltjes(z))
-              for z in z_grid)
-    return DistanceRecord(trial=trial, ks=ks_distance(e, law),
-                          w1=_w1_vs_law(e, law), stieltjes_sup=float(sup))
-
-
-def _cross_record(trial: int, e1: ESD, e2: ESD,
-                  z_grid: Sequence[complex]) -> DistanceRecord:
-    sup = max(abs(empirical_stieltjes(e1, z) - empirical_stieltjes(e2, z))
-              for z in z_grid)
-    return DistanceRecord(trial=trial, ks=ks_distance(e1, e2),
-                          w1=wasserstein1(e1, e2), stieltjes_sup=float(sup))
+def _distance_record(family: str, trial: int, e: ESD, target: ESD | Law,
+                     z_grid: Sequence[complex]) -> DistanceRecord:
+    sup = max(abs(e.stieltjes(z) - target.stieltjes(z)) for z in z_grid)
+    return DistanceRecord(family=family, trial=trial,
+                          ks=ks_distance(e, target),
+                          w1=wasserstein1(e, target), stieltjes_sup=float(sup))
 
 
 def build_law(config: ExperimentConfig) -> Law | None:
@@ -276,7 +261,7 @@ def run_universality(config: ExperimentConfig) -> ExperimentResult:
     if config.target == CROSS_ENSEMBLE:
         families.append(config.ensemble_b)
 
-    samples: dict[str, list[ESD]] = {f: [] for f in families}
+    samples: dict[str, dict[int, ESD]] = {f: {} for f in families}
     conc: dict[str, list[ConcentrationDiagnostic]] = {f: [] for f in families}
     errors: list[TrialError] = []
     for t, fam, S in trial_samples(config, families):
@@ -291,7 +276,7 @@ def run_universality(config: ExperimentConfig) -> ExperimentResult:
             A = build(spec, S, G)
             del G
             step = "eigenvalues"
-            samples[fam].append(eigenvalues(A))
+            samples[fam][t] = eigenvalues(A)
             del A
         except (KernelSpectraError, ValueError) as exc:
             errors.append(TrialError(trial=t, ensemble=fam, stage=step,
@@ -303,38 +288,31 @@ def run_universality(config: ExperimentConfig) -> ExperimentResult:
     except (KernelSpectraError, ValueError) as exc:
         errors.append(TrialError(trial=-1, ensemble=config.ensemble,
                                  stage="law", message=str(exc)))
-    incomplete = bool(errors)
 
-    pooled = {f: ESD.pooled(s) for f, s in samples.items() if s}
-    distances: dict[str, list[DistanceRecord]] = {f: [] for f in families}
-    pooled_distances: dict[str, DistanceRecord] = {}
+    pooled = {f: ESD.pooled(list(s.values())) for f, s in samples.items() if s}
+    z_grid = config.z_grid
+    distances: list[DistanceRecord] = []
     if law is not None:
-        for fam in families:
-            distances[fam] = [
-                _distance_record(t, e, law, config.z_grid)
-                for t, e in enumerate(samples[fam])]
+        for fam, per_trial in samples.items():
+            distances += [_distance_record(fam, t, e, law, z_grid)
+                          for t, e in per_trial.items()]
             if fam in pooled:
-                pooled_distances[fam] = _distance_record(
-                    -1, pooled[fam], law, config.z_grid)
-
-    cross = None
-    pooled_cross = None
+                distances.append(_distance_record(fam, -1, pooled[fam], law,
+                                                  z_grid))
     if config.target == CROSS_ENSEMBLE and all(samples[f] for f in families):
         fam_a, fam_b = families
-        n_pairs = min(len(samples[fam_a]), len(samples[fam_b]))
-        cross = [_cross_record(t, samples[fam_a][t], samples[fam_b][t],
-                               config.z_grid)
-                 for t in range(n_pairs)]
-        pooled_cross = _cross_record(-1, pooled[fam_a], pooled[fam_b],
-                                     config.z_grid)
+        by_a, by_b = samples[fam_a], samples[fam_b]
+        # Pair only the trials that succeeded in both families.
+        distances += [_distance_record("cross", t, e, by_b[t], z_grid)
+                      for t, e in by_a.items() if t in by_b]
+        distances.append(_distance_record("cross", -1, pooled[fam_a],
+                                          pooled[fam_b], z_grid))
 
     timings = {"build_and_eig": t_build, "total": time.perf_counter() - t0}
     result = ExperimentResult(
         config=config, samples=samples, pooled=pooled, law=law,
-        distances=distances, pooled_distances=pooled_distances,
-        cross_distances=cross, pooled_cross=pooled_cross,
-        concentration=conc, errors=errors, timings=timings,
-        incomplete=incomplete)
+        distances=distances, concentration=conc, errors=errors,
+        timings=timings)
     if config.out is not None:
         write_result(result, Path(config.out))
     return result
@@ -362,7 +340,7 @@ def write_result(result: ExperimentResult, out_dir: Path) -> None:
 
     esd_rows = ((label(fam, t), lam)
                 for fam, per_trial in result.samples.items()
-                for t, e in enumerate(per_trial)
+                for t, e in per_trial.items()
                 for lam in e.points.tolist())
     write_table(out_dir / "esd.csv", ("trial", "lambda"), esd_rows,
                 [*config.items(), ("schema", "trial,lambda"),
@@ -372,18 +350,9 @@ def write_result(result: ExperimentResult, out_dir: Path) -> None:
         write_law_csv(out_dir / "law.csv", result.law,
                       [*config.items(), *result.law.to_record().items()])
 
-    def row(fam: str, rec: DistanceRecord) -> list:
-        trial = "pooled" if rec.trial < 0 else rec.trial
-        return [label(fam, trial), rec.ks, rec.w1, rec.stieltjes_sup]
-
-    dist_rows = []
-    for fam, recs in result.distances.items():
-        dist_rows += [row(fam, rec) for rec in recs]
-        if fam in result.pooled_distances:
-            dist_rows.append(row(fam, result.pooled_distances[fam]))
-    if result.cross_distances is not None:
-        dist_rows += [row("cross", rec) for rec in
-                      [*result.cross_distances, result.pooled_cross]]
+    dist_rows = ([label(rec.family, "pooled" if rec.trial < 0 else rec.trial),
+                  rec.ks, rec.w1, rec.stieltjes_sup]
+                 for rec in result.distances)
     write_table(out_dir / "distances.csv", ("trial", "ks", "w1", "stieltjes_sup"),
                 dist_rows, [*config.items(),
                             ("schema", "trial,ks,w1,stieltjes_sup")])

@@ -69,13 +69,6 @@ class Envelope:
         with np.errstate(over="ignore"):  # callers reject a non-finite value
             return float(self(x0, p))
 
-    def has_analytic_derivative(self, x0: float) -> bool:
-        if x0 == 0.0:
-            return self.analytic.d0 is not None
-        if x0 == 2.0:
-            return self.analytic.d2 is not None
-        return False
-
     def derivative(self, x0: float, p: int) -> float:
         """f'(x0, p): analytic record if present, else numeric fallback."""
         if x0 == 0.0 and self.analytic.d0 is not None:
@@ -265,7 +258,7 @@ def build(spec: KernelSpec, S: SampleMatrix, G: np.ndarray) -> np.ndarray:
         i, j = map(int, np.argwhere(~finite)[0])
         raise EnvelopeError(
             f"envelope {spec.envelope.name!r} returned a non-finite value at "
-            f"entry (i={i}, j={j}) for kernel value x={K[i, j]!r}",
+            f"entry (i={i}, j={j}) for kernel value x={float(K[i, j])!r}",
             i=i, j=j, x=float(K[i, j]))
     return A
 

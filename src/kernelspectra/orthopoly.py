@@ -400,7 +400,7 @@ def envelope_coeffs(f: Envelope, ensemble: VectorEnsemble, L: int,
         if not np.all(np.isfinite(kv)):
             bad = int(np.argmax(~np.isfinite(kv)))
             raise EnvelopeError(
-                f"rescaled envelope {f.name!r} non-finite at xi={xi[bad]!r}",
+                f"rescaled envelope {f.name!r} non-finite at xi={float(xi[bad])!r}",
                 x=float(xi[bad]))
         kv2 = kv * kv
         powers = np.ones_like(xi)

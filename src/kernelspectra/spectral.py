@@ -101,6 +101,9 @@ class ESD:
         locs, counts = np.unique(self.points, return_counts=True)
         return tuple(zip(locs.tolist(), (counts / self.n).tolist()))
 
+    def stieltjes(self, z: complex) -> complex:
+        return empirical_stieltjes(self, z)
+
 
 def empirical_stieltjes(e: ESD, z: complex) -> complex:
     """m(z) = (1/n) sum_i 1/(lambda_i - z) for Im z > 0."""
@@ -131,13 +134,27 @@ def ks_distance(e: ESD, law) -> float:
     return float(max(np.max(right), np.max(left)))
 
 
-def wasserstein1(e1: ESD, e2: ESD) -> float:
-    """W1 distance: sorted coupling for equal counts, else the CDF integral."""
-    if e1.n == e2.n:
-        return float(np.mean(np.abs(e1.points - e2.points)))
-    grid = np.unique(np.concatenate([e1.points, e2.points]))
-    diff = np.abs(np.asarray(e1.cdf(grid[:-1])) - np.asarray(e2.cdf(grid[:-1])))
-    return float(np.sum(diff * np.diff(grid)))
+def wasserstein1(e: ESD, target) -> float:
+    """W1 distance from ``e`` to an ESD or a limit law (``cdf``, ``window``).
+
+    ESD: sorted coupling for equal counts, else the exact CDF integral.
+    Law: trapezoid of |F_e - F_law| over the law's window widened to the
+    ESD's range, on 4001 points merged with the ESD's.
+    """
+    if isinstance(target, ESD):
+        if e.n == target.n:
+            return float(np.mean(np.abs(e.points - target.points)))
+        grid = np.unique(np.concatenate([e.points, target.points]))
+        diff = np.abs(np.asarray(e.cdf(grid[:-1]))
+                      - np.asarray(target.cdf(grid[:-1])))
+        return float(np.sum(diff * np.diff(grid)))
+    lo, hi = target.window
+    lo = min(lo, float(e.points[0]))
+    hi = max(hi, float(e.points[-1]))
+    base = np.linspace(lo, hi, 4001)
+    grid = np.unique(np.concatenate([base, e.points]))
+    diff = np.abs(np.asarray(e.cdf(grid)) - np.asarray(target.cdf(grid)))
+    return float(np.trapezoid(diff, grid))
 
 
 @dataclass(frozen=True)

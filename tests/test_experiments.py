@@ -4,11 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kernelspectra import (Envelope, ExperimentConfig, KernelSpec,
+from kernelspectra import (ESD, Envelope, ExperimentConfig, KernelSpec,
                            VectorEnsemble, build, build_basis, eigenvalues,
-                           envelope_coeffs, gram, parse_config, parse_envelope,
-                           run_l2_perturbation, run_universality,
-                           sample_matrix, xi_moments)
+                           envelope_coeffs, gram, ks_distance, parse_config,
+                           parse_envelope, run_l2_perturbation,
+                           run_universality, sample_matrix, xi_moments)
 from kernelspectra.experiments import config_text
 
 
@@ -94,8 +94,10 @@ def test_run_universality_affine_mp(tmp_path):
     result = run_universality(cfg)
     assert not result.incomplete
     assert _esd_points(result, "gaussian").size == 300
-    assert len(result.distances["gaussian"]) == 3
-    rec = result.pooled_distances["gaussian"]
+    assert len([r for r in result.distances
+                if r.family == "gaussian" and r.trial >= 0]) == 3
+    [rec] = [r for r in result.distances
+             if r.family == "gaussian" and r.trial == -1]
     assert 0.0 <= rec.ks <= 1.0 and rec.w1 >= 0.0 and rec.stieltjes_sup >= 0.0
     for name in ("config.resolved", "esd.csv", "law.csv", "distances.csv",
                  "report.svg", "esd.csv.meta", "law.csv.meta"):
@@ -121,9 +123,10 @@ def test_cross_ensemble_run():
                            n=80, trials=2, seed=6, kernel="inner", diagonal="zero",
                            envelope="sign-scaled", target="cross-ensemble")
     result = run_universality(cfg)
-    assert result.pooled_cross is not None
-    assert len(result.cross_distances) == 2
-    assert 0.0 <= result.pooled_cross.ks <= 1.0
+    cross = [r for r in result.distances if r.family == "cross"]
+    [pooled_cross] = [r for r in cross if r.trial == -1]
+    assert len([r for r in cross if r.trial >= 0]) == 2
+    assert 0.0 <= pooled_cross.ks <= 1.0
     assert result.law is None  # no law params given
 
 
@@ -163,6 +166,39 @@ def test_failing_envelope_records_errors():
     assert any(e.stage == "law" for e in result.errors)
     assert result.law is None
     assert result.pooled == {}
+
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+@pytest.mark.parametrize("target", ["affine-mp", "cross-ensemble"])
+def test_rows_keep_true_trial_labels_after_a_failed_trial(tmp_path, target):
+    # exp(215 x) overflows on one distance value of rademacher trial 3 only
+    cfg = ExperimentConfig(ensemble="rademacher", p=30, n=40, trials=6, seed=7,
+                           kernel="distance", diagonal="keep",
+                           envelope="exp:a=215", target=target,
+                           ensemble_b="sphere", out=str(tmp_path))
+    result = run_universality(cfg)
+    assert [(e.trial, e.ensemble, e.stage) for e in result.errors] == [
+        (3, "rademacher", "build")]
+    esd = {}
+    for label, lam in _csv_rows(tmp_path / "esd.csv"):
+        esd.setdefault(label, []).append(float(lam))
+    dist = {row[0]: [float(v) for v in row[1:]]
+            for row in _csv_rows(tmp_path / "distances.csv")}
+    survivors = ["0", "1", "2", "4", "5"]
+    if target == "affine-mp":
+        assert list(esd) == survivors
+        assert list(dist) == [*survivors, "pooled"]
+        return
+    assert list(esd) == [*survivors, *(f"sphere:{t}" for t in range(6))]
+    assert list(dist) == [*(f"cross:{t}" for t in survivors), "cross:pooled"]
+    # each cross row compares the two families' spectra of the same trial
+    for t in survivors:
+        a, b = ESD(points=esd[t]), ESD(points=esd[f"sphere:{t}"])
+        assert dist[f"cross:{t}"][0] == ks_distance(a, b)
 
 
 def test_errors_csv_round_trips_quotes_and_commas(tmp_path):

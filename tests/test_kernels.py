@@ -184,6 +184,8 @@ def test_build_flags_non_finite_envelope_values():
         build(spec, S, gram(S))
     assert err.value.i is not None and err.value.j is not None
     assert err.value.x is not None
+    assert f"x={err.value.x!r}" in str(err.value)
+    assert "np.float64" not in str(err.value)
 
 
 def test_build_zero_diagonal_ignores_diagonal_envelope_values():

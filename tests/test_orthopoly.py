@@ -307,10 +307,11 @@ def test_envelope_coeffs_flags_non_finite_envelope():
     bad = Envelope("inv", lambda x, p: np.divide(
         1.0, x, out=np.full_like(np.asarray(x, dtype=float), np.inf),
         where=np.asarray(x) != 0))
-    with pytest.raises(EnvelopeError):
+    with pytest.raises(EnvelopeError) as err:
         # rademacher with even p hits xi = 0 with positive probability
         envelope_coeffs(bad, VectorEnsemble("rademacher", 2), L=2,
                         samples=5_000, seed=12)
+    assert "xi=0.0" in str(err.value) and "np.float64" not in str(err.value)
 
 
 def test_envelope_coeffs_validation():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from kernelspectra import (ESD, KernelSpec, VectorEnsemble, build,
                            eigenvalues, empirical_stieltjes, gram, ks_distance,
@@ -201,6 +201,38 @@ def test_wasserstein_unequal_counts_matches_scipy_oracle():
     y = rng.standard_normal(47) + 0.5
     ours = wasserstein1(ESD(points=x), ESD(points=y))
     assert abs(ours - stats.wasserstein_distance(x, y)) < 1e-12
+
+
+@pytest.mark.parametrize("law", [AffineMPLaw(gamma=0.5, shift=0.3, scale=1.5),
+                                 AffineMPLaw(gamma=2.0, shift=-0.4, scale=-0.8)])
+def test_wasserstein_against_law_matches_quadrature(law):
+    rng = np.random.default_rng(43)
+    lo, hi = law.support
+    e = ESD(points=np.concatenate([rng.uniform(lo - 0.2, hi + 0.3, 40),
+                                   [law.shift, law.shift]]))
+    # F_e is constant between its points and F_law is smooth between its
+    # support edges and atom, so quad integrates each piece exactly enough.
+    a, b = law.window
+    knots = np.unique(np.concatenate([
+        e.points, [lo, hi, min(a, e.points[0]), max(b, e.points[-1])]]))
+    exact = sum(integrate.quad(lambda x: abs(e.cdf(x) - law.cdf(x)), u, v)[0]
+                for u, v in zip(knots[:-1], knots[1:]))
+    spacing = (knots[-1] - knots[0]) / 4000
+    assert abs(wasserstein1(e, law) - exact) < spacing
+
+
+def test_wasserstein_against_degenerate_law_is_mean_distance():
+    law = AffineMPLaw(gamma=0.5, shift=0.7, scale=0.0)
+    x = np.random.default_rng(44).normal(0.7, 0.5, 60)
+    spacing = (max(x.max(), 0.75) - min(x.min(), 0.65)) / 4000
+    assert abs(wasserstein1(ESD(points=x), law)
+               - np.mean(np.abs(x - 0.7))) < spacing
+
+
+def test_esd_stieltjes_is_empirical_stieltjes():
+    e = ESD(points=np.random.default_rng(45).standard_normal(50))
+    for z in (1j, 0.5 + 1j, -2 + 0.1j):
+        assert e.stieltjes(z) == empirical_stieltjes(e, z)
 
 
 def test_wasserstein_two_seeds_same_model():
