@@ -176,8 +176,8 @@ def _cmd_compare(args) -> int:
         if rec.trial < 0:
             head = ("cross-ensemble:" if rec.family == "cross"
                     else f"{rec.family}: pooled")
-            print(f"{head} ks={rec.ks:.4f} w1={rec.w1:.4f} "
-                  f"stieltjes_sup={rec.stieltjes_sup:.4f}")
+            print(f"{head} ks={rec.ks:.4f} w1={rec.w1:.4g} "
+                  f"stieltjes_sup={rec.stieltjes_sup:.4g}")
     if result.errors:
         print(f"{len(result.errors)} trial error(s); results incomplete")
         for err in result.errors[:5]:

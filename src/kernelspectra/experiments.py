@@ -76,8 +76,9 @@ class ExperimentConfig:
             raise ValueError(f"bad kernel spec {self.kernel!r}/{self.diagonal!r}")
         if self.target not in TARGETS:
             raise ValueError(f"target must be one of {TARGETS}, got {self.target!r}")
-        if self.target == CROSS_ENSEMBLE and self.ensemble_b is None:
-            raise ValueError("cross-ensemble target needs ensemble_b")
+        if (self.target == CROSS_ENSEMBLE
+                and self.ensemble_b in (None, self.ensemble)):
+            raise ValueError("cross-ensemble target needs ensemble_b != ensemble")
         if self.target == FUNCTIONAL_EQUATION and (self.law_a is None
                                                    or self.law_nu is None):
             raise ValueError("functional-equation target needs law_a and law_nu "

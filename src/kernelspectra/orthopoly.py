@@ -3,9 +3,9 @@
 The exact route raises the exponential moment series of one coordinate
 product to the p-th power in rational arithmetic, valid for iid-entry
 ensembles; Monte Carlo covers the rest. Polynomials come from the
-bordered Hankel determinant construction with normalization
-c_k^2 = 1/(det M_{k-1} det M_k), and the p -> infinity comparison target
-is the orthonormal Hermite family.
+Cholesky factor M = L L^T of the Hankel moment matrix: row j of L^{-1}
+holds the coefficients of p_j (Golub & Welsch, Math. Comp. 1969). The
+p -> infinity comparison target is the orthonormal Hermite family.
 """
 
 from __future__ import annotations
@@ -153,6 +153,19 @@ def _xi_batches(ensemble: VectorEnsemble, samples: int,
                          min(_MC_BATCH, samples - done))
 
 
+def _power_sums(xi: np.ndarray, weights: tuple[np.ndarray, ...],
+                order: int) -> np.ndarray:
+    """Rows sum_i xi_i^m, then sum_i w_i xi_i^m for each weight w, for
+    m = 0 ... order. The running power is updated in place."""
+    sums = np.empty((1 + len(weights), order + 1))
+    powers = np.ones_like(xi)
+    for m in range(order + 1):
+        if m:
+            powers *= xi
+        sums[:, m] = [powers.sum(), *((w * powers).sum() for w in weights)]
+    return sums
+
+
 def _mc_moments(ensemble: VectorEnsemble, power_sums: np.ndarray,
                 samples: int, order: int) -> MomentSequence:
     """Monte Carlo moments m_0 ... m_order from sums of xi^j over the draws.
@@ -196,13 +209,8 @@ def xi_moments(ensemble: VectorEnsemble, K: int, method: str = EXACT,
         raise ValueError(f"method must be {EXACT!r} or {MONTE_CARLO!r}")
     if samples < 100:
         raise ValueError(f"need samples >= 100, got {samples}")
-    sums = np.zeros(2 * K + 1)
-    for xi in _xi_batches(ensemble, samples, seed):
-        powers = np.ones_like(xi)
-        sums[0] += xi.size
-        for m in range(1, 2 * K + 1):
-            powers = powers * xi
-            sums[m] += powers.sum()
+    sums = sum(_power_sums(xi, (), 2 * K)[0]
+               for xi in _xi_batches(ensemble, samples, seed))
     return _mc_moments(ensemble, sums, samples, K)
 
 
@@ -214,116 +222,84 @@ def hermite(k: int) -> np.ndarray:
     """Monomial coefficients (ascending) of the orthonormal Hermite h_k.
 
     Orthonormal under the standard Gaussian weight, positive leading
-    coefficient; satisfies x h_k = sqrt(k+1) h_{k+1} + sqrt(k) h_{k-1}.
+    coefficient: the probabilists' He_k scaled by 1/sqrt(k!).
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    prev = np.array([1.0])
-    if k == 0:
-        return prev
-    cur = np.array([0.0, 1.0])
-    for deg in range(1, k):
-        nxt = np.zeros(deg + 2)
-        nxt[1:] = cur
-        nxt[:deg] -= np.sqrt(deg) * prev
-        nxt /= np.sqrt(deg + 1)
-        prev, cur = cur, nxt
-    return cur
+    return (np.polynomial.hermite_e.herme2poly([0.0] * k + [1.0])
+            / math.sqrt(math.factorial(k)))
 
 
 def _hankel(values: np.ndarray, j: int) -> np.ndarray:
     return np.array([[values[r + c] for c in range(j + 1)] for r in range(j + 1)])
 
 
-def _hankel_form(u: np.ndarray, v: np.ndarray, h: np.ndarray) -> float:
-    """sum_r sum_s u_r v_s h_{r+s}, accumulated in row order."""
-    total = 0.0
-    for r, a in enumerate(u):
-        for s, b in enumerate(v):
-            total += a * b * h[r + s]
-    return total
+def _orthonormal_factor(m: MomentSequence, k: int) -> np.ndarray:
+    """C = L^{-1} for the Cholesky factor M_k = L L^T of the Hankel matrix.
 
-
-def hankel_determinants(m: MomentSequence, k: int) -> np.ndarray:
-    """det M_0, ..., det M_k, raising DegeneracyError on a collapsed one."""
-    if m.order < 2 * k:
-        raise ValueError(f"need moments up to order {2 * k} for degree {k}, "
-                         f"have {m.order}")
-    dets = np.empty(k + 1)
-    for j in range(k + 1):
-        M = _hankel(m.values, j)
-        det = float(np.linalg.det(M))
-        hadamard = float(np.prod(np.linalg.norm(M, axis=1)))
-        if det <= _DEGENERACY_RTOL * max(hadamard, 1.0):
-            raise DegeneracyError(
-                f"det M_{j} = {det:.3g} is not positive: measure supported "
-                f"on fewer than {j + 1} points or moments inconsistent")
-        dets[j] = det
-    return dets
-
-
-def orthopoly_from_moments(m: MomentSequence, k: int) -> np.ndarray:
-    """Coefficients (ascending) of the k-th orthonormal polynomial.
-
-    Bordered Hankel determinant expansion: the coefficient of x^j is the
-    signed minor obtained by deleting column j from the moment rows,
-    scaled by c_k = 1/sqrt(det M_{k-1} det M_k). The leading coefficient
-    c_k det M_{k-1} is positive by construction.
+    Row j of C holds p_j's ascending coefficients: C M_k C^T = I, C_jj > 0.
+    The first j whose M_j has no Cholesky factor, or whose det M_j =
+    prod L_ii^2 is at most _DEGENERACY_RTOL max(Hadamard bound, 1), is
+    degenerate.
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    return _orthopoly(m, k, hankel_determinants(m, k))
-
-
-def _orthopoly(m: MomentSequence, k: int, dets: np.ndarray) -> np.ndarray:
-    """orthopoly_from_moments given det M_0, ..., det M_j for some j >= k."""
-    if k == 0:
-        return np.array([1.0])
-    c_k = 1.0 / np.sqrt(dets[k - 1] * dets[k])
-    rows = np.array([[m.values[r + c] for c in range(k + 1)]
-                     for r in range(k)])
-    coeffs = np.empty(k + 1)
-    cols = np.arange(k + 1)
+    if m.order < 2 * k:
+        raise ValueError(f"need moments up to order {2 * k} for degree {k}, "
+                         f"have {m.order}")
+    M = _hankel(m.values, k)
     for j in range(k + 1):
-        minor = rows[:, cols != j]
-        coeffs[j] = (-1.0) ** (k + j) * float(np.linalg.det(minor))
-    return c_k * coeffs
+        try:
+            L = np.linalg.cholesky(M[:j + 1, :j + 1])
+        except np.linalg.LinAlgError:
+            raise DegeneracyError(
+                f"det M_{j} is not positive (no Cholesky factor): measure "
+                f"supported on fewer than {j + 1} points or moments "
+                f"inconsistent") from None
+        det = float(np.prod(np.diag(L)) ** 2)
+        hadamard = float(np.prod(np.linalg.norm(M[:j + 1, :j + 1], axis=1)))
+        if det <= _DEGENERACY_RTOL * max(hadamard, 1.0):
+            raise DegeneracyError(
+                f"det M_{j} = {det:.3g} is at most {_DEGENERACY_RTOL:g} x "
+                f"max(Hadamard bound {hadamard:.3g}, 1): measure numerically"
+                f" supported on fewer than {j + 1} points or moments "
+                f"inconsistent")
+    return np.tril(np.linalg.inv(L))  # inv leaves noise above the diagonal
+
+
+def orthopoly_from_moments(m: MomentSequence, k: int) -> np.ndarray:
+    """Coefficients (ascending) of the k-th orthonormal polynomial."""
+    return _orthonormal_factor(m, k)[k]
 
 
 @dataclass(frozen=True)
 class OrthoBasis:
-    """Orthonormal polynomials p_0 ... p_degree for one moment sequence."""
+    """Orthonormal polynomials p_0 ... p_degree for one moment sequence:
+    row k of the lower-triangular ``factor`` C (C M C^T = I) holds p_k."""
 
     moments: MomentSequence
     degree: int
-    coefficients: tuple[np.ndarray, ...]
-    hankel_dets: np.ndarray
+    factor: np.ndarray
+
+    @property
+    def coefficients(self) -> tuple[np.ndarray, ...]:
+        return tuple(row[:k + 1] for k, row in enumerate(self.factor))
 
     def evaluate(self, k: int, x) -> np.ndarray | float:
         return np.polynomial.polynomial.polyval(x, self.coefficients[k])
 
-    def inner_product(self, j: int, k: int) -> float:
-        """<p_j, p_k> under the moment functional."""
-        return _hankel_form(self.coefficients[j], self.coefficients[k],
-                            self.moments.values)
-
     def gram_residual(self) -> float:
-        """max_{j,k} |<p_j, p_k> - delta_jk|."""
-        worst = 0.0
-        for j in range(self.degree + 1):
-            for k in range(j + 1):
-                target = 1.0 if j == k else 0.0
-                worst = max(worst, abs(self.inner_product(j, k) - target))
-        return worst
+        """max_{j,k} |<p_j, p_k> - delta_jk| = max |C M C^T - I|."""
+        C = self.factor
+        gram = C @ _hankel(self.moments.values, self.degree) @ C.T
+        return float(np.max(np.abs(gram - np.eye(self.degree + 1))))
 
 
 def build_basis(m: MomentSequence, degree: int) -> OrthoBasis:
     if degree > MAX_DEGREE:
         raise ValueError(f"degree capped at {MAX_DEGREE}, got {degree}")
-    dets = hankel_determinants(m, degree)
-    coeffs = tuple(_orthopoly(m, k, dets) for k in range(degree + 1))
-    return OrthoBasis(moments=m, degree=degree, coefficients=coeffs,
-                      hankel_dets=dets)
+    return OrthoBasis(moments=m, degree=degree,
+                      factor=_orthonormal_factor(m, degree))
 
 
 def hermite_deviation(basis: OrthoBasis, k: int, grid) -> float:
@@ -388,10 +364,7 @@ def envelope_coeffs(f: Envelope, ensemble: VectorEnsemble, L: int,
         raise ValueError(f"need samples >= 1000, got {samples}")
     p = ensemble.p
     sqrt_p = np.sqrt(p)
-    n_mom = 2 * L
-    sum_xi = np.zeros(n_mom + 1)        # sum xi^m
-    sum_k_xi = np.zeros(L + 1)          # sum k(xi) xi^j
-    sum_k2_xi = np.zeros(n_mom + 1)     # sum k(xi)^2 xi^m
+    sums = np.zeros((3, 2 * L + 1))     # sum xi^m, k(xi) xi^m, k(xi)^2 xi^m
     sum_k3 = 0.0
     sum_k4 = 0.0
     for xi in _xi_batches(ensemble, samples, seed):
@@ -403,30 +376,16 @@ def envelope_coeffs(f: Envelope, ensemble: VectorEnsemble, L: int,
                 f"rescaled envelope {f.name!r} non-finite at xi={float(xi[bad])!r}",
                 x=float(xi[bad]))
         kv2 = kv * kv
-        powers = np.ones_like(xi)
-        sum_xi[0] += xi.size
-        sum_k_xi[0] += kv.sum()
-        sum_k2_xi[0] += kv2.sum()
+        sums += _power_sums(xi, (kv, kv2), 2 * L)
         sum_k3 += float((kv2 * kv).sum())
         sum_k4 += float((kv2 * kv2).sum())
-        for mdeg in range(1, n_mom + 1):
-            powers = powers * xi
-            sum_xi[mdeg] += powers.sum()
-            if mdeg <= L:
-                sum_k_xi[mdeg] += (kv * powers).sum()
-            sum_k2_xi[mdeg] += (kv2 * powers).sum()
-    basis = build_basis(_mc_moments(ensemble, sum_xi, samples, n_mom), L)
+    C = build_basis(_mc_moments(ensemble, sums[0], samples, 2 * L), L).factor
 
-    cross = sum_k_xi / samples
-    coeffs = np.array([float(np.dot(basis.coefficients[k],
-                                    cross[:k + 1]))
-                       for k in range(L + 1)])
-    k2 = sum_k2_xi / samples
-    errs = np.empty(L + 1)
-    for k in range(L + 1):
-        c = basis.coefficients[k]
-        errs[k] = np.sqrt(max(_hankel_form(c, c, k2) - coeffs[k] ** 2, 0.0)
-                          / samples)
+    cross = sums[1, :L + 1] / samples
+    coeffs = C @ cross
+    k2 = sums[2] / samples
+    second = np.einsum("ij,jk,ik->i", C, _hankel(k2, L), C)  # E k^2 p_j^2
+    errs = np.sqrt(np.maximum(second - coeffs ** 2, 0.0) / samples)
 
     mean_k = cross[0]
     nu = float(k2[0] - mean_k ** 2)

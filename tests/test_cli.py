@@ -136,6 +136,7 @@ def test_compare_rejects_non_finite_epsilon(capsys):
     ["target=functional-equation", "law_a=1", "law_nu=0.5"],
     ["target=cross-ensemble", "ensemble_b=sphere", "law_a=1"],
     ["gamma=0.3"],
+    ["target=cross-ensemble", "ensemble_b=gaussian"],  # same as ensemble
 ])
 def test_compare_rejects_bad_law_or_gamma_before_any_trial(settings, capsys):
     argv = ["compare", "--set", "p=20", "--set", "n=40"]
@@ -158,6 +159,20 @@ def test_compare_with_config_file(tmp_path, capsys):
     for name in ("esd.csv", "law.csv", "distances.csv", "report.svg"):
         assert (out_dir / name).exists()
     assert "pooled ks=" in capsys.readouterr().out
+
+
+def test_compare_line_readable_for_extreme_distances(capsys):
+    # the envelope nearly overflows: w1 ~ 1e297 and stieltjes_sup ~ 1e-190
+    argv = ["compare"]
+    for item in ("ensemble=rademacher", "p=30", "n=40", "trials=6", "seed=7",
+                 "kernel=distance", "diag=keep", "envelope=exp:a=215"):
+        argv += ["--set", item]
+    assert cli_main(argv) == 2
+    [line] = [ln for ln in capsys.readouterr().out.splitlines()
+              if ln.startswith("rademacher: pooled")]
+    fields = dict(f.split("=") for f in line.split()[2:])
+    assert len(line) < 100
+    assert "e+" in fields["w1"] and "e-" in fields["stieltjes_sup"]
 
 
 def test_compare_invalid_config_exits_one(tmp_path, capsys):

@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernelspectra import (CapabilityError, DegeneracyError, Envelope,
                            EnvelopeError, VectorEnsemble, build_basis,
                            envelope_coeffs, gaussian_limit_moments, hermite,
                            hermite_deviation, orthopoly_from_moments,
                            parse_envelope, xi_moments)
-from kernelspectra.orthopoly import normal_moment
+from kernelspectra.orthopoly import (EXACT, MomentSequence, _xi_batches,
+                                    normal_moment)
 
 polyval = np.polynomial.polynomial.polyval
 
@@ -152,6 +155,22 @@ def test_hermite_matches_gram_schmidt_oracle(k):
     assert np.allclose(hermite(k), _gram_schmidt_hermite(k), atol=1e-10)
 
 
+def _recurrence_hermite(k):
+    """Oracle: h_{d+1} = (x h_d - sqrt(d) h_{d-1}) / sqrt(d+1), coefficientwise."""
+    prev, cur = np.zeros(1), np.array([1.0])
+    for deg in range(k):
+        nxt = np.concatenate(([0.0], cur))
+        nxt[:deg] -= np.sqrt(deg) * prev
+        prev, cur = cur, nxt / np.sqrt(deg + 1)
+    return cur
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_hermite_matches_recurrence_oracle(k):
+    # same numbers by another order of operations: a few ulps apart
+    assert np.max(np.abs(hermite(k) - _recurrence_hermite(k))) < 1e-14
+
+
 def test_hermite_three_term_recurrence():
     # x h_k = sqrt(k+1) h_{k+1} + sqrt(k) h_{k-1}
     for k in range(1, 9):
@@ -185,20 +204,27 @@ def test_rademacher_p1_degree2_degenerates():
         orthopoly_from_moments(m, 2)
 
 
-def _cholesky_orthopoly(m, k):
-    """Oracle: orthonormal polynomials from the Hankel Cholesky factor."""
-    H = np.array([[float(m.values[r + c]) for c in range(k + 1)]
+def _determinant_orthopoly(m, k):
+    """Oracle: the bordered Hankel determinant expansion. The coefficient of
+    x^j is the signed minor left by deleting column j from the first k
+    moment rows, scaled by c_k = 1/sqrt(det M_{k-1} det M_k)."""
+    if k == 0:
+        return np.array([1.0])
+    H = np.array([[m.values[r + c] for c in range(k + 1)]
                   for r in range(k + 1)])
-    L = np.linalg.cholesky(H)
-    C = np.linalg.inv(L)  # rows give coefficients
-    return C[k, :]
+    c_k = 1.0 / np.sqrt(np.linalg.det(H[:k, :k]) * np.linalg.det(H))
+    cols = np.arange(k + 1)
+    return c_k * np.array([(-1.0) ** (k + j)
+                           * np.linalg.det(H[:k][:, cols != j])
+                           for j in range(k + 1)])
 
 
 @pytest.mark.parametrize("k", range(5))
 def test_determinant_route_matches_cholesky_oracle(k):
+    # the code takes the Cholesky route; the oracle is the determinant one
     m = xi_moments(VectorEnsemble("rademacher", 5), K=10)
     ours = orthopoly_from_moments(m, k)
-    oracle = _cholesky_orthopoly(m, k)
+    oracle = _determinant_orthopoly(m, k)
     assert np.max(np.abs(ours - oracle)) < 1e-8
 
 
@@ -208,6 +234,43 @@ def test_basis_orthonormality_under_moment_functional():
         basis = build_basis(m, 6)
         assert basis.gram_residual() < 1e-8
         assert all(c[-1] > 0 for c in basis.coefficients)
+
+
+@st.composite
+def _discrete_measures(draw):
+    """(s, moments m_0 .. m_2s) of a mean-0, variance-1 measure on s points."""
+    s = draw(st.integers(2, 4))  # one point cannot have variance 1
+    x = np.array(draw(st.lists(st.integers(-4, 4), min_size=s, max_size=s,
+                               unique=True)), dtype=float)
+    w = np.array(draw(st.lists(st.integers(1, 4), min_size=s, max_size=s)),
+                 dtype=float)
+    w /= w.sum()
+    z = (x - w @ x) / np.sqrt(w @ (x - w @ x) ** 2)
+    return s, MomentSequence(values=[w @ z ** j for j in range(2 * s + 1)],
+                             source=EXACT)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_discrete_measures())
+def test_discrete_measure_basis_stops_at_its_support_size(measure):
+    s, m = measure
+    basis = build_basis(m, s - 1)
+    assert basis.gram_residual() < 1e-8
+    assert all(c[-1] > 0 for c in basis.coefficients)
+    with pytest.raises(DegeneracyError):
+        build_basis(m, s)
+
+
+@pytest.mark.parametrize("family, p, degree, words", [
+    ("rademacher", 1, 2, ("det M_2 is not positive", "no Cholesky factor")),
+    # det M_7 > 0 here, but below 1e-10 of its Hadamard bound
+    ("rademacher", 50, 8, ("det M_7 = ", "1e-10 x max(Hadamard bound")),
+])
+def test_degeneracy_message_names_the_failed_rule(family, p, degree, words):
+    m = xi_moments(VectorEnsemble(family, p), K=2 * degree)
+    with pytest.raises(DegeneracyError) as err:
+        build_basis(m, degree)
+    assert all(w in str(err.value) for w in words)
 
 
 def test_basis_degree_cap():
@@ -294,6 +357,26 @@ def test_plancherel_consistency_and_admissibility():
     assert np.sum(params.coefficients[1:] ** 2) <= params.nu + 1e-9
     assert params.a ** 2 <= params.nu + 1e-9
     assert params.tail_mass >= -1e-9
+
+
+@pytest.mark.parametrize("envelope, family", [("exp:a=1", "gaussian"),
+                                               ("sign-scaled", "sphere")])
+def test_envelope_coeffs_match_per_draw_means(envelope, family):
+    # a_k = mean k(xi) p_k(xi), stderr_k = sqrt((mean k^2 p_k^2 - a_k^2) / n)
+    # over the same draws, with the basis of the same draws' moments
+    f, ens = parse_envelope(envelope), VectorEnsemble(family, 40)
+    L, n, seed = 4, 20_000, 14
+    params = envelope_coeffs(f, ens, L, samples=n, seed=seed)
+    moments = xi_moments(ens, K=2 * L, method="monte-carlo", seed=seed,
+                         samples=n)
+    basis = build_basis(moments, L)
+    xi = np.concatenate(list(_xi_batches(ens, n, seed)))
+    kv = np.sqrt(ens.p) * f(xi / np.sqrt(ens.p), ens.p)
+    pk = np.array([basis.evaluate(k, xi) for k in range(L + 1)])
+    a = (kv * pk).mean(axis=1)
+    stderr = np.sqrt(((kv * pk) ** 2).mean(axis=1) - a ** 2) / np.sqrt(n)
+    assert np.allclose(params.coefficients, a, rtol=1e-9, atol=0.0)
+    assert np.allclose(params.stderr, stderr, rtol=1e-9, atol=0.0)
 
 
 def test_envelope_coeffs_propagates_degeneracy():
