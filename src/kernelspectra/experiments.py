@@ -250,11 +250,27 @@ def trial_samples(config: ExperimentConfig, families: Sequence[str]
                                         config.n, trial_seed)
 
 
+class _StageClock:
+    """Seconds per stage; ``lap(stage)`` charges the time since the last lap."""
+
+    def __init__(self, stages: Sequence[str]):
+        self.seconds = dict.fromkeys(stages, 0.0)
+        self._mark = time.perf_counter()
+
+    def lap(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.seconds[stage] += now - self._mark
+        self._mark = now
+
+
 def run_universality(config: ExperimentConfig) -> ExperimentResult:
     """Build per-trial kernel matrices, pool ESDs, compare to the target law.
 
     A module error inside one trial is recorded and the run continues;
-    results with any failed trial are flagged incomplete.
+    results with any failed trial are flagged incomplete. ``timings``
+    holds ``build_and_eig`` and ``total`` and the seconds, summed over
+    trials, of the stages sample, gram (with the concentration
+    diagnostic), build, eig, law and distances (with pooling).
     """
     t0 = time.perf_counter()
     spec = config.kernel_spec()
@@ -265,23 +281,28 @@ def run_universality(config: ExperimentConfig) -> ExperimentResult:
     samples: dict[str, dict[int, ESD]] = {f: {} for f in families}
     conc: dict[str, list[ConcentrationDiagnostic]] = {f: [] for f in families}
     errors: list[TrialError] = []
+    clock = _StageClock(("sample", "gram", "build", "eig", "law", "distances"))
     for t, fam, S in trial_samples(config, families):
-        step = "sample"
+        clock.lap("sample")
+        step, stage = "sample", "gram"  # errors.csv stage, timings key
         try:
             # One Gram matrix per trial feeds both the diagnostic and the
             # kernel; each n x n array is dropped as soon as it is spent.
             G = gram(S)
             if config.n >= 2:
                 conc[fam].append(concentration_diagnostic(S, G))
-            step = "build"
+            clock.lap(stage)
+            step = stage = "build"
             A = build(spec, S, G)
             del G
-            step = "eigenvalues"
+            clock.lap(stage)
+            step, stage = "eigenvalues", "eig"
             samples[fam][t] = eigenvalues(A)
             del A
         except (KernelSpectraError, ValueError) as exc:
             errors.append(TrialError(trial=t, ensemble=fam, stage=step,
                                      message=str(exc)))
+        clock.lap(stage)
     t_build = time.perf_counter() - t0
     law = None
     try:
@@ -289,6 +310,7 @@ def run_universality(config: ExperimentConfig) -> ExperimentResult:
     except (KernelSpectraError, ValueError) as exc:
         errors.append(TrialError(trial=-1, ensemble=config.ensemble,
                                  stage="law", message=str(exc)))
+    clock.lap("law")
 
     pooled = {f: ESD.pooled(list(s.values())) for f, s in samples.items() if s}
     z_grid = config.z_grid
@@ -309,7 +331,9 @@ def run_universality(config: ExperimentConfig) -> ExperimentResult:
         distances.append(_distance_record("cross", -1, pooled[fam_a],
                                           pooled[fam_b], z_grid))
 
-    timings = {"build_and_eig": t_build, "total": time.perf_counter() - t0}
+    clock.lap("distances")
+    timings = {"build_and_eig": t_build, **clock.seconds,
+               "total": time.perf_counter() - t0}
     result = ExperimentResult(
         config=config, samples=samples, pooled=pooled, law=law,
         distances=distances, concentration=conc, errors=errors,

@@ -1,9 +1,11 @@
 """Random kernel matrices A_ij = f(g(X_i, X_j), p) and their linearizations.
 
 The kernel g is either the inner product X^T Y or the squared distance
-||X - Y||^2; the scalar envelope f is applied entrywise. Symmetry is
-exact without copying a triangle: the Gram matrix X^T X is one symmetric
-rank-k product (BLAS syrk) with G_ij and G_ji bit-equal, the distances
+||X - Y||^2; the scalar envelope f is applied entrywise, so ``build``
+fills its one n x n output in row blocks read from the Gram matrix G,
+which it leaves unchanged, and every temporary is block-sized. Symmetry
+is exact without copying a triangle: G = X^T X is one symmetric rank-k
+product (BLAS syrk) with G_ij and G_ji bit-equal, the distances
 (g_i + g_j) - 2 G_ij are symmetric because addition commutes, and the
 envelope maps equal values to equal values. The diagonal convention
 (keep or zero) is part of the kernel specification.
@@ -26,6 +28,8 @@ KERNELS = (INNER_PRODUCT, SQUARED_DISTANCE)
 KEEP = "keep"
 ZERO = "zero"
 DIAGONALS = (KEEP, ZERO)
+
+_BLOCK_ENTRIES = 2 ** 16  # entries in one of build's row blocks (512 KB)
 
 
 @dataclass(frozen=True)
@@ -227,39 +231,45 @@ def gram(S: SampleMatrix) -> np.ndarray:
     return S.data.T @ S.data
 
 
-def _distances_from_gram(G: np.ndarray) -> np.ndarray:
+def _distance_rows(G: np.ndarray, r0: int, r1: int) -> np.ndarray:
+    """Rows r0:r1 of D_ij = (g_i + g_j) - 2 G_ij, clamped at 0, D_ii = 0."""
     g = np.diag(G)
-    D = g[:, None] + g[None, :]
-    D -= 2.0 * G
+    D = g[r0:r1, None] + g[None, :]
+    D -= 2.0 * G[r0:r1]
     np.maximum(D, 0.0, out=D)
-    np.fill_diagonal(D, 0.0)
+    np.fill_diagonal(D[:, r0:], 0.0)
     return D
 
 
 def squared_distances(S: SampleMatrix) -> np.ndarray:
     """D_ij = ||X_i - X_j||^2 with exact zero diagonal, clamped at 0."""
-    return _distances_from_gram(gram(S))
+    return _distance_rows(gram(S), 0, S.n)
 
 
 def build(spec: KernelSpec, S: SampleMatrix, G: np.ndarray) -> np.ndarray:
     """A_ij = f(g(X_i, X_j), p) for i != j; diagonal per the spec.
 
     ``G`` is the sample's Gram matrix, ``gram(S)``; it is left unchanged.
+    A is the only n x n allocation: it is filled in row blocks, so kernel
+    values, envelope temporaries and the finiteness mask are block-sized.
     """
-    K = G if spec.kernel == INNER_PRODUCT else _distances_from_gram(G)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        A = np.asarray(spec.envelope(K, S.p), dtype=float)
-    if np.may_share_memory(A, G):
-        A = A.copy()
-    if spec.diagonal == ZERO:
-        np.fill_diagonal(A, 0.0)
-    finite = np.isfinite(A)
-    if not finite.all():
-        i, j = map(int, np.argwhere(~finite)[0])
-        raise EnvelopeError(
-            f"envelope {spec.envelope.name!r} returned a non-finite value at "
-            f"entry (i={i}, j={j}) for kernel value x={float(K[i, j])!r}",
-            i=i, j=j, x=float(K[i, j]))
+    A = np.empty((S.n, S.n))
+    rows = max(1, _BLOCK_ENTRIES // S.n)
+    for r0 in range(0, S.n, rows):
+        K = G[r0:r0 + rows] if spec.kernel == INNER_PRODUCT \
+            else _distance_rows(G, r0, r0 + rows)
+        block = A[r0:r0 + rows]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            block[:] = spec.envelope(K, S.p)
+        if spec.diagonal == ZERO:
+            np.fill_diagonal(block[:, r0:], 0.0)
+        finite = np.isfinite(block)
+        if not finite.all():
+            i, j = map(int, np.argwhere(~finite)[0])
+            raise EnvelopeError(
+                f"envelope {spec.envelope.name!r} returned a non-finite value"
+                f" at entry (i={r0 + i}, j={j}) for kernel value "
+                f"x={float(K[i, j])!r}", i=r0 + i, j=j, x=float(K[i, j]))
     return A
 
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -5,6 +10,7 @@ from scipy.integrate import quad
 from kernelspectra import (ESD, VectorEnsemble, envelope_coeffs, load_esd,
                            load_limit_law, mp_atom_mass, mp_density,
                            mp_support, parse_envelope)
+from kernelspectra import orthopoly
 from kernelspectra.cli import cli_main
 
 
@@ -18,6 +24,18 @@ def test_unknown_flag_exits_one(capsys):
 
 def test_help_exits_zero(capsys):
     assert cli_main(["--help"]) == 0
+
+
+def test_package_and_cli_import_without_scipy():
+    # scipy is a test oracle only; importing it would add ~0.3 s and ~20 MB
+    # to every CLI call
+    src = Path(orthopoly.__file__).parents[1]
+    code = ("import sys, kernelspectra, kernelspectra.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.stdout.strip() == "[]"
 
 
 def test_simulate_sphere_identity(tmp_path, capsys):
@@ -208,6 +226,16 @@ def test_expand_prints_table(capsys):
                              samples=20000, seed=0)
     assert params.nu_stderr > 0.0
     assert f"nu_stderr={params.nu_stderr:.4e}" in printed
+
+
+def test_expand_rejects_degree_above_cap_before_sampling(capsys,
+                                                        monkeypatch):
+    monkeypatch.setattr(orthopoly, "_xi_batches",
+                        lambda *args: pytest.fail("expand drew samples"))
+    code = cli_main(["expand", "--ensemble", "gaussian", "--p", "500",
+                     "--envelope", "sign-scaled", "--degree", "7"])
+    assert code == 1
+    assert "need 1 <= L <= 6, got 7" in capsys.readouterr().err
 
 
 def test_swap_check_reports_rank(capsys):

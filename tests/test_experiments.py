@@ -153,6 +153,21 @@ def test_run_universality_forms_one_gram_per_trial_and_family(monkeypatch):
     assert all(len(c) == 3 for c in result.concentration.values())
 
 
+@pytest.mark.parametrize("envelope", ["exp:a=-1", "exp:a=215"])
+def test_run_universality_times_every_stage(envelope):
+    # exp(215 x) fails the build of rademacher trial 3 only
+    cfg = ExperimentConfig(ensemble="rademacher", ensemble_b="sphere", p=30,
+                           n=40, trials=6, seed=7, kernel="distance",
+                           diagonal="keep", envelope=envelope,
+                           target="cross-ensemble")
+    timings = run_universality(cfg).timings
+    stages = ("sample", "gram", "build", "eig", "law", "distances")
+    assert set(timings) == {"build_and_eig", "total", *stages}
+    assert all(v >= 0.0 for v in timings.values())
+    assert sum(timings[s] for s in stages) <= timings["total"]
+    assert timings["build_and_eig"] <= timings["total"]
+
+
 def test_failing_envelope_records_errors():
     # exp(1000 x) overflows on distance values near 2 for every trial
     cfg = ExperimentConfig(ensemble="gaussian", p=30, n=40, trials=3, seed=7,

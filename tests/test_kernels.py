@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from kernelspectra import (DerivativeError, Envelope, EnvelopeError,
                            gram, linearized, parse_envelope,
                            single_entry_swap, squared_distances,
                            transference_linearized)
+from kernelspectra import kernels
 from kernelspectra.kernels import numeric_derivative
 
 
@@ -109,6 +111,13 @@ def _layouts(p=17, n=13, seed=31):
                          seed=seed) for d in datas]
 
 
+def _block_rows(monkeypatch, n=13):
+    """Set build's row blocks to 1, 5 (ragged at n = 13) and >= n rows."""
+    for rows in (1, 5, kernels._BLOCK_ENTRIES // n):
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", rows * n)
+        yield rows
+
+
 _REGISTRY_ENVELOPES = ["identity", "const:c=1", "exp:a=1", "exp:a=-1",
                        "power:a=0.5", "sign-scaled", "nonsmooth-sin"]
 
@@ -117,21 +126,23 @@ _REGISTRY_ENVELOPES = ["identity", "const:c=1", "exp:a=1", "exp:a=-1",
 @pytest.mark.parametrize("kernel", ["inner", "distance"])
 @pytest.mark.parametrize("envelope", _REGISTRY_ENVELOPES)
 def test_build_matches_mirrored_reference_bit_for_bit(envelope, kernel,
-                                                      diagonal):
+                                                      diagonal, monkeypatch):
     spec = KernelSpec(kernel, diagonal, parse_envelope(envelope))
-    for S in _layouts():
-        G = gram(S)
-        untouched = G.copy()
-        A = build(spec, S, G)
-        assert A.tobytes() == _reference_build(spec, S)[0].tobytes()
-        assert G.tobytes() == untouched.tobytes()  # build leaves G alone
+    for _ in _block_rows(monkeypatch):
+        for S in _layouts():
+            G = gram(S)
+            untouched = G.copy()
+            A = build(spec, S, G)
+            assert A.tobytes() == _reference_build(spec, S)[0].tobytes()
+            assert G.tobytes() == untouched.tobytes()  # build leaves G alone
 
 
 @pytest.mark.parametrize("kernel,diagonal", [("inner", "keep"),
                                              ("inner", "zero"),
                                              ("distance", "keep"),
                                              ("distance", "zero")])
-def test_build_reports_the_reference_first_non_finite_entry(kernel, diagonal):
+def test_build_reports_the_reference_first_non_finite_entry(kernel, diagonal,
+                                                            monkeypatch):
     # log(x - c) is NaN below c: c = 0 hits negative inner products, c = 2
     # hits distances below their concentration point and the distance
     # diagonal
@@ -141,13 +152,44 @@ def test_build_reports_the_reference_first_non_finite_entry(kernel, diagonal):
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.log(x - shift)
 
-    spec = KernelSpec(kernel, diagonal, Envelope("log", quiet_log))
-    for S in _layouts():
-        _, first = _reference_build(spec, S)
-        assert first is not None
-        with pytest.raises(EnvelopeError) as err:
-            build(spec, S, gram(S))
-        assert (err.value.i, err.value.j) == first
+    for _ in _block_rows(monkeypatch):
+        for S in _layouts():
+            K = gram(S) if kernel == "inner" else squared_distances(S)
+            # NaN only at the value of K[n-1, n-2]: the first hit is
+            # (n-2, n-1), past the first row block
+            spike = K[-1, -2]
+
+            def nan_at_spike(x, p):
+                return np.where(x == spike, np.nan, x)
+
+            for f in (quiet_log, nan_at_spike):
+                spec = KernelSpec(kernel, diagonal, Envelope("f", f))
+                _, first = _reference_build(spec, S)
+                assert first is not None
+                with pytest.raises(EnvelopeError) as err:
+                    build(spec, S, gram(S))
+                assert (err.value.i, err.value.j) == first
+                assert err.value.x == K[first]
+
+
+@pytest.mark.parametrize("kernel,diagonal,envelope",
+                         [("inner", "zero", "exp:a=1"),
+                          ("distance", "keep", "exp:a=-1")])
+def test_build_allocates_one_output_and_block_sized_temporaries(
+        kernel, diagonal, envelope):
+    # A whole-matrix build peaks at 2 (inner exp: a x, then exp) or 3
+    # (distances, 2 G, then exp) n x n arrays; blocks keep it near 1.
+    S = _sample(p=30, n=1200, seed=4)
+    G = gram(S)
+    spec = KernelSpec(kernel, diagonal, parse_envelope(envelope))
+    tracemalloc.start()
+    try:
+        build(spec, S, G)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * G.nbytes
+
 
 def test_build_identity_envelope_equals_gram():
     S = _sample(seed=2)

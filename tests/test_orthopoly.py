@@ -11,7 +11,8 @@ from kernelspectra import (CapabilityError, DegeneracyError, Envelope,
                            envelope_coeffs, gaussian_limit_moments, hermite,
                            hermite_deviation, orthopoly_from_moments,
                            parse_envelope, xi_moments)
-from kernelspectra.orthopoly import (EXACT, MomentSequence, _xi_batches,
+from kernelspectra.orthopoly import (EXACT, MomentSequence,
+                                    _orthonormal_factor, _xi_batches,
                                     normal_moment)
 
 polyval = np.polynomial.polynomial.polyval
@@ -263,8 +264,9 @@ def test_discrete_measure_basis_stops_at_its_support_size(measure):
 
 @pytest.mark.parametrize("family, p, degree, words", [
     ("rademacher", 1, 2, ("det M_2 is not positive", "no Cholesky factor")),
-    # det M_7 > 0 here, but below 1e-10 of its Hadamard bound
-    ("rademacher", 50, 8, ("det M_7 = ", "1e-10 x max(Hadamard bound")),
+    # xi takes 4 values, so det M_4 = 0 exactly; in floats it is a
+    # positive 6e-15, below 1e-10 of its Hadamard bound
+    ("rademacher", 3, 4, ("det M_4 = ", "1e-10 x max(Hadamard bound")),
 ])
 def test_degeneracy_message_names_the_failed_rule(family, p, degree, words):
     m = xi_moments(VectorEnsemble(family, p), K=2 * degree)
@@ -277,6 +279,12 @@ def test_basis_degree_cap():
     m = gaussian_limit_moments(20)
     with pytest.raises(ValueError):
         build_basis(m, 9)
+    # the cap is the highest degree the exact N(0, 1) moments reach
+    assert build_basis(m, 6).gram_residual() < 1e-8
+    with pytest.raises(DegeneracyError, match="det M_7 = "):
+        _orthonormal_factor(m, 7)
+    with pytest.raises(ValueError, match="degree capped at 6"):
+        build_basis(m, 7)
 
 
 # ---------------------------------------------------------------------------
