@@ -29,7 +29,7 @@ KEEP = "keep"
 ZERO = "zero"
 DIAGONALS = (KEEP, ZERO)
 
-_BLOCK_ENTRIES = 2 ** 16  # entries in one of build's row blocks (512 KB)
+_BLOCK_ENTRIES = 2 ** 16  # entries in one row block (512 KB)
 
 
 @dataclass(frozen=True)
@@ -86,25 +86,33 @@ def numeric_derivative(envelope: Envelope, x0: float, p: int) -> float:
     """Central difference with one Richardson extrapolation step.
 
     Step h = max(1e-6, 1e-6 |x0|). Raises DerivativeError when the two
-    half-step estimates disagree badly (no convergence, e.g. a jump).
+    half-step estimates disagree badly (no convergence, e.g. a jump), or
+    when the forward and backward differences do (a kink such as |x| at
+    0, where the central difference reads 0).
     """
     h = max(1e-6, 1e-6 * abs(x0))
 
-    def central(hh: float) -> float:
+    def slope(lo: float, hi: float) -> float:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return float((envelope(x0 + hh, p) - envelope(x0 - hh, p))
-                         / (2.0 * hh))
+            return float((envelope(x0 + hi, p) - envelope(x0 + lo, p))
+                         / (hi - lo))
 
-    d_h = central(h)
-    d_h2 = central(h / 2.0)
+    d_h = slope(-h, h)
+    d_h2 = slope(-h / 2.0, h / 2.0)
     richardson = (4.0 * d_h2 - d_h) / 3.0
     if not np.isfinite(richardson):
         raise DerivativeError(
             f"numeric derivative of {envelope.name!r} at x={x0} is not finite")
-    if abs(d_h - d_h2) > 0.1 * max(1.0, abs(richardson)):
+    tol = 0.1 * max(1.0, abs(richardson))
+    if abs(d_h - d_h2) > tol:
         raise DerivativeError(
             f"numeric derivative of {envelope.name!r} at x={x0} did not "
             f"converge: D(h)={d_h:.6g}, D(h/2)={d_h2:.6g}")
+    forward, backward = slope(0.0, h), slope(-h, 0.0)
+    if abs(forward - backward) > tol:
+        raise DerivativeError(
+            f"numeric derivative of {envelope.name!r} at x={x0} has a kink: "
+            f"forward {forward:.6g}, backward {backward:.6g}")
     return richardson
 
 
@@ -231,10 +239,11 @@ def gram(S: SampleMatrix) -> np.ndarray:
     return S.data.T @ S.data
 
 
-def _distance_rows(G: np.ndarray, r0: int, r1: int) -> np.ndarray:
+def _distance_rows(G: np.ndarray, r0: int, r1: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Rows r0:r1 of D_ij = (g_i + g_j) - 2 G_ij, clamped at 0, D_ii = 0."""
     g = np.diag(G)
-    D = g[r0:r1, None] + g[None, :]
+    D = np.add(g[r0:r1, None], g[None, :], out=out)
     D -= 2.0 * G[r0:r1]
     np.maximum(D, 0.0, out=D)
     np.fill_diagonal(D[:, r0:], 0.0)
@@ -243,7 +252,12 @@ def _distance_rows(G: np.ndarray, r0: int, r1: int) -> np.ndarray:
 
 def squared_distances(S: SampleMatrix) -> np.ndarray:
     """D_ij = ||X_i - X_j||^2 with exact zero diagonal, clamped at 0."""
-    return _distance_rows(gram(S), 0, S.n)
+    G = gram(S)
+    D = np.empty_like(G)
+    rows = max(1, _BLOCK_ENTRIES // S.n)
+    for r0 in range(0, S.n, rows):
+        _distance_rows(G, r0, r0 + rows, out=D[r0:r0 + rows])
+    return D
 
 
 def build(spec: KernelSpec, S: SampleMatrix, G: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -32,6 +32,7 @@ MAX_EXACT_ORDER = 16
 # only 5.4e-14, so degree 6 is the highest that can be built.
 MAX_DEGREE = 6
 _MC_BATCH = 200_000  # xi draws per Monte Carlo batch
+_CHUNK = 8192  # draws per power-sum product; its rows stay in cache
 
 # det M_j <= this multiple of its Hadamard bound counts as degenerate
 _DEGENERACY_RTOL = 1e-10
@@ -156,16 +157,31 @@ def _xi_batches(ensemble: VectorEnsemble, samples: int,
                          min(_MC_BATCH, samples - done))
 
 
-def _power_sums(xi: np.ndarray, weights: tuple[np.ndarray, ...],
-                order: int) -> np.ndarray:
-    """Rows sum_i xi_i^m, then sum_i w_i xi_i^m for each weight w, for
-    m = 0 ... order. The running power is updated in place."""
-    sums = np.empty((1 + len(weights), order + 1))
-    powers = np.ones_like(xi)
-    for m in range(order + 1):
-        if m:
-            powers *= xi
-        sums[:, m] = [powers.sum(), *((w * powers).sum() for w in weights)]
+def _power_sums(xi: np.ndarray, order: int,
+                weight: Callable[[np.ndarray], np.ndarray] | None = None,
+                weight_order: int = 0) -> np.ndarray:
+    """S[j, m] = sum_i k_i^j xi_i^m for j = 0 ... weight_order and
+    m = 0 ... order, with k = weight(xi) evaluated chunk by chunk.
+
+    Each chunk of _CHUNK draws fills the rows V[m] = xi^m and W[j] = k^j
+    in place and adds the one product W V^T, so no temporary outgrows
+    the chunk.
+    """
+    size = min(xi.size, _CHUNK)
+    V = np.empty((order + 1, size))
+    W = np.empty((weight_order + 1, size))
+    V[0] = W[0] = 1.0
+    sums = np.zeros((weight_order + 1, order + 1))
+    for c0 in range(0, xi.size, _CHUNK):
+        x = xi[c0:c0 + _CHUNK]
+        v, w = V[:, :x.size], W[:, :x.size]
+        for m in range(1, order + 1):
+            np.multiply(v[m - 1], x, out=v[m])
+        if weight_order:
+            w[1] = weight(x)
+            for j in range(2, weight_order + 1):
+                np.multiply(w[j - 1], w[1], out=w[j])
+        sums += w @ v.T
     return sums
 
 
@@ -212,7 +228,7 @@ def xi_moments(ensemble: VectorEnsemble, K: int, method: str = EXACT,
         raise ValueError(f"method must be {EXACT!r} or {MONTE_CARLO!r}")
     if samples < 100:
         raise ValueError(f"need samples >= 100, got {samples}")
-    sums = sum(_power_sums(xi, (), 2 * K)[0]
+    sums = sum(_power_sums(xi, 2 * K)[0]
                for xi in _xi_batches(ensemble, samples, seed))
     return _mc_moments(ensemble, sums, samples, K)
 
@@ -367,10 +383,8 @@ def envelope_coeffs(f: Envelope, ensemble: VectorEnsemble, L: int,
         raise ValueError(f"need samples >= 1000, got {samples}")
     p = ensemble.p
     sqrt_p = np.sqrt(p)
-    sums = np.zeros((3, 2 * L + 1))     # sum xi^m, k(xi) xi^m, k(xi)^2 xi^m
-    sum_k3 = 0.0
-    sum_k4 = 0.0
-    for xi in _xi_batches(ensemble, samples, seed):
+
+    def rescaled(xi: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             kv = sqrt_p * np.asarray(f(xi / sqrt_p, p), dtype=float)
         if not np.all(np.isfinite(kv)):
@@ -378,10 +392,11 @@ def envelope_coeffs(f: Envelope, ensemble: VectorEnsemble, L: int,
             raise EnvelopeError(
                 f"rescaled envelope {f.name!r} non-finite at xi={float(xi[bad])!r}",
                 x=float(xi[bad]))
-        kv2 = kv * kv
-        sums += _power_sums(xi, (kv, kv2), 2 * L)
-        sum_k3 += float((kv2 * kv).sum())
-        sum_k4 += float((kv2 * kv2).sum())
+        return kv
+
+    # row j holds sum k(xi)^j xi^m
+    sums = sum(_power_sums(xi, 2 * L, rescaled, 4)
+               for xi in _xi_batches(ensemble, samples, seed))
     C = build_basis(_mc_moments(ensemble, sums[0], samples, 2 * L), L).factor
 
     cross = sums[1, :L + 1] / samples
@@ -395,8 +410,8 @@ def envelope_coeffs(f: Envelope, ensemble: VectorEnsemble, L: int,
     # Delta method: nu_hat - nu is to first order the mean of k^2 - 2 mu k,
     # so the subtracted (mean k)^2 term adds its own sampling error.
     # Var(k^2 - 2 mu k) = Var(k^2) - 4 mu Cov(k^2, k) + 4 mu^2 Var(k).
-    var_k2 = sum_k4 / samples - k2[0] ** 2
-    cov_k2_k = sum_k3 / samples - k2[0] * mean_k
+    var_k2 = sums[4, 0] / samples - k2[0] ** 2
+    cov_k2_k = sums[3, 0] / samples - k2[0] * mean_k
     var_nu = var_k2 - 4.0 * mean_k * cov_k2_k + 4.0 * mean_k ** 2 * nu
     nu_stderr = float(np.sqrt(max(var_nu, 0.0) / samples))
     tail = float(nu - np.sum(coeffs[1:] ** 2))

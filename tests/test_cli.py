@@ -228,6 +228,41 @@ def test_expand_prints_table(capsys):
     assert f"nu_stderr={params.nu_stderr:.4e}" in printed
 
 
+EXPAND_STDOUT = {
+    "sphere": """\
+envelope sign-scaled on sphere (p=500, samples=20000)
+  k            a_k       stderr
+  0       0.000200   7.0711e-03
+  1       0.799436   4.2480e-03
+  2      -0.001323   7.0711e-03
+  3      -0.329766   6.6755e-03
+  4      -0.010006   7.0707e-03
+a=0.799436  nu=1.000000  nu_stderr=2.8284e-06  tail_mass=0.252054
+""",
+    "rademacher": """\
+envelope sign-scaled on rademacher (p=500, samples=20000)
+  k            a_k       stderr
+  0      -0.016200   6.9410e-03
+  1       0.797792   4.2633e-03
+  2       0.018936   7.0045e-03
+  3      -0.322437   6.6931e-03
+  4      -0.019415   7.0211e-03
+a=0.797792  nu=0.963538  nu_stderr=1.3391e-03  tail_mass=0.222365
+""",
+}
+
+
+@pytest.mark.parametrize("family", sorted(EXPAND_STDOUT))
+def test_expand_stdout_is_pinned(family, capsys):
+    # the printed table depends only on (seed, samples): a change of the
+    # Monte Carlo summation order must not move a printed digit
+    code = cli_main(["expand", "--envelope", "sign-scaled", "--ensemble",
+                     family, "--p", "500", "--samples", "20000",
+                     "--seed", "3"])
+    assert code == 0
+    assert capsys.readouterr().out == EXPAND_STDOUT[family]
+
+
 def test_expand_rejects_degree_above_cap_before_sampling(capsys,
                                                         monkeypatch):
     monkeypatch.setattr(orthopoly, "_xi_batches",

@@ -69,6 +69,21 @@ def test_squared_distances_match_direct_subtraction_oracle():
     assert np.max(np.abs(D - direct)) < 1e-10
 
 
+def test_squared_distances_fill_row_blocks():
+    # one block of all n rows peaks at 3 n x n arrays (G, D, 2 G); row
+    # blocks written into D keep the peak near G and D
+    S = _sample(p=30, n=600, seed=9)
+    expected = kernels._distance_rows(gram(S), 0, S.n)
+    tracemalloc.start()
+    try:
+        D = squared_distances(S)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(D, expected)
+    assert peak <= 2.2 * expected.nbytes
+
+
 # ---------------------------------------------------------------------------
 # build
 # ---------------------------------------------------------------------------
@@ -441,6 +456,29 @@ def test_numeric_derivative_rejects_jump():
     step = Envelope("step", lambda x, p: np.sign(x))
     with pytest.raises(DerivativeError):
         numeric_derivative(step, 0.0, p=1)
+
+
+@pytest.mark.parametrize("x0", [0.0, 1.0])
+def test_numeric_derivative_rejects_symmetric_kink(x0):
+    kink = Envelope("kink", lambda x, p: np.abs(x - x0))
+    with pytest.raises(DerivativeError, match="forward 1, backward -1"):
+        numeric_derivative(kink, x0, p=1)
+
+
+@pytest.mark.parametrize("text", ["identity", "const:c=2", "exp:a=1",
+                                  "exp:a=-1", "power:a=0.5", "power:a=3",
+                                  "nonsmooth-sin"])
+@pytest.mark.parametrize("x0", [0.0, 1.0, 2.0, -0.3])
+def test_numeric_derivative_of_registered_envelopes_is_central_richardson(
+        text, x0):
+    env = parse_envelope(text)
+    h = max(1e-6, 1e-6 * abs(x0))
+
+    def central(hh):
+        return float((env(x0 + hh, 1) - env(x0 - hh, 1)) / (2.0 * hh))
+
+    assert numeric_derivative(env, x0, p=1) == \
+        (4.0 * central(h / 2.0) - central(h)) / 3.0
 
 
 def test_nonsmooth_sin_extension_and_derivative():

@@ -194,6 +194,14 @@ def test_predicted_law_requires_derivative():
         predicted_law(spec, 1.0)
 
 
+def test_predicted_law_rejects_symmetric_kink():
+    # the central difference of |x| at 0 reads exactly 0, which would
+    # silently turn the law into a unit atom
+    spec = KernelSpec("inner", "zero", Envelope("abs", lambda x, p: np.abs(x)))
+    with pytest.raises(DerivativeError, match="kink"):
+        predicted_law(spec, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # affine map consistency and negative scale
 # ---------------------------------------------------------------------------

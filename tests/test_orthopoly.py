@@ -11,9 +11,9 @@ from kernelspectra import (CapabilityError, DegeneracyError, Envelope,
                            envelope_coeffs, gaussian_limit_moments, hermite,
                            hermite_deviation, orthopoly_from_moments,
                            parse_envelope, xi_moments)
-from kernelspectra.orthopoly import (EXACT, MomentSequence,
-                                    _orthonormal_factor, _xi_batches,
-                                    normal_moment)
+from kernelspectra.orthopoly import (_CHUNK, EXACT, MomentSequence,
+                                    _orthonormal_factor, _power_sums,
+                                    _xi_batches, normal_moment)
 
 polyval = np.polynomial.polynomial.polyval
 
@@ -403,6 +403,46 @@ def test_envelope_coeffs_flags_non_finite_envelope():
         envelope_coeffs(bad, VectorEnsemble("rademacher", 2), L=2,
                         samples=5_000, seed=12)
     assert "xi=0.0" in str(err.value) and "np.float64" not in str(err.value)
+
+
+def test_envelope_coeffs_reports_first_bad_draw_past_first_chunk():
+    # non-finite only above the largest x of the first chunk, so the first
+    # bad draw lies in a later chunk of the first batch
+    ens, n, seed = VectorEnsemble("gaussian", 40), 50_000, 17
+    xi = np.concatenate(list(_xi_batches(ens, n, seed)))
+    x = xi / np.sqrt(ens.p)
+    threshold = x[:_CHUNK].max()
+    first = int(np.argmax(x > threshold))
+    assert first > _CHUNK
+    capped = Envelope("capped", lambda x, p: np.where(x > threshold,
+                                                      np.inf, x))
+    with pytest.raises(EnvelopeError) as err:
+        envelope_coeffs(capped, ens, L=2, samples=n, seed=seed)
+    assert err.value.x == float(xi[first])
+
+
+@pytest.mark.parametrize("size", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+                                  200_000])
+@pytest.mark.parametrize("weight_order", [0, 4])
+def test_power_sums_match_plain_sums_across_chunk_edges(size, weight_order):
+    rng = np.random.default_rng(size)
+    xi = 1.3 * rng.standard_normal(size)
+    order = 8
+    k = np.cos(xi) + 0.25 * xi
+
+    def weight(chunk):
+        assert chunk.size <= _CHUNK
+        return np.cos(chunk) + 0.25 * chunk
+
+    sums = _power_sums(xi, order, weight, weight_order)
+    assert sums.shape == (weight_order + 1, order + 1)
+    for j in range(weight_order + 1):
+        for m in range(order + 1):
+            terms = k ** j * xi ** m
+            # odd powers cancel, so their error is relative to sum |terms|
+            floor = 1e-12 * np.sum(np.abs(terms))
+            assert abs(sums[j, m] - np.sum(terms)) <= \
+                1e-12 * abs(np.sum(terms)) + floor, (j, m)
 
 
 def test_envelope_coeffs_validation():
