@@ -12,16 +12,14 @@ from .experiments import (ExperimentConfig, ExperimentResult,
                           run_l2_perturbation, run_universality)
 from .kernels import (INNER_PRODUCT, KEEP, SQUARED_DISTANCE, ZERO, Envelope,
                       EnvelopeAnalytic, KernelSpec, build, gram, linearized,
-                      parse_envelope, single_entry_swap, squared_distances,
-                      transference_linearized)
+                      parse_envelope, single_entry_swap)
 from .limit_solver import (LimitLaw, load_limit_law, save_limit_law,
                            solve_grid, solve_point)
 from .mp_theory import (AffineMPLaw, mp_atom_mass, mp_cdf, mp_density,
                         mp_stieltjes, mp_support, predicted_law)
 from .orthopoly import (AdmissibleParams, MomentSequence, OrthoBasis,
                         build_basis, envelope_coeffs, gaussian_limit_moments,
-                        hermite, hermite_deviation, orthopoly_from_moments,
-                        xi_moments)
+                        hermite, hermite_deviation, xi_moments)
 from .spectral import (ESD, VarianceDecayReport, eigenvalues,
                        empirical_stieltjes, ks_distance, load_esd, save_esd,
                        stieltjes_variance_decay, wasserstein1)
@@ -34,15 +32,14 @@ __all__ = [
     "MomentDiagnostic", "ConcentrationDiagnostic",
     "Envelope", "EnvelopeAnalytic", "parse_envelope", "KernelSpec",
     "INNER_PRODUCT", "SQUARED_DISTANCE", "KEEP", "ZERO",
-    "gram", "squared_distances", "build", "linearized",
-    "transference_linearized", "single_entry_swap",
+    "gram", "build", "linearized", "single_entry_swap",
     "ESD", "eigenvalues", "empirical_stieltjes",
     "ks_distance", "wasserstein1", "stieltjes_variance_decay",
     "VarianceDecayReport", "save_esd", "load_esd",
     "AffineMPLaw", "mp_density", "mp_cdf", "mp_stieltjes", "mp_support",
     "mp_atom_mass", "predicted_law",
     "MomentSequence", "OrthoBasis", "AdmissibleParams", "xi_moments",
-    "hermite", "orthopoly_from_moments", "build_basis", "envelope_coeffs",
+    "hermite", "build_basis", "envelope_coeffs",
     "hermite_deviation", "gaussian_limit_moments",
     "LimitLaw", "solve_point", "solve_grid",
     "save_limit_law", "load_limit_law",

@@ -189,6 +189,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    if args.n < 2:
+        raise ValueError(f"max_inner needs at least two columns, got {args.n}")
     ens = VectorEnsemble(args.ensemble, args.p)
     mom = moment_diagnostic(ens, args.K, args.trials, args.seed)
     print(f"E|sqrt(p) entry|^{args.K} = {mom.estimate:.6f} "

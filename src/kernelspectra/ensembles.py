@@ -65,23 +65,31 @@ def _fill_columns(family: str, rows: np.ndarray,
     Row i is drawn from the i-th generator of ``streams`` and normalized
     so that E||X||^2 = 1; the iid families are scaled in one pass at the
     end, which rounds exactly as scaling each row would.
+
+    Rademacher sign 2k is bit 31 of raw 64-bit word k and sign 2k + 1 is
+    bit 63, the signs ``rng.integers(0, 2, size=p)`` draws; ``out=`` keeps
+    temporaries small, since word-sized ones page-faulted on every call.
     """
     p = rows.shape[1]
-    for row, rng in zip(rows, streams):
-        if family == RADEMACHER:
-            row[:] = rng.integers(0, 2, size=p)
-            continue
-        rng.standard_normal(out=row)
-        if family == SPHERE:
-            # Normalized Gaussian vector, exact in distribution.
-            norm = np.linalg.norm(row)
-            while norm == 0.0:  # probability zero, but keep the map total
-                rng.standard_normal(out=row)
-                norm = np.linalg.norm(row)
-            row /= norm
     if family == RADEMACHER:
+        words = np.empty((rows.shape[0], (p + 1) // 2), np.uint64)
+        for row, rng in zip(words, streams):
+            row[:] = rng.bit_generator.random_raw(row.size)
+        np.right_shift(words[:, :p // 2], 63, out=rows[:, 1::2])
+        words >>= 31
+        np.bitwise_and(words, 1, out=rows[:, 0::2])
         rows *= 2.0
         rows -= 1.0
+    else:
+        for row, rng in zip(rows, streams):
+            rng.standard_normal(out=row)
+            if family == SPHERE:
+                # Normalized Gaussian vector, exact in distribution.
+                norm = np.linalg.norm(row)
+                while norm == 0.0:  # probability zero, but keep the map total
+                    rng.standard_normal(out=row)
+                    norm = np.linalg.norm(row)
+                row /= norm
     if family != SPHERE:
         rows /= np.sqrt(p)
     return rows

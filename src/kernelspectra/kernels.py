@@ -239,24 +239,13 @@ def gram(S: SampleMatrix) -> np.ndarray:
     return S.data.T @ S.data
 
 
-def _distance_rows(G: np.ndarray, r0: int, r1: int,
-                   out: np.ndarray | None = None) -> np.ndarray:
+def _distance_rows(G: np.ndarray, r0: int, r1: int) -> np.ndarray:
     """Rows r0:r1 of D_ij = (g_i + g_j) - 2 G_ij, clamped at 0, D_ii = 0."""
     g = np.diag(G)
-    D = np.add(g[r0:r1, None], g[None, :], out=out)
+    D = g[r0:r1, None] + g[None, :]
     D -= 2.0 * G[r0:r1]
     np.maximum(D, 0.0, out=D)
     np.fill_diagonal(D[:, r0:], 0.0)
-    return D
-
-
-def squared_distances(S: SampleMatrix) -> np.ndarray:
-    """D_ij = ||X_i - X_j||^2 with exact zero diagonal, clamped at 0."""
-    G = gram(S)
-    D = np.empty_like(G)
-    rows = max(1, _BLOCK_ENTRIES // S.n)
-    for r0 in range(0, S.n, rows):
-        _distance_rows(G, r0, r0 + rows, out=D[r0:r0 + rows])
     return D
 
 
@@ -314,26 +303,6 @@ def linearized(spec: KernelSpec, S: SampleMatrix) -> np.ndarray:
     alpha, beta = linearization_coefficients(spec, S.p)
     B = beta * gram(S)
     B[np.diag_indices(S.n)] += alpha
-    return B
-
-
-def transference_linearized(g_matrix: np.ndarray, envelope: Envelope,
-                            a: float, p: int = 1) -> np.ndarray:
-    """B = (a f'(a) - f(a)) I + f'(a) * g_matrix.
-
-    ``g_matrix`` is a realized kernel matrix (zero-diagonal model) whose
-    entries concentrate at a; ``p`` is forwarded to the envelope and is
-    irrelevant for p-independent envelopes.
-    """
-    M = np.asarray(g_matrix, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"kernel matrix must be square, got shape {M.shape}")
-    if not np.array_equal(M, M.T):
-        raise ValueError("kernel matrix must be exactly symmetric")
-    fa = envelope.value(float(a), p)
-    da = envelope.derivative(float(a), p)
-    B = da * M
-    B[np.diag_indices(M.shape[0])] += a * da - fa
     return B
 
 

@@ -36,6 +36,9 @@ _CHUNK = 8192  # draws per power-sum product; its rows stay in cache
 
 # det M_j <= this multiple of its Hadamard bound counts as degenerate
 _DEGENERACY_RTOL = 1e-10
+# rounding allowed in nu = E k^2 - a_0^2, relative to E k^2: for a
+# constant envelope nu is 0 exactly and its rounding stays below 5e-14 E k^2
+_ROUNDING_RTOL = 1e-12
 
 
 def normal_moment(k: int) -> int:
@@ -286,11 +289,6 @@ def _orthonormal_factor(m: MomentSequence, k: int) -> np.ndarray:
     return np.tril(np.linalg.inv(L))  # inv leaves noise above the diagonal
 
 
-def orthopoly_from_moments(m: MomentSequence, k: int) -> np.ndarray:
-    """Coefficients (ascending) of the k-th orthonormal polynomial."""
-    return _orthonormal_factor(m, k)[k]
-
-
 @dataclass(frozen=True)
 class OrthoBasis:
     """Orthonormal polynomials p_0 ... p_degree for one moment sequence:
@@ -356,7 +354,8 @@ class AdmissibleParams:
     samples: int
 
     def __post_init__(self):
-        if self.a ** 2 > self.nu * (1.0 + 1e-9) + 1e-12:
+        mean_square = self.nu + self.coefficients[0] ** 2  # E k^2
+        if self.a ** 2 > self.nu * (1.0 + 1e-9) + _ROUNDING_RTOL * mean_square:
             raise ValueError(f"a^2 = {self.a**2:.6g} exceeds nu = {self.nu:.6g}")
 
     def to_record(self) -> dict:
@@ -417,7 +416,7 @@ def envelope_coeffs(f: Envelope, ensemble: VectorEnsemble, L: int,
     tail = float(nu - np.sum(coeffs[1:] ** 2))
     tail_stderr = float(np.sqrt(nu_stderr ** 2
                                 + np.sum((2.0 * coeffs[1:] * errs[1:]) ** 2)))
-    if tail < -3.0 * tail_stderr:
+    if tail < -3.0 * tail_stderr - _ROUNDING_RTOL * k2[0]:
         warnings.warn(f"negative tail mass {tail:.3g} beyond 3 stderr "
                       f"({tail_stderr:.3g}): coefficients inconsistent",
                       stacklevel=2)

@@ -214,6 +214,15 @@ def test_diagnose_runs(capsys):
     assert "growth flagged: False" in printed
 
 
+def test_diagnose_rejects_one_column_before_any_output(capsys):
+    code = cli_main(["diagnose", "--ensemble", "gaussian", "--p", "50",
+                     "--n", "1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "max_inner needs at least two columns" in captured.err
+
+
 def test_expand_prints_table(capsys):
     code = cli_main(["expand", "--ensemble", "gaussian", "--p", "100",
                      "--envelope", "identity", "--degree", "2",

@@ -24,8 +24,9 @@ def _reference_column(family, p, rng):
 
 
 # Odd p leaves a buffered 32-bit half behind in rademacher's integer draws;
-# re-keying must discard it.
-@pytest.mark.parametrize("p,n", [(7, 9), (601, 40), (8, 1), (601, 1)])
+# the sampler reads only the low half of its last raw word.
+@pytest.mark.parametrize("p,n", [(7, 9), (601, 40), (8, 1), (601, 1), (1, 5),
+                                 (2, 3)])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_sample_matrix_matches_per_column_substreams(family, p, n):
     S = sample_matrix(VectorEnsemble(family, p), n, seed=2024)

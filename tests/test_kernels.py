@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from kernelspectra import (DerivativeError, Envelope, EnvelopeError,
                            KernelSpec, SampleMatrix, VectorEnsemble, build,
                            gram, linearized, parse_envelope,
-                           single_entry_swap, squared_distances,
-                           transference_linearized)
+                           single_entry_swap)
 from kernelspectra import kernels
 from kernelspectra.kernels import numeric_derivative
 
@@ -46,42 +45,33 @@ def test_gram_is_positive_semidefinite():
     assert eigs[0] >= -1e-10 * np.max(np.abs(eigs))
 
 
+def _distances(S):
+    """D_ij = ||X_i - X_j||^2: build with the distance kernel and identity."""
+    spec = KernelSpec("distance", "keep", parse_envelope("identity"))
+    return build(spec, S, gram(S))
+
+
 def test_squared_distances_duplicate_columns():
     S = _sample(p=12, n=6, seed=4)
     data = S.data.copy()
     data[:, 3] = data[:, 1]
     S2 = SampleMatrix(data=data, ensemble=S.ensemble, seed=S.seed)
-    D = squared_distances(S2)
+    D = _distances(S2)
     assert D[1, 3] == 0.0
 
 
 def test_squared_distances_orthonormal_off_diagonal_is_two():
-    D = squared_distances(_orthonormal_sample())
+    D = _distances(_orthonormal_sample())
     off = D[~np.eye(5, dtype=bool)]
     assert np.max(np.abs(off - 2.0)) < 1e-14
 
 
 def test_squared_distances_match_direct_subtraction_oracle():
     S = _sample(p=40, n=25, seed=7)
-    D = squared_distances(S)
+    D = _distances(S)
     direct = np.array([[np.sum((S.data[:, i] - S.data[:, j]) ** 2)
                         for j in range(S.n)] for i in range(S.n)])
     assert np.max(np.abs(D - direct)) < 1e-10
-
-
-def test_squared_distances_fill_row_blocks():
-    # one block of all n rows peaks at 3 n x n arrays (G, D, 2 G); row
-    # blocks written into D keep the peak near G and D
-    S = _sample(p=30, n=600, seed=9)
-    expected = kernels._distance_rows(gram(S), 0, S.n)
-    tracemalloc.start()
-    try:
-        D = squared_distances(S)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(D, expected)
-    assert peak <= 2.2 * expected.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +159,7 @@ def test_build_reports_the_reference_first_non_finite_entry(kernel, diagonal,
 
     for _ in _block_rows(monkeypatch):
         for S in _layouts():
-            K = gram(S) if kernel == "inner" else squared_distances(S)
+            K = gram(S) if kernel == "inner" else _distances(S)
             # NaN only at the value of K[n-1, n-2]: the first hit is
             # (n-2, n-1), past the first row block
             spike = K[-1, -2]
@@ -304,50 +294,6 @@ def test_linearized_requires_derivative():
     spec = KernelSpec("inner", "zero", parse_envelope("sign-scaled"))
     with pytest.raises(DerivativeError):
         linearized(spec, S)
-
-
-# ---------------------------------------------------------------------------
-# transference
-# ---------------------------------------------------------------------------
-
-def test_transference_identity_at_zero_returns_input():
-    S = _sample(seed=15)
-    D = squared_distances(S)
-    B = transference_linearized(D, parse_envelope("identity"), a=0.0)
-    assert np.max(np.abs(B - D)) < 1e-14
-
-
-def test_transference_constant_envelope():
-    S = _sample(seed=16)
-    D = squared_distances(S)
-    B = transference_linearized(D, parse_envelope("const:c=3"), a=1.5)
-    assert np.max(np.abs(B - (-3.0) * np.eye(S.n))) < 1e-14
-
-
-def test_transference_matches_distance_linearization_up_to_bookkeeping():
-    # B_transfer - B_lin = f'(2) (g 1^T + 1 g^T) - f(0) I with g = diag(gram)
-    S = _sample(seed=17)
-    env = parse_envelope("exp:a=-1")
-    D = squared_distances(S)
-    Bt = transference_linearized(D, env, a=2.0)
-    Bl = linearized(KernelSpec("distance", "keep", env), S)
-    g = np.diag(gram(S))
-    d2 = -np.exp(-2.0)
-    bookkeeping = d2 * (g[:, None] + g[None, :]) - 1.0 * np.eye(S.n)
-    assert np.max(np.abs(Bt - Bl - bookkeeping)) < 1e-12
-
-
-def test_transference_rejects_asymmetric_input():
-    M = np.arange(9.0).reshape(3, 3)
-    with pytest.raises(ValueError):
-        transference_linearized(M, parse_envelope("identity"), a=0.0)
-
-
-def test_transference_rejects_nan_input():
-    M = np.zeros((3, 3))
-    M[1, 1] = np.nan
-    with pytest.raises(ValueError):
-        transference_linearized(M, parse_envelope("identity"), a=0.0)
 
 
 # ---------------------------------------------------------------------------

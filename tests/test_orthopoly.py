@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,7 @@ from hypothesis import strategies as st
 from kernelspectra import (CapabilityError, DegeneracyError, Envelope,
                            EnvelopeError, VectorEnsemble, build_basis,
                            envelope_coeffs, gaussian_limit_moments, hermite,
-                           hermite_deviation, orthopoly_from_moments,
-                           parse_envelope, xi_moments)
+                           hermite_deviation, parse_envelope, xi_moments)
 from kernelspectra.orthopoly import (_CHUNK, EXACT, MomentSequence,
                                     _orthonormal_factor, _power_sums,
                                     _xi_batches, normal_moment)
@@ -189,20 +189,20 @@ def test_hermite_three_term_recurrence():
 
 def test_first_polynomial_is_x():
     m = xi_moments(VectorEnsemble("rademacher", 7), K=4)
-    assert np.allclose(orthopoly_from_moments(m, 1), [0.0, 1.0], atol=1e-12)
+    assert np.allclose(build_basis(m, 1).factor[1], [0.0, 1.0], atol=1e-12)
 
 
 def test_gaussian_limit_moments_reproduce_hermite():
     limit = gaussian_limit_moments(12)
     for k in range(7):
-        coeffs = orthopoly_from_moments(limit, k)
+        coeffs = build_basis(limit, k).factor[k]
         assert np.max(np.abs(coeffs - hermite(k))) < 1e-8
 
 
 def test_rademacher_p1_degree2_degenerates():
     m = xi_moments(VectorEnsemble("rademacher", 1), K=4)
     with pytest.raises(DegeneracyError):
-        orthopoly_from_moments(m, 2)
+        build_basis(m, 2)
 
 
 def _determinant_orthopoly(m, k):
@@ -224,7 +224,7 @@ def _determinant_orthopoly(m, k):
 def test_determinant_route_matches_cholesky_oracle(k):
     # the code takes the Cholesky route; the oracle is the determinant one
     m = xi_moments(VectorEnsemble("rademacher", 5), K=10)
-    ours = orthopoly_from_moments(m, k)
+    ours = build_basis(m, k).factor[k]
     oracle = _determinant_orthopoly(m, k)
     assert np.max(np.abs(ours - oracle)) < 1e-8
 
@@ -365,6 +365,22 @@ def test_plancherel_consistency_and_admissibility():
     assert np.sum(params.coefficients[1:] ** 2) <= params.nu + 1e-9
     assert params.a ** 2 <= params.nu + 1e-9
     assert params.tail_mass >= -1e-9
+
+
+@pytest.mark.parametrize("family", ["gaussian", "rademacher", "sphere"])
+def test_constant_envelopes_neither_warn_nor_raise(family):
+    # k = c sqrt(p) is constant, so nu is 0 exactly and rounds by a
+    # multiple of E k^2 = c^2 p; absolute floors on the tail and on
+    # a^2 <= nu warned or raised on 27 of these 63 cases
+    for p in (10, 50, 500):
+        for c in (0.1, 0.3, 1, 2, 3, 10, 100):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                params = envelope_coeffs(parse_envelope(f"const:c={c}"),
+                                         VectorEnsemble(family, p), L=4,
+                                         samples=20_000, seed=1)
+            k = c * np.sqrt(p)
+            assert abs(params.coefficients[0] - k) <= 1e-12 * k
 
 
 @pytest.mark.parametrize("envelope, family", [("exp:a=1", "gaussian"),
