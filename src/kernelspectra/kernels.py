@@ -13,6 +13,7 @@ envelope maps equal values to equal values. The diagonal convention
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -201,14 +202,20 @@ def parse_envelope(text: str) -> Envelope:
     if name not in ENVELOPE_FACTORIES:
         raise ValueError(f"unknown envelope {name!r}; "
                          f"known: {sorted(ENVELOPE_FACTORIES)}")
+    factory = ENVELOPE_FACTORIES[name]
+    accepted = list(inspect.signature(factory).parameters)
     kwargs: dict[str, float] = {}
     if params:
         for item in params.split(","):
             key, _, val = item.partition("=")
+            key = key.strip()
             if not val:
                 raise ValueError(f"malformed envelope parameter {item!r}")
-            kwargs[key.strip()] = float(val)
-    return ENVELOPE_FACTORIES[name](**kwargs)
+            if key not in accepted:
+                raise ValueError(f"envelope {name!r} has no parameter "
+                                 f"{key!r}; accepted: {accepted}")
+            kwargs[key] = float(val)
+    return factory(**kwargs)
 
 
 # ---------------------------------------------------------------------------

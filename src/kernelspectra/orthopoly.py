@@ -1,11 +1,12 @@
 """Moments of xi_p = sqrt(p) X^T Y and orthonormal polynomials built from them.
 
-The exact route raises the exponential moment series of one coordinate
-product to the p-th power in rational arithmetic, valid for iid-entry
-ensembles; Monte Carlo covers the rest. Polynomials come from the
-Cholesky factor M = L L^T of the Hankel moment matrix: row j of L^{-1}
-holds the coefficients of p_j (Golub & Welsch, Math. Comp. 1969). The
-p -> infinity comparison target is the orthonormal Hermite family.
+The moments are exact for every family, in closed form for the sphere
+and as a rational power series raised to the p-th power for the iid
+families; only ``envelope_coeffs`` draws xi_p (Monte Carlo). Polynomials
+come from the Cholesky factor M = L L^T of the Hankel moment matrix: row
+j of L^{-1} holds the coefficients of p_j (Golub & Welsch, Math. Comp.
+1969). The p -> infinity comparison target is the orthonormal Hermite
+family.
 """
 
 from __future__ import annotations
@@ -59,21 +60,27 @@ def _entry_moment(family: str, j: int) -> Fraction:
         return Fraction(0)
     if family == GAUSSIAN:
         return Fraction(normal_moment(j))
-    if family == RADEMACHER:
-        return Fraction(1)
-    raise CapabilityError(
-        f"exact entry moments unavailable for family {family!r}")
+    return Fraction(1)  # rademacher
 
 
 def _exact_xi_moments(family: str, p: int, K: int) -> tuple[Fraction, ...]:
-    """E xi_p^k for k = 0 ... K, exactly.
+    """E xi_p^k for k = 0 ... K >= 1, exactly; odd moments vanish.
 
-    sqrt(p) xi_p is a sum of p iid copies of u = x y, with x and y
-    standardized entries, so E (sqrt(p) xi_p)^k = k! [t^k] A(t)^p with
-    A(t) = sum_j E[x^j]^2 t^j / j!. J.C.P. Miller's recurrence takes the
-    power: b_n = (1/n) sum_{j=1..n} ((p + 1) j - n) a_j b_{n-j}. Odd
-    moments vanish, since A has only even terms.
+    sphere: xi_p / sqrt(p) is one coordinate of a uniform unit vector, so
+    E xi_p^2k = p^k (2k-1)!! / prod_{j<k} (p + 2j) and each even moment
+    is the one before times p (2k - 1) / (p + 2k - 2); at p = 1, xi = +-1.
+
+    iid families: sqrt(p) xi_p is a sum of p iid copies of u = x y, with
+    x and y standardized entries, so E (sqrt(p) xi_p)^k = k! [t^k] A(t)^p
+    with A(t) = sum_j E[x^j]^2 t^j / j!. J.C.P. Miller's recurrence takes
+    the power: b_n = (1/n) sum_{j=1..n} ((p + 1) j - n) a_j b_{n-j}.
     """
+    if family == SPHERE:
+        m = [Fraction(1), Fraction(0)]
+        for k in range(2, K + 1):
+            m.append(m[k - 2] * Fraction(p * (k - 1), p + k - 2)
+                     if k % 2 == 0 else Fraction(0))
+        return tuple(m)
     a = [_entry_moment(family, j) ** 2 / math.factorial(j)
          for j in range(K + 1)]
     b = [Fraction(1)]
@@ -206,34 +213,14 @@ def _mc_moments(ensemble: VectorEnsemble, power_sums: np.ndarray,
                           family=ensemble.family, p=ensemble.p, stderr=stderr)
 
 
-def xi_moments(ensemble: VectorEnsemble, K: int, method: str = EXACT,
-               seed: int = 0, samples: int = 1_000_000) -> MomentSequence:
-    """Moments m_0 ... m_K of xi_p for the given ensemble.
-
-    The exact method raises a series to the p-th power and needs iid
-    entries (gaussian, rademacher) and K <= 16; Monte Carlo works for any
-    family and returns standard errors.
-    """
-    if K < 2:
-        raise ValueError(f"need K >= 2, got {K}")
-    if method == EXACT:
-        if K > MAX_EXACT_ORDER:
-            raise ValueError(f"exact moments limited to K <= {MAX_EXACT_ORDER}")
-        if not ensemble.iid_entries:
-            raise CapabilityError(
-                f"exact moments need iid entries; family "
-                f"{ensemble.family!r} requires the monte-carlo method")
-        exact = _exact_xi_moments(ensemble.family, ensemble.p, K)
-        return MomentSequence(values=np.array([float(e) for e in exact]),
-                              source=EXACT, family=ensemble.family,
-                              p=ensemble.p, exact_values=exact)
-    if method != MONTE_CARLO:
-        raise ValueError(f"method must be {EXACT!r} or {MONTE_CARLO!r}")
-    if samples < 100:
-        raise ValueError(f"need samples >= 100, got {samples}")
-    sums = sum(_power_sums(xi, 2 * K)[0]
-               for xi in _xi_batches(ensemble, samples, seed))
-    return _mc_moments(ensemble, sums, samples, K)
+def xi_moments(ensemble: VectorEnsemble, K: int) -> MomentSequence:
+    """Exact moments m_0 ... m_K of xi_p for the given ensemble, 2 <= K <= 16."""
+    if not 2 <= K <= MAX_EXACT_ORDER:
+        raise ValueError(f"need 2 <= K <= {MAX_EXACT_ORDER}, got {K}")
+    exact = _exact_xi_moments(ensemble.family, ensemble.p, K)
+    return MomentSequence(values=np.array([float(e) for e in exact]),
+                          source=EXACT, family=ensemble.family,
+                          p=ensemble.p, exact_values=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +344,6 @@ class AdmissibleParams:
         mean_square = self.nu + self.coefficients[0] ** 2  # E k^2
         if self.a ** 2 > self.nu * (1.0 + 1e-9) + _ROUNDING_RTOL * mean_square:
             raise ValueError(f"a^2 = {self.a**2:.6g} exceeds nu = {self.nu:.6g}")
-
-    def to_record(self) -> dict:
-        rec = {"type": "admissible-params", "family": self.family, "p": self.p,
-               "degree": self.degree, "a": self.a, "nu": self.nu,
-               "tail_mass": self.tail_mass, "samples": self.samples}
-        for k in range(self.degree + 1):
-            rec[f"a_{k}"] = float(self.coefficients[k])
-        return rec
 
 
 def envelope_coeffs(f: Envelope, ensemble: VectorEnsemble, L: int,

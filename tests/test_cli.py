@@ -143,6 +143,19 @@ def test_predict_rejects_non_finite_parameters(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, accepted", [
+    (["predict", "--law", "mp", "--envelope", "exp:b=1"], "['a']"),
+    (["predict", "--law", "mp", "--envelope", "identity:a=1"], "[]"),
+    (["predict", "--law", "mp", "--envelope", "sign-scaled:x=2"], "[]"),
+    (["compare", "--set", "envelope=const:c=1,d=2"], "['c']"),
+])
+def test_unknown_envelope_parameter_exits_one(argv, accepted, capsys):
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"accepted: {accepted}" in err
+
+
 def test_compare_rejects_non_finite_epsilon(capsys):
     assert cli_main(["compare", "--set", "p=10", "--set", "n=20",
                      "--set", "epsilon=nan"]) == 1

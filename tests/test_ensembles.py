@@ -4,8 +4,9 @@ from scipy import stats
 
 from kernelspectra import (VectorEnsemble, concentration_diagnostic, gram,
                            moment_diagnostic, sample_matrix)
-from kernelspectra._rng import TAG_COLUMN, substream, substreams
-from kernelspectra.ensembles import FAMILIES, _draw
+from kernelspectra._rng import (TAG_COLUMN, TAG_DIAGNOSTIC, substream,
+                                substreams)
+from kernelspectra.ensembles import FAMILIES
 
 
 # Reference: the column sampler sample_matrix called with a freshly keyed
@@ -34,8 +35,6 @@ def test_sample_matrix_matches_per_column_substreams(family, p, n):
     for j in range(n):
         ref[:, j] = _reference_column(family, p,
                                       substream(2024, TAG_COLUMN, j))
-        assert (_draw(family, p, substream(2024, TAG_COLUMN, j)).tobytes()
-                == ref[:, j].tobytes())
     assert S.data.shape == (p, n)
     assert S.data.tobytes() == ref.tobytes()
 
@@ -137,6 +136,28 @@ def test_moment_diagnostic_rademacher_is_exact():
                             trials=150, seed=2)
     assert rep.estimate == 1.0
     assert rep.stderr == 0.0
+
+
+def _reference_abs_moment(family, p, K, trials, seed, offset):
+    """(estimate, stderr) from one _reference_column per diagnostic stream."""
+    per_column = np.empty(trials)
+    for t in range(trials):
+        rng = substream(seed, TAG_DIAGNOSTIC, offset + t)
+        col = np.sqrt(p) * _reference_column(family, p, rng)
+        per_column[t] = np.mean(np.abs(col) ** K)
+    return (float(np.mean(per_column)),
+            float(np.std(per_column, ddof=1) / np.sqrt(trials)))
+
+
+@pytest.mark.parametrize("p,K,trials,seed", [(500, 4, 200, 3), (37, 6, 333, 8),
+                                             (1, 2, 100, 1), (601, 8, 150, 5)])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_moment_diagnostic_matches_per_column_loop(family, p, K, trials, seed):
+    rep = moment_diagnostic(VectorEnsemble(family, p), K, trials, seed)
+    assert (rep.estimate, rep.stderr) == _reference_abs_moment(
+        family, p, K, trials, seed, 0)
+    assert (rep.estimate_2p, rep.stderr_2p) == _reference_abs_moment(
+        family, 2 * p, K, trials, seed, trials)
 
 
 def test_moment_diagnostic_argument_validation():

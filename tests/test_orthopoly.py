@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
-from kernelspectra import (CapabilityError, DegeneracyError, Envelope,
-                           EnvelopeError, VectorEnsemble, build_basis,
-                           envelope_coeffs, gaussian_limit_moments, hermite,
-                           hermite_deviation, parse_envelope, xi_moments)
-from kernelspectra.orthopoly import (_CHUNK, EXACT, MomentSequence,
+from kernelspectra import (DegeneracyError, Envelope, EnvelopeError,
+                           VectorEnsemble, build_basis, envelope_coeffs,
+                           gaussian_limit_moments, hermite, hermite_deviation,
+                           parse_envelope, xi_moments)
+from kernelspectra.orthopoly import (_CHUNK, EXACT, MONTE_CARLO,
+                                    MomentSequence, _mc_moments,
                                     _orthonormal_factor, _power_sums,
                                     _xi_batches, normal_moment)
 
@@ -74,8 +76,23 @@ def test_rademacher_p1_fourth_moment_is_one():
     assert m.exact(4) == 1
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 40, 500, 10_000])
+def test_sphere_moments_match_gamma_ratio_oracle(p):
+    # xi / sqrt(p) = t with t^2 ~ Beta(1/2, (p-1)/2):
+    # E xi^2k = p^k Gamma(k + 1/2) Gamma(p/2) / (Gamma(1/2) Gamma(k + p/2))
+    m = xi_moments(VectorEnsemble("sphere", p), K=16)
+    for k in range(17):
+        if k % 2:
+            assert m.exact(k) == 0
+            continue
+        j = k // 2
+        oracle = np.exp(j * np.log(p) + gammaln(j + 0.5) + gammaln(p / 2)
+                        - gammaln(0.5) - gammaln(j + p / 2))
+        assert abs(float(m.exact(k)) / oracle - 1.0) < 1e-10, k
+
+
 def test_second_moment_is_exactly_one():
-    for family in ("gaussian", "rademacher"):
+    for family in ("gaussian", "rademacher", "sphere"):
         for p in (1, 7, 64):
             m = xi_moments(VectorEnsemble(family, p), K=4)
             assert m.exact(2) == 1
@@ -85,7 +102,7 @@ def test_second_moment_is_exactly_one():
 
 def test_moment_matching_decays_like_one_over_p():
     # |m_k(p) - E N^k| <= C_k / p, checked as a decreasing sequence
-    for family in ("gaussian", "rademacher"):
+    for family in ("gaussian", "rademacher", "sphere"):
         for k in range(3, 9):
             devs = []
             for p in (10, 100, 1000, 10000):
@@ -98,26 +115,23 @@ def test_moment_matching_decays_like_one_over_p():
                 assert devs[2] <= devs[0] / 50.0
 
 
-def test_exact_method_rejects_sphere_and_large_order():
-    with pytest.raises(CapabilityError):
-        xi_moments(VectorEnsemble("sphere", 10), K=4)
-    with pytest.raises(ValueError):
-        xi_moments(VectorEnsemble("gaussian", 10), K=18)
+def test_xi_moments_rejects_order_outside_two_to_sixteen():
+    for K in (1, 17, 18):
+        with pytest.raises(ValueError):
+            xi_moments(VectorEnsemble("gaussian", 10), K=K)
 
 
 def test_monte_carlo_moments_agree_with_exact():
-    ens = VectorEnsemble("gaussian", 50)
-    exact = xi_moments(ens, K=6)
-    mc = xi_moments(ens, K=6, method="monte-carlo", seed=3, samples=200_000)
-    for k in range(2, 7):
-        tol = 5.0 * mc.stderr[k] + 1e-9
-        assert abs(mc.values[k] - float(exact.values[k])) < tol
-
-
-def test_monte_carlo_sphere_moments_normalized():
-    mc = xi_moments(VectorEnsemble("sphere", 40), K=4,
-                    method="monte-carlo", seed=4, samples=100_000)
-    assert abs(mc.values[2] - 1.0) < 5.0 * mc.stderr[2]
+    # the Monte Carlo route of envelope_coeffs against the exact moments
+    for family in ("gaussian", "rademacher", "sphere"):
+        ens = VectorEnsemble(family, 50)
+        exact = xi_moments(ens, K=6)
+        sums = sum(_power_sums(xi, 12)[0]
+                   for xi in _xi_batches(ens, 200_000, 3))
+        mc = _mc_moments(ens, sums, 200_000, 6)
+        for k in range(2, 7):
+            tol = 5.0 * mc.stderr[k] + 1e-9
+            assert abs(mc.values[k] - float(exact.values[k])) < tol, (family, k)
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +405,11 @@ def test_envelope_coeffs_match_per_draw_means(envelope, family):
     f, ens = parse_envelope(envelope), VectorEnsemble(family, 40)
     L, n, seed = 4, 20_000, 14
     params = envelope_coeffs(f, ens, L, samples=n, seed=seed)
-    moments = xi_moments(ens, K=2 * L, method="monte-carlo", seed=seed,
-                         samples=n)
-    basis = build_basis(moments, L)
     xi = np.concatenate(list(_xi_batches(ens, n, seed)))
+    raw = np.array([np.mean(xi ** j) for j in range(2 * L + 1)])
+    stderr = np.sqrt((raw[[0, 2, 4]] - raw[:3] ** 2) / n)
+    basis = build_basis(MomentSequence(values=raw, source=MONTE_CARLO,
+                                       stderr=stderr), L)
     kv = np.sqrt(ens.p) * f(xi / np.sqrt(ens.p), ens.p)
     pk = np.array([basis.evaluate(k, xi) for k in range(L + 1)])
     a = (kv * pk).mean(axis=1)
@@ -468,13 +483,3 @@ def test_envelope_coeffs_validation():
                         samples=5_000)
     with pytest.raises(ValueError):
         envelope_coeffs(env, VectorEnsemble("gaussian", 10), L=2, samples=10)
-
-
-def test_admissible_params_record():
-    lin = Envelope("lin", lambda x, p: x)
-    params = envelope_coeffs(lin, VectorEnsemble("gaussian", 50), L=2,
-                             samples=20_000, seed=13)
-    rec = params.to_record()
-    assert rec["type"] == "admissible-params"
-    assert rec["degree"] == 2
-    assert "a_1" in rec
