@@ -98,7 +98,7 @@ def _cmd_simulate(args) -> int:
                               kernel=args.kernel, diagonal=args.diag,
                               envelope=args.envelope)
     spec = config.kernel_spec()
-    pooled = ESD.pooled([eigenvalues(build(spec, S, gram(S))) for _, _, S
+    pooled = ESD.pooled([eigenvalues(build(spec, gram(S), S.p)) for _, _, S
                          in trial_samples(config, (config.ensemble,))])
     lam = pooled.points
     print(f"model {spec.label()}  ensemble={args.ensemble} n={args.n} "

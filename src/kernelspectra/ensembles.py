@@ -7,6 +7,7 @@ gives ||X|| = 1 exactly.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -19,6 +20,14 @@ RADEMACHER = "rademacher"
 SPHERE = "sphere"
 
 FAMILIES = (GAUSSIAN, RADEMACHER, SPHERE)
+
+# A sample of at least this many entries gets its own private anonymous
+# mapping (ACCESS_COPY), so its pages go back to the OS when it is dropped:
+# glibc raises its mmap threshold (up to 32 MiB) to the size of a freed
+# mapped block, so a later heap sample of that size would stay resident
+# after its free. The mapping asks for huge pages, as numpy does for large
+# arrays, to keep page faults few; smaller samples stay on the heap.
+_MAPPED_ENTRIES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -101,7 +110,15 @@ def sample_matrix(ensemble: VectorEnsemble, n: int, seed: int) -> SampleMatrix:
     """
     if n < 1:
         raise ValueError(f"sample count n must be >= 1, got {n}")
-    columns = _fill_columns(ensemble.family, np.empty((n, ensemble.p)),
+    shape = (n, ensemble.p)
+    if n * ensemble.p < _MAPPED_ENTRIES:
+        rows = np.empty(shape)
+    else:
+        buf = mmap.mmap(-1, 8 * n * ensemble.p, access=mmap.ACCESS_COPY)
+        if hasattr(mmap, "MADV_HUGEPAGE"):  # Linux only
+            buf.madvise(mmap.MADV_HUGEPAGE)
+        rows = np.frombuffer(buf).reshape(shape)
+    columns = _fill_columns(ensemble.family, rows,
                             substreams(seed, TAG_COLUMN, range(n)))
     return SampleMatrix(data=columns.T, ensemble=ensemble, seed=seed)
 

@@ -287,13 +287,15 @@ def run_universality(config: ExperimentConfig) -> ExperimentResult:
         step, stage = "sample", "gram"  # errors.csv stage, timings key
         try:
             # One Gram matrix per trial feeds both the diagnostic and the
-            # kernel; each n x n array is dropped as soon as it is spent.
+            # kernel, and build writes A over it. The sample is dropped
+            # once G is formed, so build and eigvalsh hold A alone.
             G = gram(S)
             if config.n >= 2:
                 conc[fam].append(concentration_diagnostic(S, G))
+            del S
             clock.lap(stage)
             step = stage = "build"
-            A = build(spec, S, G)
+            A = build(spec, G, config.p)
             del G
             clock.lap(stage)
             step, stage = "eigenvalues", "eig"
@@ -463,8 +465,8 @@ def run_l2_perturbation(config: ExperimentConfig, f1: Envelope, f2: Envelope,
     deltas = []
     for _, _, S in trial_samples(config, (config.ensemble,)):
         G = gram(S)
-        m1 = empirical_stieltjes(eigenvalues(build(spec1, S, G)), z)
-        m2 = empirical_stieltjes(eigenvalues(build(spec2, S, G)), z)
+        m1 = empirical_stieltjes(eigenvalues(build(spec1, G.copy(), S.p)), z)
+        m2 = empirical_stieltjes(eigenvalues(build(spec2, G, S.p)), z)
         deltas.append(abs(m1 - m2))
     mean_delta = float(np.mean(deltas))
     ratio = mean_delta / eps_hat if eps_hat > 0 else (

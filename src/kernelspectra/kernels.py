@@ -2,13 +2,13 @@
 
 The kernel g is either the inner product X^T Y or the squared distance
 ||X - Y||^2; the scalar envelope f is applied entrywise, so ``build``
-fills its one n x n output in row blocks read from the Gram matrix G,
-which it leaves unchanged, and every temporary is block-sized. Symmetry
-is exact without copying a triangle: G = X^T X is one symmetric rank-k
-product (BLAS syrk) with G_ij and G_ji bit-equal, the distances
-(g_i + g_j) - 2 G_ij are symmetric because addition commutes, and the
-envelope maps equal values to equal values. The diagonal convention
-(keep or zero) is part of the kernel specification.
+writes A over the Gram matrix G in row blocks, allocates no n x n array,
+and every temporary is block-sized. Symmetry is exact without copying a
+triangle: G = X^T X is one symmetric rank-k product (BLAS syrk) with
+G_ij and G_ji bit-equal, the distances (g_i + g_j) - 2 G_ij are
+symmetric because addition commutes, and the envelope maps equal values
+to equal values. The diagonal convention (keep or zero) is part of the
+kernel specification.
 """
 
 from __future__ import annotations
@@ -214,6 +214,9 @@ def parse_envelope(text: str) -> Envelope:
             if key not in accepted:
                 raise ValueError(f"envelope {name!r} has no parameter "
                                  f"{key!r}; accepted: {accepted}")
+            if key in kwargs or not np.isfinite(float(val)):
+                raise ValueError(f"envelope parameter {key!r} must be given "
+                                 f"once and be finite, got {text!r}")
             kwargs[key] = float(val)
     return factory(**kwargs)
 
@@ -246,9 +249,9 @@ def gram(S: SampleMatrix) -> np.ndarray:
     return S.data.T @ S.data
 
 
-def _distance_rows(G: np.ndarray, r0: int, r1: int) -> np.ndarray:
+def _distance_rows(G: np.ndarray, g: np.ndarray, r0: int, r1: int
+                   ) -> np.ndarray:
     """Rows r0:r1 of D_ij = (g_i + g_j) - 2 G_ij, clamped at 0, D_ii = 0."""
-    g = np.diag(G)
     D = g[r0:r1, None] + g[None, :]
     D -= 2.0 * G[r0:r1]
     np.maximum(D, 0.0, out=D)
@@ -256,21 +259,22 @@ def _distance_rows(G: np.ndarray, r0: int, r1: int) -> np.ndarray:
     return D
 
 
-def build(spec: KernelSpec, S: SampleMatrix, G: np.ndarray) -> np.ndarray:
+def build(spec: KernelSpec, G: np.ndarray, p: int) -> np.ndarray:
     """A_ij = f(g(X_i, X_j), p) for i != j; diagonal per the spec.
 
-    ``G`` is the sample's Gram matrix, ``gram(S)``; it is left unchanged.
-    A is the only n x n allocation: it is filled in row blocks, so kernel
-    values, envelope temporaries and the finiteness mask are block-sized.
+    ``G`` is the sample's Gram matrix, ``gram(S)``, and ``p`` is ``S.p``.
+    A is written over G in row blocks and G's buffer is returned, so no
+    n x n array is allocated: kernel values, envelope temporaries and the
+    finiteness mask are block-sized.
     """
-    A = np.empty((S.n, S.n))
-    rows = max(1, _BLOCK_ENTRIES // S.n)
-    for r0 in range(0, S.n, rows):
+    n = G.shape[0]
+    g = np.diag(G).copy()  # earlier row blocks overwrite the diagonal
+    rows = max(1, _BLOCK_ENTRIES // n)
+    for r0 in range(0, n, rows):
         K = G[r0:r0 + rows] if spec.kernel == INNER_PRODUCT \
-            else _distance_rows(G, r0, r0 + rows)
-        block = A[r0:r0 + rows]
+            else _distance_rows(G, g, r0, r0 + rows)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            block[:] = spec.envelope(K, S.p)
+            block = np.asarray(spec.envelope(K, p), dtype=float)
         if spec.diagonal == ZERO:
             np.fill_diagonal(block[:, r0:], 0.0)
         finite = np.isfinite(block)
@@ -280,7 +284,8 @@ def build(spec: KernelSpec, S: SampleMatrix, G: np.ndarray) -> np.ndarray:
                 f"envelope {spec.envelope.name!r} returned a non-finite value"
                 f" at entry (i={r0 + i}, j={j}) for kernel value "
                 f"x={float(K[i, j])!r}", i=r0 + i, j=j, x=float(K[i, j]))
-    return A
+        G[r0:r0 + rows] = block
+    return G
 
 
 def linearization_coefficients(spec: KernelSpec, p: int) -> tuple[float, float]:
@@ -308,7 +313,8 @@ def linearization_coefficients(spec: KernelSpec, p: int) -> tuple[float, float]:
 def linearized(spec: KernelSpec, S: SampleMatrix) -> np.ndarray:
     """The linearized companion matrix B of the matching theorem."""
     alpha, beta = linearization_coefficients(spec, S.p)
-    B = beta * gram(S)
+    B = gram(S)
+    B *= beta
     B[np.diag_indices(S.n)] += alpha
     return B
 
@@ -324,8 +330,8 @@ def single_entry_swap(S: SampleMatrix, i: int, j: int, new_value: float,
     if not (0 <= i < S.p and 0 <= j < S.n):
         raise ValueError(f"entry ({i}, {j}) out of range for a "
                          f"{S.p} x {S.n} sample matrix")
-    before = build(spec, S, gram(S))
+    before = build(spec, gram(S), S.p)
     data = S.data.copy()
     data[i, j] = new_value
     swapped = SampleMatrix(data=data, ensemble=S.ensemble, seed=S.seed)
-    return before, build(spec, swapped, gram(swapped))
+    return before, build(spec, gram(swapped), S.p)

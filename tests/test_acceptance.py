@@ -26,7 +26,7 @@ def _verdict(num, name, ok, detail, elapsed, limit):
 def _pooled_esd(family, p, n, spec, trials, seed):
     config = ks.ExperimentConfig(ensemble=family, p=p, n=n, trials=trials,
                                  seed=seed)
-    return ks.ESD.pooled([ks.eigenvalues(ks.build(spec, S, ks.gram(S)))
+    return ks.ESD.pooled([ks.eigenvalues(ks.build(spec, ks.gram(S), S.p))
                           for _, _, S in trial_samples(config, (family,))])
 
 
@@ -253,7 +253,7 @@ def test_criterion_10_structural_properties():
 
     # symmetry, zero trace, PSD gram
     S = ks.sample_matrix(ks.VectorEnsemble("gaussian", 60), 80, seed=1)
-    A = ks.build(ks.KernelSpec("inner", "zero", env), S, ks.gram(S))
+    A = ks.build(ks.KernelSpec("inner", "zero", env), ks.gram(S), S.p)
     assert np.max(np.abs(A - A.T)) == 0.0
     assert np.trace(A) == 0.0
     G = ks.gram(S)
@@ -296,11 +296,10 @@ def test_criterion_10_structural_properties():
 
     # exact diagonal shift for the sphere ensemble
     Ssph = ks.sample_matrix(ks.VectorEnsemble("sphere", 40), 60, seed=2)
-    Gsph = ks.gram(Ssph)
     keep = ks.eigenvalues(
-        ks.build(ks.KernelSpec("inner", "keep", env), Ssph, Gsph))
+        ks.build(ks.KernelSpec("inner", "keep", env), ks.gram(Ssph), Ssph.p))
     zero = ks.eigenvalues(
-        ks.build(ks.KernelSpec("inner", "zero", env), Ssph, Gsph))
+        ks.build(ks.KernelSpec("inner", "zero", env), ks.gram(Ssph), Ssph.p))
     shift = keep.points - zero.points
     assert np.max(np.abs(shift - np.e)) < 1e-10
 
@@ -320,7 +319,7 @@ def test_criterion_11_stieltjes_concentration_trend():
     def model(n, t):
         seed = derive_seed(9, TAG_TRIAL, 1000 * n + t)
         S = ks.sample_matrix(ks.VectorEnsemble("gaussian", n), n, seed)
-        return ks.build(spec, S, ks.gram(S))
+        return ks.build(spec, ks.gram(S), S.p)
 
     rep = ks.stieltjes_variance_decay(model, 1j, trials=20,
                                       sizes=(250, 500, 1000))

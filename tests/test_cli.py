@@ -26,16 +26,27 @@ def test_help_exits_zero(capsys):
     assert cli_main(["--help"]) == 0
 
 
+_IMPORT_GUARD = """
+import sys
+import numpy, numpy.linalg, numpy.random  # they load numpy's Cython runtime
+before = set(sys.modules)
+from kernelspectra.cli import cli_main
+assert cli_main(["simulate", "--p", "5", "--n", "10"]) == 0
+assert cli_main(["expand", "--envelope", "exp:a=1", "--p", "5",
+                 "--degree", "2", "--samples", "1000"]) == 0
+new = {m for m in set(sys.modules) - before if "." not in m}
+print(sorted(new - set(sys.stdlib_module_names) - {"kernelspectra"}))
+"""
+
+
 def test_package_and_cli_import_without_scipy():
-    # scipy is a test oracle only; importing it would add ~0.3 s and ~20 MB
-    # to every CLI call
+    # The runtime needs numpy and the standard library only: scipy is a test
+    # oracle, and importing it would add ~0.3 s and ~20 MB to every CLI call
     src = Path(orthopoly.__file__).parents[1]
-    code = ("import sys, kernelspectra, kernelspectra.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
+    run = subprocess.run([sys.executable, "-c", _IMPORT_GUARD],
+                         capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
-    assert run.stdout.strip() == "[]"
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 def test_simulate_sphere_identity(tmp_path, capsys):
@@ -154,6 +165,26 @@ def test_unknown_envelope_parameter_exits_one(argv, accepted, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert f"accepted: {accepted}" in err
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["compare", "--set", "envelope=exp:a=1,a=2"], "'a'"),
+    (["compare", "--set", "envelope=power:a=nan"], "'a'"),
+    (["compare", "--set", "envelope=const:c=inf"], "'c'"),
+    (["predict", "--law", "mp", "--envelope", "exp:a=nan"], "'a'"),
+])
+def test_repeated_or_non_finite_envelope_parameter_exits_one_before_any_trial(
+        argv, key, capsys, monkeypatch):
+    import kernelspectra.experiments as experiments_module
+    drawn = []
+    monkeypatch.setattr(experiments_module, "sample_matrix",
+                        lambda *args: drawn.append(args))
+    if argv[0] == "compare":
+        argv = [*argv, "--set", "p=20", "--set", "n=20"]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"parameter {key}" in err
+    assert drawn == []
 
 
 def test_compare_rejects_non_finite_epsilon(capsys):

@@ -1,3 +1,5 @@
+import mmap
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -6,6 +8,7 @@ from kernelspectra import (VectorEnsemble, concentration_diagnostic, gram,
                            moment_diagnostic, sample_matrix)
 from kernelspectra._rng import (TAG_COLUMN, TAG_DIAGNOSTIC, substream,
                                 substreams)
+from kernelspectra import ensembles
 from kernelspectra.ensembles import FAMILIES
 
 
@@ -37,6 +40,24 @@ def test_sample_matrix_matches_per_column_substreams(family, p, n):
                                       substream(2024, TAG_COLUMN, j))
     assert S.data.shape == (p, n)
     assert S.data.tobytes() == ref.tobytes()
+
+
+def _buffer_owner(a):
+    while isinstance(a, np.ndarray) and a.base is not None:
+        a = a.base
+    return a.obj if isinstance(a, memoryview) else a
+
+
+@pytest.mark.parametrize("family,p", [("gaussian", 8), ("rademacher", 8),
+                                      ("rademacher", 7), ("sphere", 8)])
+def test_mapped_sample_matches_the_heap_sample(family, p, monkeypatch):
+    heap = sample_matrix(VectorEnsemble(family, p), 50, seed=3)
+    monkeypatch.setattr(ensembles, "_MAPPED_ENTRIES", 1)
+    mapped = sample_matrix(VectorEnsemble(family, p), 50, seed=3)
+    assert isinstance(_buffer_owner(heap.data), np.ndarray)
+    assert isinstance(_buffer_owner(mapped.data), mmap.mmap)
+    assert mapped.data.strides == heap.data.strides
+    assert mapped.data.tobytes() == heap.data.tobytes()
 
 
 def test_substreams_rekey_to_the_fresh_substream_state():

@@ -1,5 +1,10 @@
 import csv
+import os
+import subprocess
+import sys
+import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,6 +158,62 @@ def test_run_universality_forms_one_gram_per_trial_and_family(monkeypatch):
     assert all(len(c) == 3 for c in result.concentration.values())
 
 
+def test_run_universality_drops_each_sample_before_build(monkeypatch):
+    import kernelspectra.experiments as experiments_module
+    real_sample, real_build = sample_matrix, build
+    drawn, alive_at_build = [], []
+
+    def tracked_sample(*args):
+        S = real_sample(*args)
+        drawn.extend((weakref.ref(S), weakref.ref(S.data.base)))
+        return S
+
+    def checked_build(spec, G, p):
+        alive_at_build.append([ref() is not None for ref in drawn])
+        return real_build(spec, G, p)
+
+    monkeypatch.setattr(experiments_module, "sample_matrix", tracked_sample)
+    monkeypatch.setattr(experiments_module, "build", checked_build)
+    cfg = ExperimentConfig(ensemble="rademacher", ensemble_b="sphere", p=30,
+                           n=20, trials=3, seed=6, kernel="distance",
+                           diagonal="keep", envelope="exp:a=-1",
+                           target="cross-ensemble")
+    assert not run_universality(cfg).incomplete
+    assert [len(alive) for alive in alive_at_build] == [2, 4, 6, 8, 10, 12]
+    assert not any(any(alive) for alive in alive_at_build)
+
+
+_PEAK_RSS = """
+import re
+from kernelspectra import ExperimentConfig, run_universality
+
+def high_water_mark():
+    with open("/proc/self/status") as status:
+        kb = re.search(r"VmHWM:\\s+(\\d+) kB", status.read()).group(1)
+    return 1024 * int(kb)
+
+model = dict(ensemble="gaussian", kernel="inner", diagonal="zero",
+             envelope="exp:a=1")
+run_universality(ExperimentConfig(p=100, n=200, **model))
+before = high_water_mark()
+run_universality(ExperimentConfig(p=800, n=1600, trials=2, **model))
+print(high_water_mark() - before)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads VmHWM from Linux /proc/self/status")
+def test_large_trials_hold_the_kernel_matrix_and_the_solver_copy_only():
+    # A trial's peak is A plus eigvalsh's copy, 2 * 8 n^2 bytes: the sample
+    # is freed (and unmapped) before build, which writes A over G.
+    src = Path(sample_matrix.__code__.co_filename).parents[1]
+    run = subprocess.run([sys.executable, "-c", _PEAK_RSS],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    n = 1600
+    assert int(run.stdout) < 2.5 * 8 * n ** 2
+
+
 @pytest.mark.parametrize("envelope", ["exp:a=-1", "exp:a=215"])
 def test_run_universality_times_every_stage(envelope):
     # exp(215 x) fails the build of rademacher trial 3 only
@@ -237,8 +298,8 @@ def test_sphere_diagonal_shift_is_exact():
     # g(X_i, X_i) = 1 on the sphere, so keep vs zero spectra differ by f(1)
     env = parse_envelope("exp:a=1")
     S = sample_matrix(VectorEnsemble("sphere", 60), 90, seed=13)
-    keep = eigenvalues(build(KernelSpec("inner", "keep", env), S, gram(S)))
-    zero = eigenvalues(build(KernelSpec("inner", "zero", env), S, gram(S)))
+    keep = eigenvalues(build(KernelSpec("inner", "keep", env), gram(S), S.p))
+    zero = eigenvalues(build(KernelSpec("inner", "zero", env), gram(S), S.p))
     shift = keep.points - zero.points
     assert np.max(np.abs(shift - np.e)) < 1e-10
 
@@ -247,8 +308,10 @@ def test_distance_diagonal_shift_is_exact():
     # distance diagonal entries are f(0) exactly, any ensemble
     env = parse_envelope("exp:a=-1")
     S = sample_matrix(VectorEnsemble("gaussian", 50), 70, seed=14)
-    keep = eigenvalues(build(KernelSpec("distance", "keep", env), S, gram(S)))
-    zero = eigenvalues(build(KernelSpec("distance", "zero", env), S, gram(S)))
+    keep = eigenvalues(build(KernelSpec("distance", "keep", env), gram(S),
+                             S.p))
+    zero = eigenvalues(build(KernelSpec("distance", "zero", env), gram(S),
+                             S.p))
     shift = keep.points - zero.points
     assert np.max(np.abs(shift - 1.0)) < 1e-10
 

@@ -48,7 +48,7 @@ def test_gram_is_positive_semidefinite():
 def _distances(S):
     """D_ij = ||X_i - X_j||^2: build with the distance kernel and identity."""
     spec = KernelSpec("distance", "keep", parse_envelope("identity"))
-    return build(spec, S, gram(S))
+    return build(spec, gram(S), S.p)
 
 
 def test_squared_distances_duplicate_columns():
@@ -136,10 +136,9 @@ def test_build_matches_mirrored_reference_bit_for_bit(envelope, kernel,
     for _ in _block_rows(monkeypatch):
         for S in _layouts():
             G = gram(S)
-            untouched = G.copy()
-            A = build(spec, S, G)
+            A = build(spec, G, S.p)
             assert A.tobytes() == _reference_build(spec, S)[0].tobytes()
-            assert G.tobytes() == untouched.tobytes()  # build leaves G alone
+            assert A is G  # build writes A over G
 
 
 @pytest.mark.parametrize("kernel,diagonal", [("inner", "keep"),
@@ -172,7 +171,7 @@ def test_build_reports_the_reference_first_non_finite_entry(kernel, diagonal,
                 _, first = _reference_build(spec, S)
                 assert first is not None
                 with pytest.raises(EnvelopeError) as err:
-                    build(spec, S, gram(S))
+                    build(spec, gram(S), S.p)
                 assert (err.value.i, err.value.j) == first
                 assert err.value.x == K[first]
 
@@ -183,30 +182,31 @@ def test_build_reports_the_reference_first_non_finite_entry(kernel, diagonal,
 def test_build_allocates_one_output_and_block_sized_temporaries(
         kernel, diagonal, envelope):
     # A whole-matrix build peaks at 2 (inner exp: a x, then exp) or 3
-    # (distances, 2 G, then exp) n x n arrays; blocks keep it near 1.
+    # (distances, 2 G, then exp) n x n arrays; A written over G in blocks
+    # allocates none.
     S = _sample(p=30, n=1200, seed=4)
     G = gram(S)
     spec = KernelSpec(kernel, diagonal, parse_envelope(envelope))
     tracemalloc.start()
     try:
-        build(spec, S, G)
+        build(spec, G, S.p)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * G.nbytes
+    assert peak < 0.25 * G.nbytes
 
 
 def test_build_identity_envelope_equals_gram():
     S = _sample(seed=2)
     spec = KernelSpec("inner", "keep", parse_envelope("identity"))
-    A = build(spec, S, gram(S))
+    A = build(spec, gram(S), S.p)
     assert np.array_equal(A, gram(S))
 
 
 def test_build_exp_distance_keep_diagonal_is_one():
     S = _sample(seed=5)
     spec = KernelSpec("distance", "keep", parse_envelope("exp:a=1"))
-    A = build(spec, S, gram(S))
+    A = build(spec, gram(S), S.p)
     assert np.array_equal(np.diag(A), np.ones(S.n))
 
 
@@ -214,7 +214,7 @@ def test_build_sign_scaled_value_range():
     p = 49
     S = _sample(p=p, n=30, seed=6)
     spec = KernelSpec("inner", "zero", parse_envelope("sign-scaled"))
-    A = build(spec, S, gram(S))
+    A = build(spec, gram(S), S.p)
     allowed = {-1.0 / np.sqrt(p), 0.0, 1.0 / np.sqrt(p)}
     assert set(np.unique(A)).issubset(allowed)
 
@@ -228,7 +228,7 @@ def test_build_flags_non_finite_envelope_values():
 
     spec = KernelSpec("inner", "zero", Envelope("log", quiet_log))
     with pytest.raises(EnvelopeError) as err:
-        build(spec, S, gram(S))
+        build(spec, gram(S), S.p)
     assert err.value.i is not None and err.value.j is not None
     assert err.value.x is not None
     assert f"x={err.value.x!r}" in str(err.value)
@@ -242,7 +242,7 @@ def test_build_zero_diagonal_ignores_diagonal_envelope_values():
     inv = Envelope("inv", lambda x, p: np.divide(1.0, x,
                                                  out=np.full_like(x, np.inf),
                                                  where=x != 0))
-    A = build(KernelSpec("distance", "zero", inv), S, gram(S))
+    A = build(KernelSpec("distance", "zero", inv), gram(S), S.p)
     assert np.all(np.isfinite(A))
 
 
@@ -253,7 +253,7 @@ def test_build_zero_diagonal_ignores_diagonal_envelope_values():
 def test_built_matrices_are_exactly_symmetric(kernel, diagonal, seed):
     S = _sample(p=15, n=12, seed=seed)
     spec = KernelSpec(kernel, diagonal, parse_envelope("exp:a=0.5"))
-    A = build(spec, S, gram(S))
+    A = build(spec, gram(S), S.p)
     assert np.max(np.abs(A - A.T)) == 0.0
     if diagonal == "zero":
         assert np.trace(A) == 0.0
@@ -287,6 +287,18 @@ def test_linearized_exp_distance():
     expected = (1.0 - 3.0 * np.exp(-2.0)) * np.eye(S.n) \
         + 2.0 * np.exp(-2.0) * gram(S)
     assert np.max(np.abs(B - expected)) < 1e-12
+
+
+def test_linearized_scales_the_gram_matrix_in_place():
+    S = _sample(p=30, n=1200, seed=15)
+    spec = KernelSpec("inner", "zero", parse_envelope("exp:a=1"))
+    tracemalloc.start()
+    try:
+        linearized(spec, S)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * S.n ** 2
 
 
 def test_linearized_requires_derivative():

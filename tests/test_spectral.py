@@ -13,7 +13,7 @@ from kernelspectra.mp_theory import AffineMPLaw
 def _kernel_matrix(p=40, n=30, seed=0, envelope="exp:a=1", diagonal="zero"):
     S = sample_matrix(VectorEnsemble("gaussian", p), n, seed)
     spec = KernelSpec("inner", diagonal, parse_envelope(envelope))
-    return build(spec, S, gram(S))
+    return build(spec, gram(S), S.p)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +303,7 @@ def test_variance_decay_random_family_decreases():
     def model(n, t):
         S = sample_matrix(VectorEnsemble("gaussian", n), n, seed=7000 + 17 * n + t)
         spec = KernelSpec("inner", "zero", parse_envelope("exp:a=1"))
-        return build(spec, S, gram(S))
+        return build(spec, gram(S), S.p)
 
     rep = stieltjes_variance_decay(model, 1j, trials=12, sizes=(60, 120, 240))
     assert rep.strictly_decreasing
