@@ -98,8 +98,13 @@ def _cmd_simulate(args) -> int:
                               kernel=args.kernel, diagonal=args.diag,
                               envelope=args.envelope)
     spec = config.kernel_spec()
-    pooled = ESD.pooled([eigenvalues(build(spec, gram(S), S.p)) for _, _, S
-                         in trial_samples(config, (config.ensemble,))])
+    trials = []
+    for _, _, S in trial_samples(config, (config.ensemble,)):
+        G = gram(S)
+        del S  # build writes A over G, so eigvalsh holds A and its copy
+        trials.append(eigenvalues(build(spec, G, config.p)))
+        del G
+    pooled = ESD.pooled(trials)
     lam = pooled.points
     print(f"model {spec.label()}  ensemble={args.ensemble} n={args.n} "
           f"p={args.p} gamma={args.p / args.n:g} trials={args.trials}")

@@ -11,11 +11,11 @@ gives the cubic
     d c m^3 + ((z + a) c + d) m^2 + (z + c) m + 1 = 0 ,
 
 and m(z) is its root with Im m > 0. The solver takes the roots w = 1/m
-of the reversed cubic w^3 + (z + c) w^2 + ((z + a) c + d) w + d c as the
-eigenvalues of its companion matrix, batched over z. That cubic is
-monic, so no case divides by d c. Where d c = 0 the degree in m drops
-(the MP quadratic at nu = a^2, the semicircle of variance nu/gamma at
-a = 0, m = -1/z at a = nu = 0) and the lost root shows up as w = 0.
+of the monic reversed cubic w^3 + (z + c) w^2 + ((z + a) c + d) w + d c
+in closed form over z: Cardano's largest root, one Newton step, and the
+other two by Vieta. Where d c = 0 the degree in m drops (the MP quadratic
+at nu = a^2, the semicircle of variance nu/gamma at a = 0, m = -1/z at
+a = nu = 0) and the lost root is w = 0 exactly.
 Every Stieltjes transform has Im(-1/m) >= Im z, while a root with
 Im m <= 0 has Im w >= 0, so the Herglotz root is the one with
 Im w < -Im z / 2. Rounding cannot tip that test, even where another
@@ -63,6 +63,8 @@ from .errors import SolverError
 from .spectral import Law
 
 _MASS_TOL = 1e-3          # the window must hold all mass but this
+# cube roots of unity; a complex ufunc at import pages in ~0.25 MB of code
+_CUBE_ROOTS = np.array([1.0, -0.5 + 0.75 ** 0.5 * 1j, -0.5 - 0.75 ** 0.5 * 1j])
 
 
 def _check_params(a: float, nu: float, gamma: float) -> None:
@@ -85,12 +87,28 @@ def _reciprocal_roots(a: float, nu: float, gamma: float, z) -> np.ndarray:
     """Roots w = 1/m of the reversed cubic at each z, shape z.shape + (3,)."""
     c, d = _cd(a, nu, gamma)
     z = np.asarray(z, dtype=complex)
-    companion = np.zeros(z.shape + (3, 3), dtype=complex)
-    companion[..., 0, 0] = -(z + c)
-    companion[..., 0, 1] = -((z + a) * c + d)
-    companion[..., 0, 2] = -d * c
-    companion[..., 1, 0] = companion[..., 2, 1] = 1.0
-    return np.linalg.eigvals(companion)
+    B, C, D = z + c, (z + a) * c + d, d * c
+    s = np.maximum(np.maximum(abs(B), np.sqrt(abs(C))), np.cbrt(D))
+    b, c, d = B / s, C / s / s, D / s / s / s  # in v = w / s: |v| <= 2
+    with np.errstate(all="ignore"):  # a rejected Newton step may overflow
+        # Cardano: v = u + t - b/3, u^3 the larger root of y^2 + Q y -
+        # P^3/27, u t = -P/3, u and t over the cube roots of unity
+        P, Q = c - b * b / 3.0, (2.0 / 27.0) * b * b * b - b * c / 3.0 + d
+        r = np.sqrt(0.25 * Q * Q + P * P * P / 27.0)
+        r = np.where((Q.conjugate() * r).real > 0, -r, r) - 0.5 * Q
+        u = np.cbrt(abs(r)) * np.exp(1j * np.angle(r) / 3.0)
+        t = np.where(u == 0, 0.0, -P / (3.0 * u))
+        v = (u[..., None] * _CUBE_ROOTS + t[..., None] / _CUBE_ROOTS
+             - b[..., None] / 3.0)
+        v = np.take_along_axis(v, abs(v).argmax(-1)[..., None], -1)[..., 0]
+        f = ((v + b) * v + c) * v + d  # one Newton step where it lowers |f|
+        x = v - f / ((3.0 * v + 2.0 * b) * v + c)
+        v = np.where(abs(((x + b) * x + c) * x + d) < abs(f), x, v)
+        S, R = (c + d / v) / v, -d / v  # the other two: y^2 - S y + R = 0
+        r = np.sqrt(S * S - 4.0 * R)
+        q = 0.5 * (S + np.where((S.conjugate() * r).real < 0, -r, r))
+        y = np.divide(R, q, out=np.zeros_like(q), where=d != 0)
+    return np.stack([v, q, y], axis=-1) * s[..., None]
 
 
 def _stieltjes(a: float, nu: float, gamma: float, z) -> np.ndarray:

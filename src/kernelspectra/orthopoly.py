@@ -2,11 +2,11 @@
 
 The moments are exact for every family, in closed form for the sphere
 and as a rational power series raised to the p-th power for the iid
-families; only ``envelope_coeffs`` draws xi_p (Monte Carlo). Polynomials
-come from the Cholesky factor M = L L^T of the Hankel moment matrix: row
-j of L^{-1} holds the coefficients of p_j (Golub & Welsch, Math. Comp.
-1969). The p -> infinity comparison target is the orthonormal Hermite
-family.
+families; only ``envelope_coeffs`` draws xi_p (Monte Carlo; rademacher
+draws the histogram of its p + 1 values). Polynomials come from the
+Cholesky factor M = L L^T of the Hankel moment matrix: row j of L^{-1}
+holds the coefficients of p_j (Golub & Welsch, Math. Comp. 1969). The
+p -> infinity comparison target is the orthonormal Hermite family.
 """
 
 from __future__ import annotations
@@ -141,14 +141,11 @@ def _sample_xi(family: str, p: int, rng: np.random.Generator,
     """Draw xi_p = sqrt(p) X^T Y via exact distributional identities.
 
     gaussian:   xi = sqrt(chi2_p / p) * N(0,1)
-    rademacher: xi = (2 Binom(p, 1/2) - p) / sqrt(p)
     sphere:     xi = sqrt(p) (2 Beta((p-1)/2, (p-1)/2) - 1), and +-1 at p=1
     """
     if family == GAUSSIAN:
         radius = np.sqrt(rng.chisquare(p, size=count) / p)
         return radius * rng.standard_normal(count)
-    if family == RADEMACHER:
-        return (2.0 * rng.binomial(p, 0.5, size=count) - p) / np.sqrt(p)
     if family == SPHERE:
         if p == 1:
             return 2.0 * rng.integers(0, 2, size=count) - 1.0
@@ -167,24 +164,40 @@ def _xi_batches(ensemble: VectorEnsemble, samples: int,
                          min(_MC_BATCH, samples - done))
 
 
+def _rademacher_histogram(p: int, samples: int,
+                          seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The values (2k - p) / sqrt(p) of xi_p that ``samples`` draws hit,
+    ascending, and their counts: the histogram's exact law Multinomial(
+    samples, C(p, k) / 2^p), drawn from substream(seed, TAG_BATCH, 0)."""
+    row, total = [1], 1 << p
+    for k in range(p):
+        row.append(row[-1] * (p - k) // (k + 1))
+    counts = substream(seed, TAG_BATCH, 0).multinomial(
+        samples, [c / total for c in row])  # each C(p, k) / 2^p rounded once
+    k = np.flatnonzero(counts)
+    return (2.0 * k - p) / np.sqrt(p), counts[k].astype(float)
+
+
 def _power_sums(xi: np.ndarray, order: int,
                 weight: Callable[[np.ndarray], np.ndarray] | None = None,
-                weight_order: int = 0) -> np.ndarray:
-    """S[j, m] = sum_i k_i^j xi_i^m for j = 0 ... weight_order and
-    m = 0 ... order, with k = weight(xi) evaluated chunk by chunk.
+                weight_order: int = 0,
+                counts: np.ndarray | None = None) -> np.ndarray:
+    """S[j, m] = sum_i c_i k_i^j xi_i^m for j = 0 ... weight_order and
+    m = 0 ... order, with c = counts (or 1) and k = weight(xi).
 
-    Each chunk of _CHUNK draws fills the rows V[m] = xi^m and W[j] = k^j
+    Each chunk of _CHUNK draws fills the rows V[m] = c xi^m and W[j] = k^j
     in place and adds the one product W V^T, so no temporary outgrows
     the chunk.
     """
     size = min(xi.size, _CHUNK)
     V = np.empty((order + 1, size))
     W = np.empty((weight_order + 1, size))
-    V[0] = W[0] = 1.0
+    W[0] = 1.0
     sums = np.zeros((weight_order + 1, order + 1))
     for c0 in range(0, xi.size, _CHUNK):
         x = xi[c0:c0 + _CHUNK]
         v, w = V[:, :x.size], W[:, :x.size]
+        v[0] = 1.0 if counts is None else counts[c0:c0 + _CHUNK]
         for m in range(1, order + 1):
             np.multiply(v[m - 1], x, out=v[m])
         if weight_order:
@@ -372,9 +385,11 @@ def envelope_coeffs(f: Envelope, ensemble: VectorEnsemble, L: int,
                 x=float(xi[bad]))
         return kv
 
-    # row j holds sum k(xi)^j xi^m
-    sums = sum(_power_sums(xi, 2 * L, rescaled, 4)
-               for xi in _xi_batches(ensemble, samples, seed))
+    # row j holds sum k(xi)^j xi^m over the draws
+    draws = ([_rademacher_histogram(p, samples, seed)]
+             if ensemble.family == RADEMACHER else
+             ((xi, None) for xi in _xi_batches(ensemble, samples, seed)))
+    sums = sum(_power_sums(xi, 2 * L, rescaled, 4, c) for xi, c in draws)
     C = build_basis(_mc_moments(ensemble, sums[0], samples, 2 * L), L).factor
 
     cross = sums[1, :L + 1] / samples

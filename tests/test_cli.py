@@ -34,6 +34,8 @@ from kernelspectra.cli import cli_main
 assert cli_main(["simulate", "--p", "5", "--n", "10"]) == 0
 assert cli_main(["expand", "--envelope", "exp:a=1", "--p", "5",
                  "--degree", "2", "--samples", "1000"]) == 0
+assert cli_main(["predict", "--law", "fe", "--a", "0.5", "--nu", "1",
+                 "--gamma", "0.5"]) == 0
 new = {m for m in set(sys.modules) - before if "." not in m}
 print(sorted(new - set(sys.stdlib_module_names) - {"kernelspectra"}))
 """
@@ -77,6 +79,38 @@ def test_simulate_matches_compare_trials(tmp_path, capsys):
     rows = (tmp_path / "cmp" / "esd.csv").read_text().splitlines()[1:]
     compared = ESD(points=np.array([float(r.split(",")[1]) for r in rows]))
     assert np.array_equal(simulated.points, compared.points)
+
+
+_SIMULATE_PEAK = """
+import re
+from kernelspectra.cli import cli_main
+
+def high_water_mark():
+    with open("/proc/self/status") as status:
+        kb = re.search(r"VmHWM:\\s+(\\d+) kB", status.read()).group(1)
+    return 1024 * int(kb)
+
+model = ["--ensemble", "gaussian", "--kernel", "inner", "--diag", "zero",
+         "--envelope", "exp:a=1"]
+assert cli_main(["simulate", "--p", "100", "--n", "200", *model]) == 0
+before = high_water_mark()
+assert cli_main(["simulate", "--p", "800", "--n", "1600", "--trials", "2",
+                 *model]) == 0
+print(high_water_mark() - before)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads VmHWM from Linux /proc/self/status")
+def test_simulate_holds_the_kernel_matrix_and_the_solver_copy_only():
+    # as in compare's trial loop: the sample is freed before build, which
+    # writes A over G, so a trial peaks at A plus eigvalsh's copy
+    src = Path(orthopoly.__file__).parents[1]
+    run = subprocess.run([sys.executable, "-c", _SIMULATE_PEAK],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    n = 1600
+    assert int(run.stdout.splitlines()[-1]) < 2.5 * 8 * n ** 2
 
 
 def test_simulate_numerical_failure_exits_two(capsys):
@@ -295,12 +329,12 @@ a=0.799436  nu=1.000000  nu_stderr=2.8284e-06  tail_mass=0.252054
     "rademacher": """\
 envelope sign-scaled on rademacher (p=500, samples=20000)
   k            a_k       stderr
-  0      -0.016200   6.9410e-03
-  1       0.797792   4.2633e-03
-  2       0.018936   7.0045e-03
-  3      -0.322437   6.6931e-03
-  4      -0.019415   7.0211e-03
-a=0.797792  nu=0.963538  nu_stderr=1.3391e-03  tail_mass=0.222365
+  0       0.004400   6.9328e-03
+  1       0.798561   4.2562e-03
+  2      -0.011322   7.0002e-03
+  3      -0.328499   6.6786e-03
+  4       0.009955   7.0140e-03
+a=0.798561  nu=0.961281  nu_stderr=1.3652e-03  tail_mass=0.215442
 """,
 }
 
@@ -318,12 +352,14 @@ def test_expand_stdout_is_pinned(family, capsys):
 
 def test_expand_rejects_degree_above_cap_before_sampling(capsys,
                                                         monkeypatch):
-    monkeypatch.setattr(orthopoly, "_xi_batches",
-                        lambda *args: pytest.fail("expand drew samples"))
-    code = cli_main(["expand", "--ensemble", "gaussian", "--p", "500",
-                     "--envelope", "sign-scaled", "--degree", "7"])
-    assert code == 1
-    assert "need 1 <= L <= 6, got 7" in capsys.readouterr().err
+    for draws in ("_xi_batches", "_rademacher_histogram"):
+        monkeypatch.setattr(orthopoly, draws,
+                            lambda *args: pytest.fail("expand drew samples"))
+    for family in ("gaussian", "rademacher"):
+        code = cli_main(["expand", "--ensemble", family, "--p", "500",
+                         "--envelope", "sign-scaled", "--degree", "7"])
+        assert code == 1
+        assert "need 1 <= L <= 6, got 7" in capsys.readouterr().err
 
 
 def test_swap_check_reports_rank(capsys):

@@ -184,6 +184,46 @@ def test_closed_form_root_and_atoms(a, excess, gamma, x, y):
         assert law.atoms == ()
 
 
+def _companion_roots(a, nu, gamma, z):
+    """Oracle: the reversed cubic's roots as its companion's eigenvalues."""
+    c, d = a / gamma, max(nu - a * a, 0.0) / gamma
+    companion = np.zeros(z.shape + (3, 3), dtype=complex)
+    companion[..., 0, 0] = -(z + c)
+    companion[..., 0, 1] = -((z + a) * c + d)
+    companion[..., 0, 2] = -d * c
+    companion[..., 1, 0] = companion[..., 2, 1] = 1.0
+    return np.linalg.eigvals(companion)
+
+
+@pytest.mark.parametrize("far", [False, True])
+def test_closed_form_roots_match_companion_eigenvalues(far):
+    # Wherever the companion matrix finds exactly one Herglotz root, the
+    # closed form finds exactly one too, with the same m to 1e-12.
+    rng = np.random.default_rng(20 + far)
+    checked = 0
+    for _ in range(150):
+        a = rng.choice([0.0, 5e-324, rng.uniform(0.0, 3.0)])
+        nu = a * a + rng.choice([0.0, rng.uniform(0.0, 3.0)])
+        gamma = 10.0 ** rng.uniform(-3.0, 3.0)
+        y = 10.0 ** rng.uniform(-12.0, 1.0, 200)
+        r = 10.0 ** rng.uniform(1.0, 8.0, 200) if far else \
+            rng.uniform(0.0, 10.0, 200)
+        x = rng.choice([-1.0, 1.0], 200) * np.sqrt(np.maximum(r * r - y * y,
+                                                              0.0))
+        z = x + 1j * y
+        w = _companion_roots(a, nu, gamma, z)
+        w_closed = limit_solver._reciprocal_roots(a, nu, gamma, z)
+        herglotz = w.imag < -0.5 * y[:, None]
+        closed = w_closed.imag < -0.5 * y[:, None]
+        unique = herglotz.sum(axis=1) == 1
+        assert np.all(closed[unique].sum(axis=1) == 1)
+        np.testing.assert_allclose(1.0 / w_closed[unique][closed[unique]],
+                                   1.0 / w[unique][herglotz[unique]],
+                                   rtol=1e-12, atol=0.0)
+        checked += unique.sum()
+    assert checked > 0.99 * 150 * 200
+
+
 def test_exact_atoms():
     assert solve_grid(1.0, 1.0, 0.5).atoms == ((-1.0, 0.5),)
     for gamma in (0.5, 1.0, 2.0):

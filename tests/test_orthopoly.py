@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 from fractions import Fraction
 
@@ -12,10 +13,12 @@ from kernelspectra import (DegeneracyError, Envelope, EnvelopeError,
                            VectorEnsemble, build_basis, envelope_coeffs,
                            gaussian_limit_moments, hermite, hermite_deviation,
                            parse_envelope, xi_moments)
+from kernelspectra import orthopoly
 from kernelspectra.orthopoly import (_CHUNK, EXACT, MONTE_CARLO,
                                     MomentSequence, _mc_moments,
                                     _orthonormal_factor, _power_sums,
-                                    _xi_batches, normal_moment)
+                                    _rademacher_histogram, _xi_batches,
+                                    normal_moment)
 
 polyval = np.polynomial.polynomial.polyval
 
@@ -121,17 +124,98 @@ def test_xi_moments_rejects_order_outside_two_to_sixteen():
             xi_moments(VectorEnsemble("gaussian", 10), K=K)
 
 
+def _mc_power_sums(ens, order, samples, seed):
+    """Row 0 of the power sums that envelope_coeffs forms for ``ens``."""
+    if ens.family == "rademacher":
+        xi, counts = _rademacher_histogram(ens.p, samples, seed)
+        return _power_sums(xi, order, counts=counts)[0]
+    return sum(_power_sums(xi, order)[0]
+               for xi in _xi_batches(ens, samples, seed))
+
+
 def test_monte_carlo_moments_agree_with_exact():
     # the Monte Carlo route of envelope_coeffs against the exact moments
     for family in ("gaussian", "rademacher", "sphere"):
         ens = VectorEnsemble(family, 50)
         exact = xi_moments(ens, K=6)
-        sums = sum(_power_sums(xi, 12)[0]
-                   for xi in _xi_batches(ens, 200_000, 3))
+        sums = _mc_power_sums(ens, 12, 200_000, 3)
         mc = _mc_moments(ens, sums, 200_000, 6)
         for k in range(2, 7):
             tol = 5.0 * mc.stderr[k] + 1e-9
             assert abs(mc.values[k] - float(exact.values[k])) < tol, (family, k)
+
+
+@pytest.mark.parametrize("p", [1, 2, 7, 50, 500])
+def test_rademacher_histogram_moments_match_exact(p):
+    # the counts are the histogram of ``samples`` draws of xi_p, so its
+    # moments estimate the exact ones within their standard errors
+    samples = 200_000
+    xi, counts = _rademacher_histogram(p, samples, 5)
+    assert counts.sum() == samples and np.all(counts > 0)
+    heads = (xi * np.sqrt(p) + p) / 2.0  # xi = (2k - p) / sqrt(p)
+    assert np.allclose(heads, np.round(heads), rtol=0.0, atol=1e-9)
+    assert np.all(np.diff(heads) > 0.5)
+    assert heads[0] > -0.5 and heads[-1] < p + 0.5
+    mc = _mc_moments(VectorEnsemble("rademacher", p),
+                     _mc_power_sums(VectorEnsemble("rademacher", p), 12,
+                                    samples, 5), samples, 6)
+    exact = xi_moments(VectorEnsemble("rademacher", p), K=6)
+    for k in range(2, 7):
+        tol = 5.0 * mc.stderr[k] + 1e-9
+        assert abs(mc.values[k] - float(exact.values[k])) < tol, k
+
+
+def test_rademacher_pmf_is_exact_at_large_p(monkeypatch):
+    # each C(p, k) / 2^p is the correctly rounded quotient, also at p = 1e4
+    p, seen = 10_000, {}
+
+    class Stream:
+        def multinomial(self, samples, pvals):
+            seen["pmf"] = pvals
+            return np.bincount([p // 2], minlength=p + 1) * samples
+
+    monkeypatch.setattr(orthopoly, "substream", lambda *args: Stream())
+    xi, counts = _rademacher_histogram(p, 1000, 0)
+    assert xi.tolist() == [0.0] and counts.tolist() == [1000.0]
+    pmf = seen["pmf"]
+    assert len(pmf) == p + 1 and abs(math.fsum(pmf) - 1.0) <= 1e-12
+    for k in (0, 1, 3_000, 4_900, 5_000, 5_123, 9_999, 10_000):
+        assert pmf[k] == math.comb(p, k) / 2 ** p, k
+
+
+def test_rademacher_never_draws_single_values(monkeypatch):
+    monkeypatch.setattr(orthopoly, "_sample_xi",
+                        lambda *args: pytest.fail("drew single values"))
+    params = envelope_coeffs(parse_envelope("exp:a=1"),
+                             VectorEnsemble("rademacher", 60), L=3,
+                             samples=1_000_000, seed=2)
+    assert params.samples == 1_000_000
+
+
+def test_envelope_is_evaluated_only_at_drawn_atoms():
+    # p = 40: xi = +-sqrt(40) has probability 2^-40 each, so 10^6 draws
+    # miss it and an envelope that is non-finite only there is fine
+    p, sizes = 40, []
+
+    def edge(x, p):
+        sizes.append(np.size(x))
+        return np.where(np.abs(x) >= 1.0, np.inf, x)
+
+    params = envelope_coeffs(Envelope("edge", edge),
+                             VectorEnsemble("rademacher", p), L=2,
+                             samples=1_000_000, seed=4)
+    assert abs(params.a - 1.0) < 5.0 * params.stderr[1]
+    assert sum(sizes) < p + 1
+
+
+def test_non_finite_envelope_reports_smallest_drawn_atom():
+    ens, n, seed = VectorEnsemble("rademacher", 40), 100_000, 6
+    xi, _ = _rademacher_histogram(ens.p, n, seed)
+    wide = Envelope("wide", lambda x, p: np.where(np.abs(x) > 0.5,
+                                                  np.inf, x))
+    with pytest.raises(EnvelopeError) as err:
+        envelope_coeffs(wide, ens, L=2, samples=n, seed=seed)
+    assert err.value.x == float(xi[0]) < -0.5 * np.sqrt(ens.p)
 
 
 # ---------------------------------------------------------------------------
