@@ -16,7 +16,7 @@ import numpy as np
 # Stream tags; keep indices below 2**48 per tag.
 TAG_COLUMN = 0      # sample-matrix columns
 TAG_TRIAL = 1       # per-trial seeds in experiments
-TAG_BATCH = 2       # Monte Carlo batches (moments, coefficients)
+TAG_BATCH = 2       # Monte Carlo batches (xi draws, L2-perturbation pairs)
 TAG_DIAGNOSTIC = 3  # moment diagnostics
 
 _INDEX_BITS = 48

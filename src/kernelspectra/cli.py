@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from .ensembles import (VectorEnsemble, concentration_diagnostic,
+from .ensembles import (FAMILIES, VectorEnsemble, concentration_diagnostic,
                         moment_diagnostic, sample_matrix)
 from .errors import KernelSpectraError
 from .experiments import (ExperimentConfig, load_config, parse_config,
@@ -23,10 +23,11 @@ from .mp_theory import AffineMPLaw, predicted_law
 from .orthopoly import envelope_coeffs
 from .spectral import ESD, eigenvalues, save_esd
 
+_ENSEMBLE_HELP = " | ".join(FAMILIES)
+
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ensemble", default="gaussian",
-                   help="gaussian | rademacher | sphere")
+    p.add_argument("--ensemble", default="gaussian", help=_ENSEMBLE_HELP)
     p.add_argument("--p", type=int, default=200, help="vector dimension")
     p.add_argument("--n", type=int, default=400, help="matrix size")
     p.add_argument("--seed", type=int, default=0)
@@ -62,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pred.add_argument("--out", default=None, help="law csv path")
 
     exp = sub.add_parser("expand", help="envelope coefficient table")
-    exp.add_argument("--ensemble", default="gaussian")
+    exp.add_argument("--ensemble", default="gaussian", help=_ENSEMBLE_HELP)
     exp.add_argument("--p", type=int, default=500)
     exp.add_argument("--envelope", required=True)
     exp.add_argument("--degree", type=int, default=4)
@@ -76,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--out", default=None, help="output directory override")
 
     diag = sub.add_parser("diagnose", help="moment and concentration checks")
-    diag.add_argument("--ensemble", default="gaussian")
+    diag.add_argument("--ensemble", default="gaussian", help=_ENSEMBLE_HELP)
     diag.add_argument("--p", type=int, default=500)
     diag.add_argument("--n", type=int, default=200)
     diag.add_argument("--seed", type=int, default=0)

@@ -2,24 +2,26 @@
 
 Every family is normalized so that E[X] = 0 and E||X||^2 = 1. For the iid
 families each entry has mean 0 and variance exactly 1/p; the sphere family
-gives ||X|| = 1 exactly.
+gives ||X|| = 1 exactly. Each family is one record in ``FAMILIES``; no
+other module branches on the family.
 """
 
 from __future__ import annotations
 
+import math
 import mmap
 from dataclasses import dataclass
-from typing import Iterable
+from fractions import Fraction
+from functools import partial
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from ._rng import TAG_COLUMN, TAG_DIAGNOSTIC, substreams
+from ._rng import TAG_BATCH, TAG_COLUMN, TAG_DIAGNOSTIC, substream, substreams
 
 GAUSSIAN = "gaussian"
 RADEMACHER = "rademacher"
 SPHERE = "sphere"
-
-FAMILIES = (GAUSSIAN, RADEMACHER, SPHERE)
 
 # A sample of at least this many entries gets its own private anonymous
 # mapping (ACCESS_COPY), so its pages go back to the OS when it is dropped:
@@ -28,6 +30,153 @@ FAMILIES = (GAUSSIAN, RADEMACHER, SPHERE)
 # after its free. The mapping asks for huge pages, as numpy does for large
 # arrays, to keep page faults few; smaller samples stay on the heap.
 _MAPPED_ENTRIES = 2 ** 20
+_MC_BATCH = 200_000  # xi draws per Monte Carlo batch
+
+
+def normal_moment(k: int) -> int:
+    """E N^k for standard normal: (k-1)!! for even k, 0 for odd."""
+    if k < 0:
+        raise ValueError("moment order must be nonnegative")
+    if k % 2 == 1:
+        return 0
+    out = 1
+    for j in range(k - 1, 0, -2):
+        out *= j
+    return out
+
+
+# Column fillers. The iid families are scaled in one pass at the end,
+# which rounds exactly as scaling each row would.
+
+def _fill_gaussian(rows: np.ndarray,
+                   streams: Iterable[np.random.Generator]) -> None:
+    for row, rng in zip(rows, streams):
+        rng.standard_normal(out=row)
+    rows /= np.sqrt(rows.shape[1])
+
+
+def _fill_rademacher(rows: np.ndarray,
+                     streams: Iterable[np.random.Generator]) -> None:
+    """Sign 2k is bit 31 of raw 64-bit word k and sign 2k + 1 is bit 63,
+    the signs ``rng.integers(0, 2, size=p)`` draws; ``out=`` keeps
+    temporaries small, since word-sized ones page-faulted on every call."""
+    p = rows.shape[1]
+    words = np.empty((rows.shape[0], (p + 1) // 2), np.uint64)
+    for row, rng in zip(words, streams):
+        row[:] = rng.bit_generator.random_raw(row.size)
+    np.right_shift(words[:, :p // 2], 63, out=rows[:, 1::2])
+    words >>= 31
+    np.bitwise_and(words, 1, out=rows[:, 0::2])
+    rows *= 2.0
+    rows -= 1.0
+    rows /= np.sqrt(p)
+
+
+def _fill_sphere(rows: np.ndarray,
+                 streams: Iterable[np.random.Generator]) -> None:
+    """Normalized Gaussian vectors, exact in distribution."""
+    for row, rng in zip(rows, streams):
+        norm = 0.0
+        while norm == 0.0:  # probability zero, but keep the map total
+            rng.standard_normal(out=row)
+            norm = np.linalg.norm(row)
+        row /= norm
+
+
+def _iid_xi_moments(entry_moment: Callable[[int], int], p: int,
+                    K: int) -> tuple[Fraction, ...]:
+    """E xi_p^k for k = 0 ... K >= 1 when the standardized entry x =
+    sqrt(p) X_1i has E x^j = entry_moment(j).
+
+    sqrt(p) xi_p is a sum of p iid copies of u = x y, with x and y
+    standardized entries, so E (sqrt(p) xi_p)^k = k! [t^k] A(t)^p with
+    A(t) = sum_j E[x^j]^2 t^j / j!. J.C.P. Miller's recurrence takes the
+    power: b_n = (1/n) sum_{j=1..n} ((p + 1) j - n) a_j b_{n-j}.
+    """
+    a = [Fraction(entry_moment(j)) ** 2 / math.factorial(j)
+         for j in range(K + 1)]
+    b = [Fraction(1)]
+    for n in range(1, K + 1):
+        b.append(sum(((p + 1) * j - n) * a[j] * b[n - j]
+                     for j in range(1, n + 1)) / n)
+    return tuple(math.factorial(k) * b[k] / p ** (k // 2)
+                 for k in range(K + 1))
+
+
+def _sphere_xi_moments(p: int, K: int) -> tuple[Fraction, ...]:
+    """xi_p / sqrt(p) is one coordinate of a uniform unit vector, so
+    E xi_p^2k = p^k (2k-1)!! / prod_{j<k} (p + 2j) and each even moment
+    is the one before times p (2k - 1) / (p + 2k - 2); at p = 1, xi = +-1.
+    """
+    m = [Fraction(1), Fraction(0)]
+    for k in range(2, K + 1):
+        m.append(m[k - 2] * Fraction(p * (k - 1), p + k - 2)
+                 if k % 2 == 0 else Fraction(0))
+    return tuple(m)
+
+
+def _xi_batches(sample: Callable[..., np.ndarray], p: int, samples: int,
+                seed: int) -> Iterator[tuple[np.ndarray, None]]:
+    """``samples`` draws of xi_p in batches of up to _MC_BATCH; batch b
+    comes from substream(seed, TAG_BATCH, b)."""
+    for b, done in enumerate(range(0, samples, _MC_BATCH)):
+        yield sample(p, substream(seed, TAG_BATCH, b),
+                     min(_MC_BATCH, samples - done)), None
+
+
+def _gaussian_xi(p: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """xi = sqrt(chi2_p / p) * N(0,1)."""
+    radius = np.sqrt(rng.chisquare(p, size=count) / p)
+    return radius * rng.standard_normal(count)
+
+
+def _sphere_xi(p: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """xi = sqrt(p) (2 Beta((p-1)/2, (p-1)/2) - 1), and +-1 at p=1."""
+    if p == 1:
+        return 2.0 * rng.integers(0, 2, size=count) - 1.0
+    t = 2.0 * rng.beta((p - 1) / 2.0, (p - 1) / 2.0, size=count) - 1.0
+    return np.sqrt(p) * t
+
+
+def _rademacher_xi_draws(p: int, samples: int, seed: int
+                         ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """One pair: the values (2k - p) / sqrt(p) of xi_p that ``samples``
+    draws hit, ascending, and their counts: the histogram's exact law
+    Multinomial(samples, C(p, k) / 2^p), drawn from substream(seed,
+    TAG_BATCH, 0)."""
+    row, total = [1], 1 << p
+    for k in range(p):
+        row.append(row[-1] * (p - k) // (k + 1))
+    counts = substream(seed, TAG_BATCH, 0).multinomial(
+        samples, [c / total for c in row])  # each C(p, k) / 2^p rounded once
+    k = np.flatnonzero(counts)
+    yield (2.0 * k - p) / np.sqrt(p), counts[k].astype(float)
+
+
+@dataclass(frozen=True)
+class Family:
+    """A vector family: ``fill(rows, streams)`` fills row i of ``rows`` with
+    a column drawn from the i-th stream; ``xi_moments(p, K)`` is E xi_p^k
+    for k <= K exactly, with xi_p = sqrt(p) X^T Y; ``xi_draws(p, samples,
+    seed)`` yields (values, counts) pairs holding ``samples`` iid draws of
+    xi_p, each value drawn counts times (once when counts is None)."""
+
+    fill: Callable[[np.ndarray, Iterable[np.random.Generator]], None]
+    xi_moments: Callable[[int, int], tuple[Fraction, ...]]
+    xi_draws: Callable[[int, int, int], Iterator[tuple]]
+
+
+FAMILIES: dict[str, Family] = {
+    GAUSSIAN: Family(fill=_fill_gaussian,
+                     xi_moments=partial(_iid_xi_moments, normal_moment),
+                     xi_draws=partial(_xi_batches, _gaussian_xi)),
+    # a random sign x has E x^j = 1 for even j and 0 for odd j
+    RADEMACHER: Family(fill=_fill_rademacher,
+                       xi_moments=partial(_iid_xi_moments, lambda j: 1 - j % 2),
+                       xi_draws=_rademacher_xi_draws),
+    SPHERE: Family(fill=_fill_sphere, xi_moments=_sphere_xi_moments,
+                   xi_draws=partial(_xi_batches, _sphere_xi)),
+}
 
 
 @dataclass(frozen=True)
@@ -40,7 +189,7 @@ class VectorEnsemble:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown ensemble family {self.family!r}; "
-                             f"expected one of {FAMILIES}")
+                             f"expected one of {tuple(FAMILIES)}")
         if self.p < 1:
             raise ValueError(f"dimension p must be >= 1, got {self.p}")
 
@@ -62,43 +211,6 @@ class SampleMatrix:
         return self.data.shape[1]
 
 
-def _fill_columns(family: str, rows: np.ndarray,
-                  streams: Iterable[np.random.Generator]) -> np.ndarray:
-    """Fill each row of ``rows`` with one column of the family.
-
-    Row i is drawn from the i-th generator of ``streams`` and normalized
-    so that E||X||^2 = 1; the iid families are scaled in one pass at the
-    end, which rounds exactly as scaling each row would.
-
-    Rademacher sign 2k is bit 31 of raw 64-bit word k and sign 2k + 1 is
-    bit 63, the signs ``rng.integers(0, 2, size=p)`` draws; ``out=`` keeps
-    temporaries small, since word-sized ones page-faulted on every call.
-    """
-    p = rows.shape[1]
-    if family == RADEMACHER:
-        words = np.empty((rows.shape[0], (p + 1) // 2), np.uint64)
-        for row, rng in zip(words, streams):
-            row[:] = rng.bit_generator.random_raw(row.size)
-        np.right_shift(words[:, :p // 2], 63, out=rows[:, 1::2])
-        words >>= 31
-        np.bitwise_and(words, 1, out=rows[:, 0::2])
-        rows *= 2.0
-        rows -= 1.0
-    else:
-        for row, rng in zip(rows, streams):
-            rng.standard_normal(out=row)
-            if family == SPHERE:
-                # Normalized Gaussian vector, exact in distribution.
-                norm = np.linalg.norm(row)
-                while norm == 0.0:  # probability zero, but keep the map total
-                    rng.standard_normal(out=row)
-                    norm = np.linalg.norm(row)
-                row /= norm
-    if family != SPHERE:
-        rows /= np.sqrt(p)
-    return rows
-
-
 def sample_matrix(ensemble: VectorEnsemble, n: int, seed: int) -> SampleMatrix:
     """Draw the p x n sample matrix with columns X_1, ..., X_n.
 
@@ -118,9 +230,8 @@ def sample_matrix(ensemble: VectorEnsemble, n: int, seed: int) -> SampleMatrix:
         if hasattr(mmap, "MADV_HUGEPAGE"):  # Linux only
             buf.madvise(mmap.MADV_HUGEPAGE)
         rows = np.frombuffer(buf).reshape(shape)
-    columns = _fill_columns(ensemble.family, rows,
-                            substreams(seed, TAG_COLUMN, range(n)))
-    return SampleMatrix(data=columns.T, ensemble=ensemble, seed=seed)
+    FAMILIES[ensemble.family].fill(rows, substreams(seed, TAG_COLUMN, range(n)))
+    return SampleMatrix(data=rows.T, ensemble=ensemble, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -133,10 +244,6 @@ class MomentDiagnostic:
     exceeds the base one by more than three combined standard errors.
     """
 
-    family: str
-    p: int
-    order: int
-    trials: int
     estimate: float
     stderr: float
     estimate_2p: float
@@ -150,10 +257,10 @@ def _abs_entry_moment(family: str, p: int, K: int, trials: int,
     # |sqrt(p) x_i|^K. Columns are independent for every family, so the
     # across-column standard error is valid even when entries within a
     # column are dependent (sphere).
-    cols = _fill_columns(family, np.empty((trials, p)),
-                         substreams(seed, TAG_DIAGNOSTIC,
-                                    range(stream_offset,
-                                          stream_offset + trials)))
+    cols = np.empty((trials, p))
+    FAMILIES[family].fill(cols, substreams(seed, TAG_DIAGNOSTIC,
+                                           range(stream_offset,
+                                                 stream_offset + trials)))
     per_column = np.mean(np.abs(np.sqrt(p) * cols) ** K, axis=1)
     est = float(np.mean(per_column))
     se = float(np.std(per_column, ddof=1) / np.sqrt(trials))
@@ -171,10 +278,8 @@ def moment_diagnostic(ensemble: VectorEnsemble, K: int, trials: int,
     est2, se2 = _abs_entry_moment(ensemble.family, 2 * ensemble.p, K, trials,
                                   seed, trials)
     flagged = est2 - est > 3.0 * np.hypot(se, se2)
-    return MomentDiagnostic(family=ensemble.family, p=ensemble.p, order=K,
-                            trials=trials, estimate=est, stderr=se,
-                            estimate_2p=est2, stderr_2p=se2,
-                            growth_flagged=bool(flagged))
+    return MomentDiagnostic(estimate=est, stderr=se, estimate_2p=est2,
+                            stderr_2p=se2, growth_flagged=bool(flagged))
 
 
 @dataclass(frozen=True)
@@ -186,8 +291,6 @@ class ConcentrationDiagnostic:
 
     max_norm_dev: float
     max_inner: float
-    n: int
-    p: int
 
 
 def concentration_diagnostic(S: SampleMatrix, G: np.ndarray
@@ -209,5 +312,4 @@ def concentration_diagnostic(S: SampleMatrix, G: np.ndarray
     return ConcentrationDiagnostic(
         max_norm_dev=float(np.max(np.abs(norms_sq - 1.0))),
         max_inner=float(max_inner),
-        n=S.n, p=S.p,
     )

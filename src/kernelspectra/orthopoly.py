@@ -1,12 +1,11 @@
 """Moments of xi_p = sqrt(p) X^T Y and orthonormal polynomials built from them.
 
-The moments are exact for every family, in closed form for the sphere
-and as a rational power series raised to the p-th power for the iid
-families; only ``envelope_coeffs`` draws xi_p (Monte Carlo; rademacher
-draws the histogram of its p + 1 values). Polynomials come from the
-Cholesky factor M = L L^T of the Hankel moment matrix: row j of L^{-1}
-holds the coefficients of p_j (Golub & Welsch, Math. Comp. 1969). The
-p -> infinity comparison target is the orthonormal Hermite family.
+The law of xi_p is the ensemble's: ``xi_moments`` takes the exact moments
+and ``envelope_coeffs`` the Monte Carlo draws from the family's record in
+``ensembles.FAMILIES``, so this module names no family. Polynomials come
+from the Cholesky factor M = L L^T of the Hankel moment matrix: row j of
+L^{-1} holds the coefficients of p_j (Golub & Welsch, Math. Comp. 1969).
+The p -> infinity comparison target is the orthonormal Hermite family.
 """
 
 from __future__ import annotations
@@ -15,12 +14,11 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
-from ._rng import TAG_BATCH, substream
-from .ensembles import GAUSSIAN, RADEMACHER, SPHERE, VectorEnsemble
+from .ensembles import FAMILIES, VectorEnsemble, normal_moment
 from .errors import CapabilityError, DegeneracyError, EnvelopeError
 from .kernels import Envelope
 
@@ -32,7 +30,6 @@ MAX_EXACT_ORDER = 16
 # exact N(0, 1) moments det M_6 is 9.9e-10 of its Hadamard bound, det M_7
 # only 5.4e-14, so degree 6 is the highest that can be built.
 MAX_DEGREE = 6
-_MC_BATCH = 200_000  # xi draws per Monte Carlo batch
 _CHUNK = 8192  # draws per power-sum product; its rows stay in cache
 
 # det M_j <= this multiple of its Hadamard bound counts as degenerate
@@ -42,63 +39,12 @@ _DEGENERACY_RTOL = 1e-10
 _ROUNDING_RTOL = 1e-12
 
 
-def normal_moment(k: int) -> int:
-    """E N^k for standard normal: (k-1)!! for even k, 0 for odd."""
-    if k < 0:
-        raise ValueError("moment order must be nonnegative")
-    if k % 2 == 1:
-        return 0
-    out = 1
-    for j in range(k - 1, 0, -2):
-        out *= j
-    return out
-
-
-def _entry_moment(family: str, j: int) -> Fraction:
-    """j-th moment of the standardized entry sqrt(p) * X_1i."""
-    if j % 2 == 1:
-        return Fraction(0)
-    if family == GAUSSIAN:
-        return Fraction(normal_moment(j))
-    return Fraction(1)  # rademacher
-
-
-def _exact_xi_moments(family: str, p: int, K: int) -> tuple[Fraction, ...]:
-    """E xi_p^k for k = 0 ... K >= 1, exactly; odd moments vanish.
-
-    sphere: xi_p / sqrt(p) is one coordinate of a uniform unit vector, so
-    E xi_p^2k = p^k (2k-1)!! / prod_{j<k} (p + 2j) and each even moment
-    is the one before times p (2k - 1) / (p + 2k - 2); at p = 1, xi = +-1.
-
-    iid families: sqrt(p) xi_p is a sum of p iid copies of u = x y, with
-    x and y standardized entries, so E (sqrt(p) xi_p)^k = k! [t^k] A(t)^p
-    with A(t) = sum_j E[x^j]^2 t^j / j!. J.C.P. Miller's recurrence takes
-    the power: b_n = (1/n) sum_{j=1..n} ((p + 1) j - n) a_j b_{n-j}.
-    """
-    if family == SPHERE:
-        m = [Fraction(1), Fraction(0)]
-        for k in range(2, K + 1):
-            m.append(m[k - 2] * Fraction(p * (k - 1), p + k - 2)
-                     if k % 2 == 0 else Fraction(0))
-        return tuple(m)
-    a = [_entry_moment(family, j) ** 2 / math.factorial(j)
-         for j in range(K + 1)]
-    b = [Fraction(1)]
-    for n in range(1, K + 1):
-        b.append(sum(((p + 1) * j - n) * a[j] * b[n - j]
-                     for j in range(1, n + 1)) / n)
-    return tuple(math.factorial(k) * b[k] / p ** (k // 2)
-                 for k in range(K + 1))
-
-
 @dataclass(frozen=True)
 class MomentSequence:
-    """Moments m_0, ..., m_K of xi_p (or of its Gaussian limit when p is None)."""
+    """Moments m_0, ..., m_K of xi_p or of its Gaussian limit."""
 
     values: np.ndarray
     source: str
-    family: str | None = None
-    p: int | None = None
     stderr: np.ndarray | None = None
     exact_values: tuple[Fraction, ...] | None = None
 
@@ -132,50 +78,7 @@ def gaussian_limit_moments(order: int) -> MomentSequence:
     """Moments of the standard normal: the p -> infinity limit of xi_p."""
     exact = tuple(Fraction(normal_moment(k)) for k in range(order + 1))
     return MomentSequence(values=np.array([float(e) for e in exact]),
-                          source=EXACT, family=None, p=None,
-                          exact_values=exact)
-
-
-def _sample_xi(family: str, p: int, rng: np.random.Generator,
-               count: int) -> np.ndarray:
-    """Draw xi_p = sqrt(p) X^T Y via exact distributional identities.
-
-    gaussian:   xi = sqrt(chi2_p / p) * N(0,1)
-    sphere:     xi = sqrt(p) (2 Beta((p-1)/2, (p-1)/2) - 1), and +-1 at p=1
-    """
-    if family == GAUSSIAN:
-        radius = np.sqrt(rng.chisquare(p, size=count) / p)
-        return radius * rng.standard_normal(count)
-    if family == SPHERE:
-        if p == 1:
-            return 2.0 * rng.integers(0, 2, size=count) - 1.0
-        t = 2.0 * rng.beta((p - 1) / 2.0, (p - 1) / 2.0, size=count) - 1.0
-        return np.sqrt(p) * t
-    raise ValueError(f"unknown family {family!r}")
-
-
-def _xi_batches(ensemble: VectorEnsemble, samples: int,
-                seed: int) -> Iterator[np.ndarray]:
-    """``samples`` draws of xi_p in batches of up to _MC_BATCH; batch b
-    comes from substream(seed, TAG_BATCH, b)."""
-    for b, done in enumerate(range(0, samples, _MC_BATCH)):
-        yield _sample_xi(ensemble.family, ensemble.p,
-                         substream(seed, TAG_BATCH, b),
-                         min(_MC_BATCH, samples - done))
-
-
-def _rademacher_histogram(p: int, samples: int,
-                          seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The values (2k - p) / sqrt(p) of xi_p that ``samples`` draws hit,
-    ascending, and their counts: the histogram's exact law Multinomial(
-    samples, C(p, k) / 2^p), drawn from substream(seed, TAG_BATCH, 0)."""
-    row, total = [1], 1 << p
-    for k in range(p):
-        row.append(row[-1] * (p - k) // (k + 1))
-    counts = substream(seed, TAG_BATCH, 0).multinomial(
-        samples, [c / total for c in row])  # each C(p, k) / 2^p rounded once
-    k = np.flatnonzero(counts)
-    return (2.0 * k - p) / np.sqrt(p), counts[k].astype(float)
+                          source=EXACT, exact_values=exact)
 
 
 def _power_sums(xi: np.ndarray, order: int,
@@ -208,8 +111,8 @@ def _power_sums(xi: np.ndarray, order: int,
     return sums
 
 
-def _mc_moments(ensemble: VectorEnsemble, power_sums: np.ndarray,
-                samples: int, order: int) -> MomentSequence:
+def _mc_moments(power_sums: np.ndarray, samples: int,
+                order: int) -> MomentSequence:
     """Monte Carlo moments m_0 ... m_order from sums of xi^j over the draws.
 
     m_0 is pinned to 1. Moment m_k gets the standard error
@@ -222,18 +125,16 @@ def _mc_moments(ensemble: VectorEnsemble, power_sums: np.ndarray,
     stderr = np.full(order + 1, np.nan)
     stderr[known] = np.sqrt(np.maximum(raw[2 * known] - values[known] ** 2,
                                        0.0) / samples)
-    return MomentSequence(values=values, source=MONTE_CARLO,
-                          family=ensemble.family, p=ensemble.p, stderr=stderr)
+    return MomentSequence(values=values, source=MONTE_CARLO, stderr=stderr)
 
 
 def xi_moments(ensemble: VectorEnsemble, K: int) -> MomentSequence:
     """Exact moments m_0 ... m_K of xi_p for the given ensemble, 2 <= K <= 16."""
     if not 2 <= K <= MAX_EXACT_ORDER:
         raise ValueError(f"need 2 <= K <= {MAX_EXACT_ORDER}, got {K}")
-    exact = _exact_xi_moments(ensemble.family, ensemble.p, K)
+    exact = FAMILIES[ensemble.family].xi_moments(ensemble.p, K)
     return MomentSequence(values=np.array([float(e) for e in exact]),
-                          source=EXACT, family=ensemble.family,
-                          p=ensemble.p, exact_values=exact)
+                          source=EXACT, exact_values=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +250,6 @@ class AdmissibleParams:
     nu: float
     nu_stderr: float
     tail_mass: float
-    family: str
-    p: int
     samples: int
 
     def __post_init__(self):
@@ -386,11 +285,9 @@ def envelope_coeffs(f: Envelope, ensemble: VectorEnsemble, L: int,
         return kv
 
     # row j holds sum k(xi)^j xi^m over the draws
-    draws = ([_rademacher_histogram(p, samples, seed)]
-             if ensemble.family == RADEMACHER else
-             ((xi, None) for xi in _xi_batches(ensemble, samples, seed)))
+    draws = FAMILIES[ensemble.family].xi_draws(p, samples, seed)
     sums = sum(_power_sums(xi, 2 * L, rescaled, 4, c) for xi, c in draws)
-    C = build_basis(_mc_moments(ensemble, sums[0], samples, 2 * L), L).factor
+    C = build_basis(_mc_moments(sums[0], samples, 2 * L), L).factor
 
     cross = sums[1, :L + 1] / samples
     coeffs = C @ cross
@@ -416,5 +313,4 @@ def envelope_coeffs(f: Envelope, ensemble: VectorEnsemble, L: int,
                       stacklevel=2)
     return AdmissibleParams(degree=L, coefficients=coeffs, stderr=errs,
                             a=float(coeffs[1]), nu=nu, nu_stderr=nu_stderr,
-                            tail_mass=tail, family=ensemble.family, p=p,
-                            samples=samples)
+                            tail_mass=tail, samples=samples)

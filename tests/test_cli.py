@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from kernelspectra import (ESD, VectorEnsemble, envelope_coeffs, load_esd,
                            mp_support, parse_envelope)
 from kernelspectra import orthopoly
 from kernelspectra.cli import cli_main
+from kernelspectra.ensembles import FAMILIES
 
 
 def test_unknown_subcommand_exits_one(capsys):
@@ -24,6 +26,13 @@ def test_unknown_flag_exits_one(capsys):
 
 def test_help_exits_zero(capsys):
     assert cli_main(["--help"]) == 0
+
+
+@pytest.mark.parametrize("command", ["simulate", "expand", "diagnose",
+                                     "swap-check"])
+def test_ensemble_help_lists_the_families(command, capsys):
+    assert cli_main([command, "--help"]) == 0
+    assert " | ".join(FAMILIES) in " ".join(capsys.readouterr().out.split())
 
 
 _IMPORT_GUARD = """
@@ -292,6 +301,12 @@ def test_diagnose_runs(capsys):
     assert "growth flagged: False" in printed
 
 
+def test_diagnose_rejects_unknown_family(capsys):
+    assert cli_main(["diagnose", "--ensemble", "cauchy"]) == 1
+    assert ("expected one of ('gaussian', 'rademacher', 'sphere')"
+            in capsys.readouterr().err)
+
+
 def test_diagnose_rejects_one_column_before_any_output(capsys):
     code = cli_main(["diagnose", "--ensemble", "gaussian", "--p", "50",
                      "--n", "1"])
@@ -352,10 +367,11 @@ def test_expand_stdout_is_pinned(family, capsys):
 
 def test_expand_rejects_degree_above_cap_before_sampling(capsys,
                                                         monkeypatch):
-    for draws in ("_xi_batches", "_rademacher_histogram"):
-        monkeypatch.setattr(orthopoly, draws,
-                            lambda *args: pytest.fail("expand drew samples"))
-    for family in ("gaussian", "rademacher"):
+    for family, record in FAMILIES.items():
+        monkeypatch.setitem(FAMILIES, family, dataclasses.replace(
+            record,
+            xi_draws=lambda *args: pytest.fail("expand drew samples")))
+    for family in FAMILIES:
         code = cli_main(["expand", "--ensemble", family, "--p", "500",
                          "--envelope", "sign-scaled", "--degree", "7"])
         assert code == 1

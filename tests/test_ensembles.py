@@ -1,4 +1,7 @@
+import ast
 import mmap
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,7 +111,7 @@ def test_sampling_is_deterministic_and_column_keyed():
     assert not np.array_equal(a.data, d.data)
 
 
-@pytest.mark.parametrize("family", ["gaussian", "rademacher", "sphere"])
+@pytest.mark.parametrize("family", FAMILIES)
 def test_families_are_normalized(family):
     ens = VectorEnsemble(family, 400)
     S = sample_matrix(ens, 200, seed=5)
@@ -117,8 +120,9 @@ def test_families_are_normalized(family):
 
 
 def test_invalid_arguments():
-    with pytest.raises(ValueError):
-        VectorEnsemble("cauchy", 10)
+    with pytest.raises(ValueError, match=re.escape(
+            "expected one of ('gaussian', 'rademacher', 'sphere')")):
+        VectorEnsemble("cauchy", 3)
     with pytest.raises(ValueError):
         VectorEnsemble("gaussian", 0)
     with pytest.raises(ValueError):
@@ -239,3 +243,25 @@ def test_norm_deviation_decreases_stochastically_in_p():
             devs.append(concentration_diagnostic(S, gram(S)).max_norm_dev)
         medians.append(np.median(devs))
     assert medians[1] < medians[0]
+
+
+def test_only_ensembles_names_a_family():
+    # A family's behaviour lives in its FAMILIES record, so no other module
+    # names a family constant or compares a value with a family name.
+    constants = {"GAUSSIAN", "RADEMACHER", "SPHERE"}
+    package = Path(ensembles.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name in ("ensembles.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            assert name not in constants, where
+            if isinstance(node, ast.Compare):
+                for op in (node.left, *node.comparators):
+                    items = getattr(op, "elts", [op])
+                    assert not any(isinstance(e, ast.Constant)
+                                   and e.value in FAMILIES
+                                   for e in items), where

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -13,11 +14,11 @@ from kernelspectra import (DegeneracyError, Envelope, EnvelopeError,
                            VectorEnsemble, build_basis, envelope_coeffs,
                            gaussian_limit_moments, hermite, hermite_deviation,
                            parse_envelope, xi_moments)
-from kernelspectra import orthopoly
+from kernelspectra import ensembles
+from kernelspectra.ensembles import FAMILIES
 from kernelspectra.orthopoly import (_CHUNK, EXACT, MONTE_CARLO,
                                     MomentSequence, _mc_moments,
                                     _orthonormal_factor, _power_sums,
-                                    _rademacher_histogram, _xi_batches,
                                     normal_moment)
 
 polyval = np.polynomial.polynomial.polyval
@@ -95,7 +96,7 @@ def test_sphere_moments_match_gamma_ratio_oracle(p):
 
 
 def test_second_moment_is_exactly_one():
-    for family in ("gaussian", "rademacher", "sphere"):
+    for family in FAMILIES:
         for p in (1, 7, 64):
             m = xi_moments(VectorEnsemble(family, p), K=4)
             assert m.exact(2) == 1
@@ -105,7 +106,7 @@ def test_second_moment_is_exactly_one():
 
 def test_moment_matching_decays_like_one_over_p():
     # |m_k(p) - E N^k| <= C_k / p, checked as a decreasing sequence
-    for family in ("gaussian", "rademacher", "sphere"):
+    for family in FAMILIES:
         for k in range(3, 9):
             devs = []
             for p in (10, 100, 1000, 10000):
@@ -124,22 +125,24 @@ def test_xi_moments_rejects_order_outside_two_to_sixteen():
             xi_moments(VectorEnsemble("gaussian", 10), K=K)
 
 
+def _draws(ens, samples, seed):
+    """The (values, counts) pairs envelope_coeffs draws for ``ens``."""
+    return list(FAMILIES[ens.family].xi_draws(ens.p, samples, seed))
+
+
 def _mc_power_sums(ens, order, samples, seed):
     """Row 0 of the power sums that envelope_coeffs forms for ``ens``."""
-    if ens.family == "rademacher":
-        xi, counts = _rademacher_histogram(ens.p, samples, seed)
-        return _power_sums(xi, order, counts=counts)[0]
-    return sum(_power_sums(xi, order)[0]
-               for xi in _xi_batches(ens, samples, seed))
+    return sum(_power_sums(xi, order, counts=counts)[0]
+               for xi, counts in _draws(ens, samples, seed))
 
 
 def test_monte_carlo_moments_agree_with_exact():
     # the Monte Carlo route of envelope_coeffs against the exact moments
-    for family in ("gaussian", "rademacher", "sphere"):
+    for family in FAMILIES:
         ens = VectorEnsemble(family, 50)
         exact = xi_moments(ens, K=6)
         sums = _mc_power_sums(ens, 12, 200_000, 3)
-        mc = _mc_moments(ens, sums, 200_000, 6)
+        mc = _mc_moments(sums, 200_000, 6)
         for k in range(2, 7):
             tol = 5.0 * mc.stderr[k] + 1e-9
             assert abs(mc.values[k] - float(exact.values[k])) < tol, (family, k)
@@ -150,14 +153,13 @@ def test_rademacher_histogram_moments_match_exact(p):
     # the counts are the histogram of ``samples`` draws of xi_p, so its
     # moments estimate the exact ones within their standard errors
     samples = 200_000
-    xi, counts = _rademacher_histogram(p, samples, 5)
+    [(xi, counts)] = _draws(VectorEnsemble("rademacher", p), samples, 5)
     assert counts.sum() == samples and np.all(counts > 0)
     heads = (xi * np.sqrt(p) + p) / 2.0  # xi = (2k - p) / sqrt(p)
     assert np.allclose(heads, np.round(heads), rtol=0.0, atol=1e-9)
     assert np.all(np.diff(heads) > 0.5)
     assert heads[0] > -0.5 and heads[-1] < p + 0.5
-    mc = _mc_moments(VectorEnsemble("rademacher", p),
-                     _mc_power_sums(VectorEnsemble("rademacher", p), 12,
+    mc = _mc_moments(_mc_power_sums(VectorEnsemble("rademacher", p), 12,
                                     samples, 5), samples, 6)
     exact = xi_moments(VectorEnsemble("rademacher", p), K=6)
     for k in range(2, 7):
@@ -174,8 +176,8 @@ def test_rademacher_pmf_is_exact_at_large_p(monkeypatch):
             seen["pmf"] = pvals
             return np.bincount([p // 2], minlength=p + 1) * samples
 
-    monkeypatch.setattr(orthopoly, "substream", lambda *args: Stream())
-    xi, counts = _rademacher_histogram(p, 1000, 0)
+    monkeypatch.setattr(ensembles, "substream", lambda *args: Stream())
+    [(xi, counts)] = _draws(VectorEnsemble("rademacher", p), 1000, 0)
     assert xi.tolist() == [0.0] and counts.tolist() == [1000.0]
     pmf = seen["pmf"]
     assert len(pmf) == p + 1 and abs(math.fsum(pmf) - 1.0) <= 1e-12
@@ -184,12 +186,22 @@ def test_rademacher_pmf_is_exact_at_large_p(monkeypatch):
 
 
 def test_rademacher_never_draws_single_values(monkeypatch):
-    monkeypatch.setattr(orthopoly, "_sample_xi",
-                        lambda *args: pytest.fail("drew single values"))
+    # every draw comes as at most p + 1 atoms with their counts
+    record, sizes = FAMILIES["rademacher"], []
+
+    def atoms_only(p, samples, seed):
+        for xi, counts in record.xi_draws(p, samples, seed):
+            if counts is None or xi.size > p + 1:
+                pytest.fail("drew single values")
+            sizes.append(xi.size)
+            yield xi, counts
+
+    monkeypatch.setitem(FAMILIES, "rademacher",
+                        dataclasses.replace(record, xi_draws=atoms_only))
     params = envelope_coeffs(parse_envelope("exp:a=1"),
                              VectorEnsemble("rademacher", 60), L=3,
                              samples=1_000_000, seed=2)
-    assert params.samples == 1_000_000
+    assert params.samples == 1_000_000 and len(sizes) == 1
 
 
 def test_envelope_is_evaluated_only_at_drawn_atoms():
@@ -210,7 +222,7 @@ def test_envelope_is_evaluated_only_at_drawn_atoms():
 
 def test_non_finite_envelope_reports_smallest_drawn_atom():
     ens, n, seed = VectorEnsemble("rademacher", 40), 100_000, 6
-    xi, _ = _rademacher_histogram(ens.p, n, seed)
+    [(xi, _)] = _draws(ens, n, seed)
     wide = Envelope("wide", lambda x, p: np.where(np.abs(x) > 0.5,
                                                   np.inf, x))
     with pytest.raises(EnvelopeError) as err:
@@ -465,7 +477,7 @@ def test_plancherel_consistency_and_admissibility():
     assert params.tail_mass >= -1e-9
 
 
-@pytest.mark.parametrize("family", ["gaussian", "rademacher", "sphere"])
+@pytest.mark.parametrize("family", FAMILIES)
 def test_constant_envelopes_neither_warn_nor_raise(family):
     # k = c sqrt(p) is constant, so nu is 0 exactly and rounds by a
     # multiple of E k^2 = c^2 p; absolute floors on the tail and on
@@ -489,7 +501,7 @@ def test_envelope_coeffs_match_per_draw_means(envelope, family):
     f, ens = parse_envelope(envelope), VectorEnsemble(family, 40)
     L, n, seed = 4, 20_000, 14
     params = envelope_coeffs(f, ens, L, samples=n, seed=seed)
-    xi = np.concatenate(list(_xi_batches(ens, n, seed)))
+    xi = np.concatenate([xi for xi, _ in _draws(ens, n, seed)])
     raw = np.array([np.mean(xi ** j) for j in range(2 * L + 1)])
     stderr = np.sqrt((raw[[0, 2, 4]] - raw[:3] ** 2) / n)
     basis = build_basis(MomentSequence(values=raw, source=MONTE_CARLO,
@@ -524,7 +536,7 @@ def test_envelope_coeffs_reports_first_bad_draw_past_first_chunk():
     # non-finite only above the largest x of the first chunk, so the first
     # bad draw lies in a later chunk of the first batch
     ens, n, seed = VectorEnsemble("gaussian", 40), 50_000, 17
-    xi = np.concatenate(list(_xi_batches(ens, n, seed)))
+    xi = np.concatenate([xi for xi, _ in _draws(ens, n, seed)])
     x = xi / np.sqrt(ens.p)
     threshold = x[:_CHUNK].max()
     first = int(np.argmax(x > threshold))
