@@ -11,8 +11,8 @@ from .experiments import (ExperimentConfig, ExperimentResult,
                           PerturbationReport, load_config, parse_config,
                           run_l2_perturbation, run_universality)
 from .kernels import (INNER_PRODUCT, KEEP, SQUARED_DISTANCE, ZERO, Envelope,
-                      EnvelopeAnalytic, KernelSpec, build, gram, linearized,
-                      parse_envelope, single_entry_swap)
+                      KernelSpec, build, gram, linearized, parse_envelope,
+                      single_entry_swap)
 from .limit_solver import (LimitLaw, load_limit_law, save_limit_law,
                            solve_grid, solve_point)
 from .mp_theory import (AffineMPLaw, mp_atom_mass, mp_cdf, mp_density,
@@ -30,7 +30,7 @@ __all__ = [
     "GAUSSIAN", "RADEMACHER", "SPHERE", "VectorEnsemble", "SampleMatrix",
     "sample_matrix", "moment_diagnostic", "concentration_diagnostic",
     "MomentDiagnostic", "ConcentrationDiagnostic",
-    "Envelope", "EnvelopeAnalytic", "parse_envelope", "KernelSpec",
+    "Envelope", "parse_envelope", "KernelSpec",
     "INNER_PRODUCT", "SQUARED_DISTANCE", "KEEP", "ZERO",
     "gram", "build", "linearized", "single_entry_swap",
     "ESD", "eigenvalues", "empirical_stieltjes",

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation/usage error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 import numpy as np
@@ -16,8 +17,8 @@ from .ensembles import (FAMILIES, VectorEnsemble, concentration_diagnostic,
 from .errors import KernelSpectraError
 from .experiments import (ExperimentConfig, load_config, parse_config,
                           run_universality, trial_samples, write_law_csv)
-from .kernels import (KernelSpec, build, gram, parse_envelope,
-                      single_entry_swap)
+from .kernels import (ENVELOPE_FACTORIES, KernelSpec, build, gram,
+                      parse_envelope, single_entry_swap)
 from .limit_solver import save_limit_law, solve_grid
 from .mp_theory import AffineMPLaw, predicted_law
 from .orthopoly import envelope_coeffs
@@ -26,14 +27,22 @@ from .spectral import ESD, eigenvalues, save_esd
 _ENSEMBLE_HELP = " | ".join(FAMILIES)
 
 
+def _envelope_usage(name: str) -> str:
+    params = inspect.signature(ENVELOPE_FACTORIES[name]).parameters
+    if not params:
+        return name
+    return f"{name}:" + ",".join(f"{k}=<{k}>" for k in params)
+
+
+_ENVELOPE_HELP = " | ".join(map(_envelope_usage, ENVELOPE_FACTORIES))
+
+
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ensemble", default="gaussian", help=_ENSEMBLE_HELP)
     p.add_argument("--p", type=int, default=200, help="vector dimension")
     p.add_argument("--n", type=int, default=400, help="matrix size")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--envelope", default="identity",
-                   help="e.g. identity, exp:a=1, power:a=0.5, sign-scaled, "
-                        "nonsmooth-sin, const:c=1")
+    p.add_argument("--envelope", default="identity", help=_ENVELOPE_HELP)
     p.add_argument("--kernel", default="inner", help="inner | distance")
     p.add_argument("--diag", default="zero", help="keep | zero")
 
@@ -54,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pred.add_argument("--gamma", type=float, default=1.0)
     pred.add_argument("--shift", type=float, default=None)
     pred.add_argument("--scale", type=float, default=None)
-    pred.add_argument("--envelope", default=None)
+    pred.add_argument("--envelope", default=None, help=_ENVELOPE_HELP)
     pred.add_argument("--kernel", default="inner")
     pred.add_argument("--diag", default="keep")
     pred.add_argument("--a", type=float, default=None)
@@ -65,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("expand", help="envelope coefficient table")
     exp.add_argument("--ensemble", default="gaussian", help=_ENSEMBLE_HELP)
     exp.add_argument("--p", type=int, default=500)
-    exp.add_argument("--envelope", required=True)
+    exp.add_argument("--envelope", required=True, help=_ENVELOPE_HELP)
     exp.add_argument("--degree", type=int, default=4)
     exp.add_argument("--samples", type=int, default=1_000_000)
     exp.add_argument("--seed", type=int, default=0)

@@ -35,11 +35,9 @@ class SolverError(KernelSpectraError):
     cubic with Im m > 0, and when a grid misses part of the law's mass.
     """
 
-    def __init__(self, message: str, z: complex | None = None,
-                 residual: float | None = None):
+    def __init__(self, message: str, z: complex | None = None):
         super().__init__(message)
         self.z = z
-        self.residual = residual
 
 
 class NumericalError(KernelSpectraError):

@@ -17,9 +17,8 @@ import numpy as np
 
 from ._csvio import write_table
 from ._rng import TAG_BATCH, TAG_TRIAL, derive_seed
-from .ensembles import (FAMILIES, ConcentrationDiagnostic, SampleMatrix,
-                        VectorEnsemble, concentration_diagnostic,
-                        sample_matrix)
+from .ensembles import (ConcentrationDiagnostic, SampleMatrix, VectorEnsemble,
+                        concentration_diagnostic, sample_matrix)
 from .errors import KernelSpectraError
 from .kernels import (DIAGONALS, KERNELS, Envelope, KernelSpec, build, gram,
                       parse_envelope)
@@ -61,12 +60,11 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if self.ensemble not in FAMILIES:
-            raise ValueError(f"unknown ensemble {self.ensemble!r}")
-        if self.ensemble_b is not None and self.ensemble_b not in FAMILIES:
-            raise ValueError(f"unknown ensemble_b {self.ensemble_b!r}")
         if self.p < 1 or self.n < 1:
             raise ValueError(f"need p >= 1 and n >= 1, got p={self.p}, n={self.n}")
+        VectorEnsemble(self.ensemble, self.p)  # rejects an unknown family
+        if self.ensemble_b is not None:
+            VectorEnsemble(self.ensemble_b, self.p)
         if self.trials < 1:
             raise ValueError(f"need trials >= 1, got {self.trials}")
         if self.n * self.trials > MAX_N_TRIALS:
@@ -92,8 +90,8 @@ class ExperimentConfig:
                              f"got {self.epsilon}")
         if not self.z_grid:
             raise ValueError("z_grid needs at least one point")
-        if any(np.imag(z) <= 0 for z in self.z_grid):
-            raise ValueError("z_grid points must have Im z > 0")
+        if any(np.imag(z) <= 0 or not np.isfinite(z) for z in self.z_grid):
+            raise ValueError("z_grid points must be finite with Im z > 0")
 
     @property
     def gamma(self) -> float:

@@ -14,7 +14,7 @@ kernel specification.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -34,53 +34,31 @@ _BLOCK_ENTRIES = 2 ** 16  # entries in one row block (512 KB)
 
 
 @dataclass(frozen=True)
-class EnvelopeAnalytic:
-    """Known envelope values at the points the linearization theorems use.
-
-    Entries are None when unavailable; p-dependent envelopes omit any
-    value that varies with p.
-    """
-
-    f0: float | None = None   # f(0)
-    d0: float | None = None   # f'(0)
-    f1: float | None = None   # f(1)
-    f2: float | None = None   # f(2)
-    d2: float | None = None   # f'(2)
-
-
-@dataclass(frozen=True)
 class Envelope:
     """Scalar envelope f(x, p), deterministic and total on the reals.
 
     ``fn`` must accept numpy arrays in x and broadcast entrywise.
     Degenerate points are handled by explicit extension inside ``fn``
     (e.g. the nonsmooth oscillatory envelope takes the value 0 at x = 0).
+    ``slopes`` holds (x0, f'(x0)) pairs known in closed form; p-dependent
+    envelopes omit any slope that varies with p.
     """
 
     name: str
     fn: Callable[[np.ndarray, int], np.ndarray]
-    analytic: EnvelopeAnalytic = field(default_factory=EnvelopeAnalytic)
+    slopes: tuple[tuple[float, float], ...] = ()
 
     def __call__(self, x, p: int):
         return self.fn(np.asarray(x, dtype=float), p)
 
     def value(self, x0: float, p: int) -> float:
-        """f(x0, p), preferring the analytic record at 0, 1, 2."""
-        for point, name in ((0.0, "f0"), (1.0, "f1"), (2.0, "f2")):
-            if x0 == point:
-                known = getattr(self.analytic, name)
-                if known is not None:
-                    return float(known)
         with np.errstate(over="ignore"):  # callers reject a non-finite value
             return float(self(x0, p))
 
     def derivative(self, x0: float, p: int) -> float:
-        """f'(x0, p): analytic record if present, else numeric fallback."""
-        if x0 == 0.0 and self.analytic.d0 is not None:
-            return float(self.analytic.d0)
-        if x0 == 2.0 and self.analytic.d2 is not None:
-            return float(self.analytic.d2)
-        return numeric_derivative(self, x0, p)
+        """f'(x0, p): the recorded slope if present, else numeric."""
+        slopes = dict(self.slopes)
+        return slopes[x0] if x0 in slopes else numeric_derivative(self, x0, p)
 
 
 def numeric_derivative(envelope: Envelope, x0: float, p: int) -> float:
@@ -122,48 +100,44 @@ def numeric_derivative(envelope: Envelope, x0: float, p: int) -> float:
 # ---------------------------------------------------------------------------
 
 def identity_envelope() -> Envelope:
-    return Envelope("identity", lambda x, p: x,
-                    EnvelopeAnalytic(f0=0.0, d0=1.0, f1=1.0, f2=2.0, d2=1.0))
+    return Envelope("identity", lambda x, p: x, ((0.0, 1.0), (2.0, 1.0)))
 
 
 def constant_envelope(c: float = 1.0) -> Envelope:
     return Envelope(f"const:c={c:g}",
                     lambda x, p, c=c: np.full_like(np.asarray(x, dtype=float), c),
-                    EnvelopeAnalytic(f0=c, d0=0.0, f1=c, f2=c, d2=0.0))
+                    ((0.0, 0.0), (2.0, 0.0)))
+
+
+def _finite_slopes(*pairs: tuple[float, float]) -> tuple[tuple[float, float], ...]:
+    return tuple((x0, float(d)) for x0, d in pairs if np.isfinite(d))
 
 
 def exp_envelope(a: float = 1.0) -> Envelope:
-    def finite_or_none(v: float) -> float | None:
-        return float(v) if np.isfinite(v) else None
-
     with np.errstate(over="ignore"):
-        analytic = EnvelopeAnalytic(f0=1.0, d0=a,
-                                    f1=finite_or_none(np.exp(a)),
-                                    f2=finite_or_none(np.exp(2 * a)),
-                                    d2=finite_or_none(a * np.exp(2 * a)))
-    return Envelope(f"exp:a={a:g}", lambda x, p, a=a: np.exp(a * x), analytic)
+        d2 = a * np.exp(2 * a)
+    return Envelope(f"exp:a={a:g}", lambda x, p, a=a: np.exp(a * x),
+                    _finite_slopes((0.0, a), (2.0, d2)))
 
 
 def power_envelope(a: float) -> Envelope:
     """f(x) = (1 + x)^a for a > 0, extended by |1 + x|^a below x = -1."""
     if a <= 0:
         raise ValueError(f"power envelope needs a > 0, got {a}")
+    with np.errstate(over="ignore"):
+        d2 = a * np.float64(3.0) ** (a - 1)
     return Envelope(f"power:a={a:g}",
                     lambda x, p, a=a: np.abs(1.0 + x) ** a,
-                    EnvelopeAnalytic(f0=1.0, d0=a, f1=float(2.0 ** a),
-                                     f2=float(3.0 ** a),
-                                     d2=float(a * 3.0 ** (a - 1))))
+                    _finite_slopes((0.0, a), (2.0, d2)))
 
 
 def sign_scaled_envelope() -> Envelope:
     """p-dependent envelope f(x, p) = sign(x) / sqrt(p).
 
-    Not differentiable at 0, so only f(0) = 0 is recorded; the scaled
-    form sqrt(p) f(x / sqrt(p), p) = sign(x) is p-independent.
+    Not differentiable at 0, so no slope is recorded; the scaled form
+    sqrt(p) f(x / sqrt(p), p) = sign(x) is p-independent.
     """
-    return Envelope("sign-scaled",
-                    lambda x, p: np.sign(x) / np.sqrt(p),
-                    EnvelopeAnalytic(f0=0.0))
+    return Envelope("sign-scaled", lambda x, p: np.sign(x) / np.sqrt(p))
 
 
 def nonsmooth_sin_envelope() -> Envelope:
@@ -177,12 +151,8 @@ def nonsmooth_sin_envelope() -> Envelope:
             inv = np.divide(1.0, x, out=np.zeros_like(x), where=x != 0.0)
             return x + x * x * np.sin(inv)
 
-    d2 = 1.0 + 4.0 * np.sin(0.5) - np.cos(0.5)
-    return Envelope("nonsmooth-sin", fn,
-                    EnvelopeAnalytic(f0=0.0, d0=1.0,
-                                     f1=float(1.0 + np.sin(1.0)),
-                                     f2=float(2.0 + 4.0 * np.sin(0.5)),
-                                     d2=float(d2)))
+    d2 = float(1.0 + 4.0 * np.sin(0.5) - np.cos(0.5))
+    return Envelope("nonsmooth-sin", fn, ((0.0, 1.0), (2.0, d2)))
 
 
 ENVELOPE_FACTORIES: dict[str, Callable[..., Envelope]] = {
@@ -203,7 +173,8 @@ def parse_envelope(text: str) -> Envelope:
         raise ValueError(f"unknown envelope {name!r}; "
                          f"known: {sorted(ENVELOPE_FACTORIES)}")
     factory = ENVELOPE_FACTORIES[name]
-    accepted = list(inspect.signature(factory).parameters)
+    parameters = inspect.signature(factory).parameters
+    accepted = list(parameters)
     kwargs: dict[str, float] = {}
     if params:
         for item in params.split(","):
@@ -218,6 +189,10 @@ def parse_envelope(text: str) -> Envelope:
                 raise ValueError(f"envelope parameter {key!r} must be given "
                                  f"once and be finite, got {text!r}")
             kwargs[key] = float(val)
+    for key, param in parameters.items():
+        if param.default is param.empty and key not in kwargs:
+            raise ValueError(f"envelope {name!r} needs parameter {key!r}, "
+                             f"got {text!r}")
     return factory(**kwargs)
 
 

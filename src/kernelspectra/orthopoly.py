@@ -19,11 +19,8 @@ from typing import Callable
 import numpy as np
 
 from .ensembles import FAMILIES, VectorEnsemble, normal_moment
-from .errors import CapabilityError, DegeneracyError, EnvelopeError
+from .errors import DegeneracyError, EnvelopeError
 from .kernels import Envelope
-
-EXACT = "exact-combinatorial"
-MONTE_CARLO = "monte-carlo"
 
 MAX_EXACT_ORDER = 16
 # The degeneracy rule below rejects M_7 for every moment sequence: on the
@@ -41,44 +38,33 @@ _ROUNDING_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class MomentSequence:
-    """Moments m_0, ..., m_K of xi_p or of its Gaussian limit."""
+    """Exact moments m_0, ..., m_K of xi_p or of its Gaussian limit."""
 
-    values: np.ndarray
-    source: str
-    stderr: np.ndarray | None = None
-    exact_values: tuple[Fraction, ...] | None = None
+    exact_values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if vals.size < 3:
+        if len(self.exact_values) < 3:
             raise ValueError("a moment sequence needs at least m_0, m_1, m_2")
-        tol = np.zeros(3)
-        if self.source == MONTE_CARLO and self.stderr is not None:
-            tol = 5.0 * np.nan_to_num(np.asarray(self.stderr)[:3]) + 1e-12
-        checks = (abs(vals[0] - 1.0), abs(vals[1]), abs(vals[2] - 1.0))
-        for idx, err in enumerate(checks):
-            if err > tol[idx] + 1e-12:
-                raise ValueError(
-                    f"moment sequence violates normalization: m_{idx} off by "
-                    f"{err:.3g} (source {self.source})")
+        if tuple(self.exact_values[:3]) != (1, 0, 1):
+            raise ValueError("moment sequence violates normalization: "
+                             "(m_0, m_1, m_2) must be (1, 0, 1)")
+
+    @property
+    def values(self) -> np.ndarray:
+        return np.array([float(e) for e in self.exact_values])
 
     @property
     def order(self) -> int:
-        return self.values.size - 1
+        return len(self.exact_values) - 1
 
     def exact(self, k: int) -> Fraction:
-        if self.exact_values is None:
-            raise CapabilityError("exact values only exist for the "
-                                  "combinatorial source")
         return self.exact_values[k]
 
 
 def gaussian_limit_moments(order: int) -> MomentSequence:
     """Moments of the standard normal: the p -> infinity limit of xi_p."""
-    exact = tuple(Fraction(normal_moment(k)) for k in range(order + 1))
-    return MomentSequence(values=np.array([float(e) for e in exact]),
-                          source=EXACT, exact_values=exact)
+    return MomentSequence(tuple(Fraction(normal_moment(k))
+                                for k in range(order + 1)))
 
 
 def _power_sums(xi: np.ndarray, order: int,
@@ -111,30 +97,11 @@ def _power_sums(xi: np.ndarray, order: int,
     return sums
 
 
-def _mc_moments(power_sums: np.ndarray, samples: int,
-                order: int) -> MomentSequence:
-    """Monte Carlo moments m_0 ... m_order from sums of xi^j over the draws.
-
-    m_0 is pinned to 1. Moment m_k gets the standard error
-    sqrt((mean xi^2k - m_k^2) / samples) when xi^2k was summed, else NaN.
-    """
-    raw = power_sums / samples
-    values = raw[:order + 1].copy()
-    values[0] = 1.0
-    known = np.arange(min(order, (raw.size - 1) // 2) + 1)
-    stderr = np.full(order + 1, np.nan)
-    stderr[known] = np.sqrt(np.maximum(raw[2 * known] - values[known] ** 2,
-                                       0.0) / samples)
-    return MomentSequence(values=values, source=MONTE_CARLO, stderr=stderr)
-
-
 def xi_moments(ensemble: VectorEnsemble, K: int) -> MomentSequence:
     """Exact moments m_0 ... m_K of xi_p for the given ensemble, 2 <= K <= 16."""
     if not 2 <= K <= MAX_EXACT_ORDER:
         raise ValueError(f"need 2 <= K <= {MAX_EXACT_ORDER}, got {K}")
-    exact = FAMILIES[ensemble.family].xi_moments(ensemble.p, K)
-    return MomentSequence(values=np.array([float(e) for e in exact]),
-                          source=EXACT, exact_values=exact)
+    return MomentSequence(FAMILIES[ensemble.family].xi_moments(ensemble.p, K))
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +124,9 @@ def _hankel(values: np.ndarray, j: int) -> np.ndarray:
     return np.array([[values[r + c] for c in range(j + 1)] for r in range(j + 1)])
 
 
-def _orthonormal_factor(m: MomentSequence, k: int) -> np.ndarray:
-    """C = L^{-1} for the Cholesky factor M_k = L L^T of the Hankel matrix.
+def _orthonormal_factor(values: np.ndarray, k: int) -> np.ndarray:
+    """C = L^{-1} for the Cholesky factor M_k = L L^T of the Hankel matrix
+    of the moments ``values`` = m_0, m_1, ...
 
     Row j of C holds p_j's ascending coefficients: C M_k C^T = I, C_jj > 0.
     The first j whose M_j has no Cholesky factor, or whose det M_j =
@@ -167,10 +135,10 @@ def _orthonormal_factor(m: MomentSequence, k: int) -> np.ndarray:
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    if m.order < 2 * k:
+    if len(values) <= 2 * k:
         raise ValueError(f"need moments up to order {2 * k} for degree {k}, "
-                         f"have {m.order}")
-    M = _hankel(m.values, k)
+                         f"have {len(values) - 1}")
+    M = _hankel(values, k)
     for j in range(k + 1):
         try:
             L = np.linalg.cholesky(M[:j + 1, :j + 1])
@@ -217,7 +185,7 @@ def build_basis(m: MomentSequence, degree: int) -> OrthoBasis:
     if degree > MAX_DEGREE:
         raise ValueError(f"degree capped at {MAX_DEGREE}, got {degree}")
     return OrthoBasis(moments=m, degree=degree,
-                      factor=_orthonormal_factor(m, degree))
+                      factor=_orthonormal_factor(m.values, degree))
 
 
 def hermite_deviation(basis: OrthoBasis, k: int, grid) -> float:
@@ -287,7 +255,7 @@ def envelope_coeffs(f: Envelope, ensemble: VectorEnsemble, L: int,
     # row j holds sum k(xi)^j xi^m over the draws
     draws = FAMILIES[ensemble.family].xi_draws(p, samples, seed)
     sums = sum(_power_sums(xi, 2 * L, rescaled, 4, c) for xi, c in draws)
-    C = build_basis(_mc_moments(sums[0], samples, 2 * L), L).factor
+    C = _orthonormal_factor(sums[0] / samples, L)
 
     cross = sums[1, :L + 1] / samples
     coeffs = C @ cross

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from kernelspectra import (ESD, VectorEnsemble, envelope_coeffs, load_esd,
 from kernelspectra import orthopoly
 from kernelspectra.cli import cli_main
 from kernelspectra.ensembles import FAMILIES
+from kernelspectra.kernels import ENVELOPE_FACTORIES
 
 
 def test_unknown_subcommand_exits_one(capsys):
@@ -33,6 +35,18 @@ def test_help_exits_zero(capsys):
 def test_ensemble_help_lists_the_families(command, capsys):
     assert cli_main([command, "--help"]) == 0
     assert " | ".join(FAMILIES) in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("command", ["simulate", "swap-check", "predict",
+                                     "expand"])
+def test_envelope_help_lists_the_registry(command, capsys):
+    assert cli_main([command, "--help"]) == 0
+    usages = []
+    for name, factory in ENVELOPE_FACTORIES.items():
+        params = inspect.signature(factory).parameters
+        usages.append(f"{name}:" + ",".join(f"{k}=<{k}>" for k in params)
+                      if params else name)
+    assert " | ".join(usages) in " ".join(capsys.readouterr().out.split())
 
 
 _IMPORT_GUARD = """
@@ -215,6 +229,8 @@ def test_unknown_envelope_parameter_exits_one(argv, accepted, capsys):
     (["compare", "--set", "envelope=power:a=nan"], "'a'"),
     (["compare", "--set", "envelope=const:c=inf"], "'c'"),
     (["predict", "--law", "mp", "--envelope", "exp:a=nan"], "'a'"),
+    (["compare", "--set", "envelope=power"], "'a'"),  # missing
+    (["predict", "--law", "mp", "--envelope", "power"], "'a'"),
 ])
 def test_repeated_or_non_finite_envelope_parameter_exits_one_before_any_trial(
         argv, key, capsys, monkeypatch):
@@ -236,20 +252,30 @@ def test_compare_rejects_non_finite_epsilon(capsys):
     assert "epsilon" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("settings", [
-    ["target=functional-equation", "law_a=-1", "law_nu=1"],
-    ["target=functional-equation", "law_a=1", "law_nu=0.5"],
-    ["target=cross-ensemble", "ensemble_b=sphere", "law_a=1"],
-    ["gamma=0.3"],
-    ["target=cross-ensemble", "ensemble_b=gaussian"],  # same as ensemble
+_FAMILY_TEXT = "expected one of ('gaussian', 'rademacher', 'sphere')"
+
+
+@pytest.mark.parametrize("settings, text", [
+    (["target=functional-equation", "law_a=-1", "law_nu=1"], "error:"),
+    (["target=functional-equation", "law_a=1", "law_nu=0.5"], "error:"),
+    (["target=cross-ensemble", "ensemble_b=sphere", "law_a=1"], "error:"),
+    (["gamma=0.3"], "error:"),
+    (["target=cross-ensemble", "ensemble_b=gaussian"],  # same as ensemble
+     "error:"),
+    (["ensemble=cauchy"], _FAMILY_TEXT),
+    (["target=cross-ensemble", "ensemble_b=cauchy"], _FAMILY_TEXT),
+    (["z_grid=nan+1j"], "z_grid points must be finite"),
+    (["z_grid=1+1j;inf+1j"], "z_grid points must be finite"),
 ])
-def test_compare_rejects_bad_law_or_gamma_before_any_trial(settings, capsys):
+def test_compare_rejects_bad_law_or_gamma_before_any_trial(settings, text,
+                                                           capsys):
     argv = ["compare", "--set", "p=20", "--set", "n=40"]
     for item in settings:
         argv += ["--set", item]
     assert cli_main(argv) == 1
     captured = capsys.readouterr()
     assert "error:" in captured.err and captured.out == ""
+    assert text in captured.err
 
 
 def test_compare_with_config_file(tmp_path, capsys):
@@ -363,6 +389,31 @@ def test_expand_stdout_is_pinned(family, capsys):
                      "--seed", "3"])
     assert code == 0
     assert capsys.readouterr().out == EXPAND_STDOUT[family]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_expand_at_degree_one_gives_the_first_coefficients(family, capsys):
+    argv = ["expand", "--envelope", "sign-scaled", "--ensemble", family,
+            "--p", "50", "--samples", "20000"]
+    assert cli_main([*argv, "--degree", "1"]) == 0
+    assert "a=" in capsys.readouterr().out
+    f, ens = parse_envelope("sign-scaled"), VectorEnsemble(family, 50)
+    low = envelope_coeffs(f, ens, 1, samples=20000)
+    high = envelope_coeffs(f, ens, 4, samples=20000)
+    assert np.allclose(low.coefficients, high.coefficients[:2], rtol=1e-12,
+                       atol=0.0)
+    assert abs(low.nu - high.nu) <= 1e-12 * high.nu
+
+
+def test_power_envelope_beyond_float_range_predicts_or_fails_cleanly(
+        capsys):
+    argv = ["predict", "--law", "mp", "--envelope", "power:a=1000"]
+    assert cli_main([*argv, "--kernel", "inner", "--diag", "zero"]) == 0
+    out = capsys.readouterr().out
+    assert "'shift': -1001.0" in out and "'scale': 1000.0" in out
+    assert cli_main([*argv, "--kernel", "distance", "--diag", "keep"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "is not finite" in err
 
 
 def test_expand_rejects_degree_above_cap_before_sampling(capsys,

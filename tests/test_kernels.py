@@ -11,7 +11,7 @@ from kernelspectra import (DerivativeError, Envelope, EnvelopeError,
                            gram, linearized, parse_envelope,
                            single_entry_swap)
 from kernelspectra import kernels
-from kernelspectra.kernels import numeric_derivative
+from kernelspectra.kernels import ENVELOPE_FACTORIES, numeric_derivative
 
 
 def _sample(family="gaussian", p=60, n=40, seed=0):
@@ -442,7 +442,7 @@ def test_numeric_derivative_of_registered_envelopes_is_central_richardson(
 def test_nonsmooth_sin_extension_and_derivative():
     env = parse_envelope("nonsmooth-sin")
     assert env(0.0, 1) == 0.0
-    assert env.analytic.d0 == 1.0
+    assert env.derivative(0.0, 1) == 1.0
     x = 1.0 / (100.5 * np.pi)
     assert abs(env(x, 1) - (x + x * x * np.sin(1.0 / x))) < 1e-18
 
@@ -464,11 +464,23 @@ def test_parse_envelope_errors():
         parse_envelope("exp:a")
 
 
-def test_envelope_analytic_values_match_eval():
-    for name in ("identity", "exp:a=0.7", "power:a=1.5", "nonsmooth-sin",
-                 "const:c=2"):
-        env = parse_envelope(name)
-        for point, attr in ((0.0, "f0"), (1.0, "f1"), (2.0, "f2")):
-            known = getattr(env.analytic, attr)
-            if known is not None:
-                assert abs(float(env(point, 1)) - known) < 1e-12
+# every registered envelope, with these parameter settings where it has any
+_PARAMETERS = {"const": ["c=2"], "exp": ["a=0.7", "a=-1"],
+               "power": ["a=0.5", "a=1.5", "a=3"]}
+
+
+@pytest.mark.parametrize("text", [
+    f"{name}:{params}" if params else name
+    for name in ENVELOPE_FACTORIES for params in _PARAMETERS.get(name, [""])])
+def test_recorded_slopes_match_the_numeric_derivative(text):
+    env = parse_envelope(text)
+    for x0, slope in env.slopes:
+        numeric = numeric_derivative(env, x0, p=1)
+        assert abs(slope - numeric) <= 1e-6 * max(1.0, abs(numeric)), x0
+
+
+@pytest.mark.parametrize("a", [647.0, 1000.0])
+def test_power_envelope_omits_an_overflowing_slope(a):
+    env = parse_envelope(f"power:a={a:g}")
+    assert dict(env.slopes) == {0.0: a}
+    assert env.value(2.0, 1) == np.inf

@@ -140,8 +140,8 @@ def test_grid_validation():
 
 
 def test_solver_error_carries_location():
-    err = SolverError("boom", z=1j, residual=0.5)
-    assert err.z == 1j and err.residual == 0.5
+    err = SolverError("boom", z=1j)
+    assert err.z == 1j
 
 
 def test_record_fields():

@@ -3,10 +3,9 @@ import pytest
 from scipy.integrate import quad
 
 from kernelspectra import (AffineMPLaw, DerivativeError, Envelope,
-                           EnvelopeAnalytic, KernelSpec, VectorEnsemble, gram,
-                           mp_atom_mass, mp_cdf, mp_density, mp_stieltjes,
-                           mp_support, parse_envelope, predicted_law,
-                           sample_matrix)
+                           KernelSpec, VectorEnsemble, gram, mp_atom_mass,
+                           mp_cdf, mp_density, mp_stieltjes, mp_support,
+                           parse_envelope, predicted_law, sample_matrix)
 
 GAMMAS = (0.5, 1.0, 2.0)
 
@@ -163,8 +162,7 @@ def test_predicted_law_exp_inner_keep():
 
 def test_predicted_law_square_envelope_degenerates():
     # f(x) = x^2: f'(0) = 0, alpha = f(1) - f(0) = 1 -> unit atom at 1
-    sq = Envelope("square", lambda x, p: x * x,
-                  EnvelopeAnalytic(f0=0.0, d0=0.0, f1=1.0, f2=4.0, d2=4.0))
+    sq = Envelope("square", lambda x, p: x * x, ((0.0, 0.0), (2.0, 4.0)))
     law = predicted_law(KernelSpec("inner", "keep", sq), 1.0)
     assert law.degenerate
     assert law.atom_mass == 1.0

@@ -16,10 +16,8 @@ from kernelspectra import (DegeneracyError, Envelope, EnvelopeError,
                            parse_envelope, xi_moments)
 from kernelspectra import ensembles
 from kernelspectra.ensembles import FAMILIES
-from kernelspectra.orthopoly import (_CHUNK, EXACT, MONTE_CARLO,
-                                    MomentSequence, _mc_moments,
-                                    _orthonormal_factor, _power_sums,
-                                    normal_moment)
+from kernelspectra.orthopoly import (_CHUNK, _hankel, _orthonormal_factor,
+                                    _power_sums, normal_moment)
 
 polyval = np.polynomial.polynomial.polyval
 
@@ -130,10 +128,13 @@ def _draws(ens, samples, seed):
     return list(FAMILIES[ens.family].xi_draws(ens.p, samples, seed))
 
 
-def _mc_power_sums(ens, order, samples, seed):
-    """Row 0 of the power sums that envelope_coeffs forms for ``ens``."""
-    return sum(_power_sums(xi, order, counts=counts)[0]
-               for xi, counts in _draws(ens, samples, seed))
+def _mc_moments(ens, samples, seed):
+    """Means of xi^0 ... xi^6 over the draws of envelope_coeffs for ``ens``,
+    and the standard errors sqrt((mean xi^2k - mean_k^2) / samples)."""
+    means = sum(_power_sums(xi, 12, counts=counts)[0]
+                for xi, counts in _draws(ens, samples, seed)) / samples
+    k = np.arange(7)
+    return means[k], np.sqrt((means[2 * k] - means[k] ** 2) / samples)
 
 
 def test_monte_carlo_moments_agree_with_exact():
@@ -141,11 +142,10 @@ def test_monte_carlo_moments_agree_with_exact():
     for family in FAMILIES:
         ens = VectorEnsemble(family, 50)
         exact = xi_moments(ens, K=6)
-        sums = _mc_power_sums(ens, 12, 200_000, 3)
-        mc = _mc_moments(sums, 200_000, 6)
+        means, stderr = _mc_moments(ens, 200_000, 3)
         for k in range(2, 7):
-            tol = 5.0 * mc.stderr[k] + 1e-9
-            assert abs(mc.values[k] - float(exact.values[k])) < tol, (family, k)
+            tol = 5.0 * stderr[k] + 1e-9
+            assert abs(means[k] - float(exact.values[k])) < tol, (family, k)
 
 
 @pytest.mark.parametrize("p", [1, 2, 7, 50, 500])
@@ -159,12 +159,11 @@ def test_rademacher_histogram_moments_match_exact(p):
     assert np.allclose(heads, np.round(heads), rtol=0.0, atol=1e-9)
     assert np.all(np.diff(heads) > 0.5)
     assert heads[0] > -0.5 and heads[-1] < p + 0.5
-    mc = _mc_moments(_mc_power_sums(VectorEnsemble("rademacher", p), 12,
-                                    samples, 5), samples, 6)
+    means, stderr = _mc_moments(VectorEnsemble("rademacher", p), samples, 5)
     exact = xi_moments(VectorEnsemble("rademacher", p), K=6)
     for k in range(2, 7):
-        tol = 5.0 * mc.stderr[k] + 1e-9
-        assert abs(mc.values[k] - float(exact.values[k])) < tol, k
+        tol = 5.0 * stderr[k] + 1e-9
+        assert abs(means[k] - float(exact.values[k])) < tol, k
 
 
 def test_rademacher_pmf_is_exact_at_large_p(monkeypatch):
@@ -357,19 +356,18 @@ def _discrete_measures(draw):
                  dtype=float)
     w /= w.sum()
     z = (x - w @ x) / np.sqrt(w @ (x - w @ x) ** 2)
-    return s, MomentSequence(values=[w @ z ** j for j in range(2 * s + 1)],
-                             source=EXACT)
+    return s, np.array([w @ z ** j for j in range(2 * s + 1)])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_discrete_measures())
 def test_discrete_measure_basis_stops_at_its_support_size(measure):
     s, m = measure
-    basis = build_basis(m, s - 1)
-    assert basis.gram_residual() < 1e-8
-    assert all(c[-1] > 0 for c in basis.coefficients)
+    C = _orthonormal_factor(m, s - 1)
+    assert np.max(np.abs(C @ _hankel(m, s - 1) @ C.T - np.eye(s))) < 1e-8
+    assert np.all(np.diag(C) > 0)
     with pytest.raises(DegeneracyError):
-        build_basis(m, s)
+        _orthonormal_factor(m, s)
 
 
 @pytest.mark.parametrize("family, p, degree, words", [
@@ -392,7 +390,7 @@ def test_basis_degree_cap():
     # the cap is the highest degree the exact N(0, 1) moments reach
     assert build_basis(m, 6).gram_residual() < 1e-8
     with pytest.raises(DegeneracyError, match="det M_7 = "):
-        _orthonormal_factor(m, 7)
+        _orthonormal_factor(m.values, 7)
     with pytest.raises(ValueError, match="degree capped at 6"):
         build_basis(m, 7)
 
@@ -503,11 +501,9 @@ def test_envelope_coeffs_match_per_draw_means(envelope, family):
     params = envelope_coeffs(f, ens, L, samples=n, seed=seed)
     xi = np.concatenate([xi for xi, _ in _draws(ens, n, seed)])
     raw = np.array([np.mean(xi ** j) for j in range(2 * L + 1)])
-    stderr = np.sqrt((raw[[0, 2, 4]] - raw[:3] ** 2) / n)
-    basis = build_basis(MomentSequence(values=raw, source=MONTE_CARLO,
-                                       stderr=stderr), L)
+    C = _orthonormal_factor(raw, L)
     kv = np.sqrt(ens.p) * f(xi / np.sqrt(ens.p), ens.p)
-    pk = np.array([basis.evaluate(k, xi) for k in range(L + 1)])
+    pk = np.array([polyval(xi, C[k, :k + 1]) for k in range(L + 1)])
     a = (kv * pk).mean(axis=1)
     stderr = np.sqrt(((kv * pk) ** 2).mean(axis=1) - a ** 2) / np.sqrt(n)
     assert np.allclose(params.coefficients, a, rtol=1e-9, atol=0.0)
