@@ -252,23 +252,33 @@ def test_compare_rejects_non_finite_epsilon(capsys):
     assert "epsilon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("settings", [
+    ["target=functional-equation", "law_a=-1", "law_nu=1"],
+    ["target=functional-equation", "law_a=1", "law_nu=0.5"],
+    ["target=cross-ensemble", "ensemble_b=sphere", "law_a=1"],
+    ["gamma=0.3"],
+    ["target=cross-ensemble", "ensemble_b=gaussian"],  # same as ensemble
+])
+def test_compare_rejects_bad_law_or_gamma_before_any_trial(settings, capsys):
+    argv = ["compare", "--set", "p=20", "--set", "n=40"]
+    for item in settings:
+        argv += ["--set", item]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and captured.out == ""
+
+
 _FAMILY_TEXT = "expected one of ('gaussian', 'rademacher', 'sphere')"
 
 
 @pytest.mark.parametrize("settings, text", [
-    (["target=functional-equation", "law_a=-1", "law_nu=1"], "error:"),
-    (["target=functional-equation", "law_a=1", "law_nu=0.5"], "error:"),
-    (["target=cross-ensemble", "ensemble_b=sphere", "law_a=1"], "error:"),
-    (["gamma=0.3"], "error:"),
-    (["target=cross-ensemble", "ensemble_b=gaussian"],  # same as ensemble
-     "error:"),
     (["ensemble=cauchy"], _FAMILY_TEXT),
     (["target=cross-ensemble", "ensemble_b=cauchy"], _FAMILY_TEXT),
     (["z_grid=nan+1j"], "z_grid points must be finite"),
     (["z_grid=1+1j;inf+1j"], "z_grid points must be finite"),
 ])
-def test_compare_rejects_bad_law_or_gamma_before_any_trial(settings, text,
-                                                           capsys):
+def test_compare_rejects_unknown_family_or_non_finite_z_grid(settings, text,
+                                                             capsys):
     argv = ["compare", "--set", "p=20", "--set", "n=40"]
     for item in settings:
         argv += ["--set", item]
