@@ -17,7 +17,6 @@ import numpy as np
 TAG_COLUMN = 0      # sample-matrix columns
 TAG_TRIAL = 1       # per-trial seeds in experiments
 TAG_BATCH = 2       # Monte Carlo batches (xi draws, L2-perturbation pairs)
-TAG_DIAGNOSTIC = 3  # moment diagnostics
 
 _INDEX_BITS = 48
 _INDEX_LIMIT = 1 << _INDEX_BITS

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from ._rng import TAG_BATCH, TAG_COLUMN, TAG_DIAGNOSTIC, substream, substreams
+from ._rng import TAG_BATCH, TAG_COLUMN, substream, substreams
 
 GAUSSIAN = "gaussian"
 RADEMACHER = "rademacher"
@@ -31,18 +31,14 @@ SPHERE = "sphere"
 # arrays, to keep page faults few; smaller samples stay on the heap.
 _MAPPED_ENTRIES = 2 ** 20
 _MC_BATCH = 200_000  # xi draws per Monte Carlo batch
+MAX_EXACT_ORDER = 16  # highest moment order taken exactly
 
 
 def normal_moment(k: int) -> int:
     """E N^k for standard normal: (k-1)!! for even k, 0 for odd."""
     if k < 0:
         raise ValueError("moment order must be nonnegative")
-    if k % 2 == 1:
-        return 0
-    out = 1
-    for j in range(k - 1, 0, -2):
-        out *= j
-    return out
+    return 0 if k % 2 else math.prod(range(k - 1, 0, -2))
 
 
 # Column fillers. The iid families are scaled in one pass at the end,
@@ -156,25 +152,35 @@ def _rademacher_xi_draws(p: int, samples: int, seed: int
 @dataclass(frozen=True)
 class Family:
     """A vector family: ``fill(rows, streams)`` fills row i of ``rows`` with
-    a column drawn from the i-th stream; ``xi_moments(p, K)`` is E xi_p^k
-    for k <= K exactly, with xi_p = sqrt(p) X^T Y; ``xi_draws(p, samples,
-    seed)`` yields (values, counts) pairs holding ``samples`` iid draws of
-    xi_p, each value drawn counts times (once when counts is None)."""
+    a column drawn from the i-th stream; ``entry_moment(p, K)`` is
+    E (sqrt(p) X_1)^K exactly; ``xi_moments(p, K)`` is E xi_p^k for k <= K
+    exactly, with xi_p = sqrt(p) X^T Y; ``xi_draws(p, samples, seed)``
+    yields (values, counts) pairs holding ``samples`` iid draws of xi_p,
+    each value drawn counts times (once when counts is None)."""
 
     fill: Callable[[np.ndarray, Iterable[np.random.Generator]], None]
+    entry_moment: Callable[[int, int], Fraction]
     xi_moments: Callable[[int, int], tuple[Fraction, ...]]
     xi_draws: Callable[[int, int, int], Iterator[tuple]]
 
 
+def _iid_family(fill: Callable, entry_moment: Callable[[int], int],
+                xi_draws: Callable) -> Family:
+    """iid entries whose standardized x has E x^k = entry_moment(k)."""
+    return Family(fill, lambda p, k: Fraction(entry_moment(k)),
+                  partial(_iid_xi_moments, entry_moment), xi_draws)
+
+
 FAMILIES: dict[str, Family] = {
-    GAUSSIAN: Family(fill=_fill_gaussian,
-                     xi_moments=partial(_iid_xi_moments, normal_moment),
-                     xi_draws=partial(_xi_batches, _gaussian_xi)),
+    GAUSSIAN: _iid_family(_fill_gaussian, normal_moment,
+                          partial(_xi_batches, _gaussian_xi)),
     # a random sign x has E x^j = 1 for even j and 0 for odd j
-    RADEMACHER: Family(fill=_fill_rademacher,
-                       xi_moments=partial(_iid_xi_moments, lambda j: 1 - j % 2),
-                       xi_draws=_rademacher_xi_draws),
-    SPHERE: Family(fill=_fill_sphere, xi_moments=_sphere_xi_moments,
+    RADEMACHER: _iid_family(_fill_rademacher, lambda j: 1 - j % 2,
+                            _rademacher_xi_draws),
+    # sqrt(p) X_1 has the law of xi_p, as X^T Y has the law of X_1
+    SPHERE: Family(fill=_fill_sphere,
+                   entry_moment=lambda p, k: _sphere_xi_moments(p, k)[k],
+                   xi_moments=_sphere_xi_moments,
                    xi_draws=partial(_xi_batches, _sphere_xi)),
 }
 
@@ -236,50 +242,26 @@ def sample_matrix(ensemble: VectorEnsemble, n: int, seed: int) -> SampleMatrix:
 
 @dataclass(frozen=True)
 class MomentDiagnostic:
-    """Monte Carlo estimate of E|sqrt(p) * entry|^K with its error bar.
+    """E (sqrt(p) x)^K of one entry x at dimensions p, 2p and 4p, exactly.
 
-    The moment-bound hypothesis on the entries says this quantity stays
-    bounded as p grows; ``estimate_2p`` repeats the estimate at dimension
-    2p and ``growth_flagged`` is set when the doubled-dimension estimate
-    exceeds the base one by more than three combined standard errors.
+    The moment hypothesis says this stays bounded as p grows.
+    ``growth_flagged``: m(2p) > m(p) and m(4p) m(p) >= m(2p)^2, a rise
+    that does not slow, as for entries +-1/sqrt(sp) with s = c/p.
     """
 
-    estimate: float
-    stderr: float
-    estimate_2p: float
-    stderr_2p: float
+    moments: tuple[Fraction, Fraction, Fraction]
     growth_flagged: bool
 
 
-def _abs_entry_moment(family: str, p: int, K: int, trials: int,
-                      seed: int, stream_offset: int) -> tuple[float, float]:
-    # One observation per independent column: the column mean of
-    # |sqrt(p) x_i|^K. Columns are independent for every family, so the
-    # across-column standard error is valid even when entries within a
-    # column are dependent (sphere).
-    cols = np.empty((trials, p))
-    FAMILIES[family].fill(cols, substreams(seed, TAG_DIAGNOSTIC,
-                                           range(stream_offset,
-                                                 stream_offset + trials)))
-    per_column = np.mean(np.abs(np.sqrt(p) * cols) ** K, axis=1)
-    est = float(np.mean(per_column))
-    se = float(np.std(per_column, ddof=1) / np.sqrt(trials))
-    return est, se
-
-
-def moment_diagnostic(ensemble: VectorEnsemble, K: int, trials: int,
-                      seed: int) -> MomentDiagnostic:
-    """Estimate the K-th absolute moment of the standardized entry."""
-    if K < 2 or K % 2 != 0:
-        raise ValueError(f"moment order K must be an even integer >= 2, got {K}")
-    if trials < 100:
-        raise ValueError(f"trials must be >= 100, got {trials}")
-    est, se = _abs_entry_moment(ensemble.family, ensemble.p, K, trials, seed, 0)
-    est2, se2 = _abs_entry_moment(ensemble.family, 2 * ensemble.p, K, trials,
-                                  seed, trials)
-    flagged = est2 - est > 3.0 * np.hypot(se, se2)
-    return MomentDiagnostic(estimate=est, stderr=se, estimate_2p=est2,
-                            stderr_2p=se2, growth_flagged=bool(flagged))
+def moment_diagnostic(ensemble: VectorEnsemble, K: int) -> MomentDiagnostic:
+    """The K-th moment of the standardized entry at p, 2p and 4p."""
+    if K % 2 or not 2 <= K <= MAX_EXACT_ORDER:
+        raise ValueError(f"moment order K must be even with 2 <= K <= "
+                         f"{MAX_EXACT_ORDER}, got {K}")
+    moment = FAMILIES[ensemble.family].entry_moment
+    m1, m2, m4 = (moment(s * ensemble.p, K) for s in (1, 2, 4))
+    return MomentDiagnostic(moments=(m1, m2, m4),
+                            growth_flagged=m2 > m1 and m4 * m1 >= m2 * m2)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from ._csvio import write_table
 from ._rng import TAG_BATCH, TAG_TRIAL, derive_seed
 from .ensembles import (ConcentrationDiagnostic, SampleMatrix, VectorEnsemble,
                         concentration_diagnostic, sample_matrix)
-from .errors import KernelSpectraError
+from .errors import KernelSpectraError, SolverError
 from .kernels import (DIAGONALS, KERNELS, Envelope, KernelSpec, build, gram,
                       parse_envelope)
 from .limit_solver import _check_params, solve_grid
@@ -34,6 +34,7 @@ CROSS_ENSEMBLE = "cross-ensemble"
 TARGETS = (AFFINE_MP, FUNCTIONAL_EQUATION, CROSS_ENSEMBLE)
 
 _DEFAULT_Z_GRID = (1j, 0.5 + 1j, 1 + 1j, 2 + 1j, -1 + 1j)
+_MAX_ABS_Z = 1e300  # a transform's 1/(x - z) overflows near the float limit
 
 # Desk-scale guardrail: refuse configs whose eigensolver work explodes.
 MAX_N_TRIALS = 20_000_000  # bound on n * trials
@@ -90,8 +91,10 @@ class ExperimentConfig:
                              f"got {self.epsilon}")
         if not self.z_grid:
             raise ValueError("z_grid needs at least one point")
-        if any(np.imag(z) <= 0 or not np.isfinite(z) for z in self.z_grid):
-            raise ValueError("z_grid points must be finite with Im z > 0")
+        for z in self.z_grid:
+            if not (np.imag(z) > 0 and abs(z) <= _MAX_ABS_Z):
+                raise ValueError(f"z_grid points must be finite with Im z > 0 "
+                                 f"and |z| <= {_MAX_ABS_Z:g}, got {z}")
 
     @property
     def gamma(self) -> float:
@@ -220,10 +223,18 @@ class ExperimentResult:
 
 def _distance_record(family: str, trial: int, e: ESD, target: ESD | Law,
                      z_grid: Sequence[complex]) -> DistanceRecord:
-    sup = max(abs(e.stieltjes(z) - target.stieltjes(z)) for z in z_grid)
+    gaps = []
+    for z in z_grid:
+        try:
+            gaps.append(abs(e.stieltjes(z) - target.stieltjes(z)))
+        except SolverError as exc:
+            raise ValueError(f"z_grid point {z}: {exc}") from exc
+        if not np.isfinite(gaps[-1]):
+            raise ValueError(f"z_grid point {z}: a transform is not finite")
     return DistanceRecord(family=family, trial=trial,
                           ks=ks_distance(e, target),
-                          w1=wasserstein1(e, target), stieltjes_sup=float(sup))
+                          w1=wasserstein1(e, target),
+                          stieltjes_sup=float(max(gaps)))
 
 
 def build_law(config: ExperimentConfig) -> Law | None:

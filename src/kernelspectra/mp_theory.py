@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DerivativeError
+from .errors import DerivativeError, SolverError
 from .kernels import KernelSpec, linearization_coefficients
 from .spectral import Law
 
@@ -96,19 +96,29 @@ def _mp_cdf_left(gamma: float, x) -> np.ndarray:
 
 
 def mp_stieltjes(gamma: float, z) -> np.ndarray | complex:
-    """Stieltjes transform m(z) of the full law (atom included), Im z > 0."""
+    """Stieltjes transform m(z) of the full law (atom included), Im z > 0.
+
+    Far out, |z| >= 1e4 (1 + lambda), the root formula's numerator
+    cancels; there m is the root of smaller modulus (|m| <= 1/dist(z,
+    support)), taken from the other by Vieta: their product is 1/(lambda z).
+    """
     _check_gamma(gamma)
     z_arr = np.asarray(z, dtype=complex)
     if np.any(z_arr.imag <= 0):
         raise ValueError("mp_stieltjes requires Im z > 0")
     lam = 1.0 / gamma
-    disc = np.sqrt((z_arr - 1.0 - lam) ** 2 - 4.0 * lam)
-    m_plus = ((1.0 - lam) - z_arr + disc) / (2.0 * lam * z_arr)
-    m_minus = ((1.0 - lam) - z_arr - disc) / (2.0 * lam * z_arr)
+    far = abs(z_arr) >= 1e4 * (1.0 + lam)
+    # each formula gets a stand-in at the other's points; u^2 would overflow
+    u = np.where(far, z_arr, 4j * (1.0 + lam)) - 1.0 - lam
+    m_far = -2.0 / (2.0 * lam + u + u * np.sqrt(1.0 - 4.0 * lam / u / u))
+    zn = np.where(far, 4j * (1.0 + lam), z_arr)
+    disc = np.sqrt((zn - 1.0 - lam) ** 2 - 4.0 * lam)
+    m_plus = ((1.0 - lam) - zn + disc) / (2.0 * lam * zn)
+    m_minus = ((1.0 - lam) - zn - disc) / (2.0 * lam * zn)
     m = np.where(m_plus.imag > m_minus.imag, m_plus, m_minus)
     if np.any(m.imag <= 0):
-        raise ArithmeticError("no Herglotz root found; this should not happen "
-                              "for Im z > 0")
+        raise SolverError("no MP root with Im m > 0: Im m underflows")
+    m = np.where(far, m_far, m)
     return m if np.ndim(z) else complex(m)
 
 

@@ -18,11 +18,10 @@ from typing import Callable
 
 import numpy as np
 
-from .ensembles import FAMILIES, VectorEnsemble, normal_moment
+from .ensembles import FAMILIES, MAX_EXACT_ORDER, VectorEnsemble, normal_moment
 from .errors import DegeneracyError, EnvelopeError
 from .kernels import Envelope
 
-MAX_EXACT_ORDER = 16
 # The degeneracy rule below rejects M_7 for every moment sequence: on the
 # exact N(0, 1) moments det M_6 is 9.9e-10 of its Hadamard bound, det M_7
 # only 5.4e-14, so degree 6 is the highest that can be built.

@@ -288,6 +288,30 @@ def test_compare_rejects_unknown_family_or_non_finite_z_grid(settings, text,
     assert text in captured.err
 
 
+@pytest.mark.parametrize("z", ["1e200j", "1e100+1e-300j", "-1e250+1j",
+                               "1e300j"])
+def test_compare_gives_a_finite_sup_at_an_extreme_point(z, capsys):
+    assert cli_main(["compare", "--set", "p=20", "--set", "n=40",
+                     "--set", f"z_grid={z}"]) == 0
+    [line] = capsys.readouterr().out.splitlines()
+    assert np.isfinite(float(line.rpartition("stieltjes_sup=")[2]))
+
+
+@pytest.mark.parametrize("settings, z", [
+    (["target=functional-equation", "law_a=0.5", "law_nu=1"],
+     "(1e+100+1e-300j)"),
+    ([], "(1e+301+1j)"),
+])
+def test_compare_names_a_point_it_cannot_score(settings, z, capsys):
+    argv = ["compare", "--set", "p=20", "--set", "n=40",
+            "--set", f"z_grid={z}"]
+    for item in settings:
+        argv += ["--set", item]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and z in captured.err
+
+
 def test_compare_with_config_file(tmp_path, capsys):
     config = tmp_path / "uni.cfg"
     config.write_text(
@@ -331,10 +355,27 @@ def test_compare_override_flag(tmp_path, capsys):
 
 def test_diagnose_runs(capsys):
     code = cli_main(["diagnose", "--ensemble", "rademacher", "--p", "50",
-                     "--n", "30", "--K", "4", "--trials", "120"])
+                     "--n", "30", "--K", "4"])
     assert code == 0
     printed = capsys.readouterr().out
     assert "growth flagged: False" in printed
+
+
+def test_diagnose_prints_exact_moments_at_p_2p_4p(capsys):
+    assert cli_main(["diagnose", "--ensemble", "sphere", "--p", "5",
+                     "--n", "20"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[:2] == [
+        "E (sqrt(p) entry)^4 at p, 2p, 4p = 2.142857, 2.500000, 2.727273",
+        "growth flagged: False"]
+
+
+@pytest.mark.parametrize("flags", [["--K", "400"], ["--K", "3"], ["--K", "0"],
+                                   ["--K", "18"], ["--trials", "200"]])
+def test_diagnose_rejects_K_outside_two_to_sixteen_and_trials(flags, capsys):
+    assert cli_main(["diagnose", "--p", "50", "--n", "10", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err
 
 
 def test_diagnose_rejects_unknown_family(capsys):
@@ -437,6 +478,24 @@ def test_expand_rejects_degree_above_cap_before_sampling(capsys,
                          "--envelope", "sign-scaled", "--degree", "7"])
         assert code == 1
         assert "need 1 <= L <= 6, got 7" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_swap_check_rejects_a_non_finite_value(value, capsys):
+    assert cli_main(["swap-check", "--p", "20", "--n", "10",
+                     f"--value={value}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--value must be finite" in captured.err
+
+
+def test_swap_check_takes_a_huge_finite_value(capsys):
+    # the swapped column's squared norm overflows to inf on the diagonal,
+    # which diag=zero drops
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert cli_main(["swap-check", "--p", "20", "--n", "10",
+                         "--value", "1e300"]) == 0
+    assert "numerical rank <= 2: True" in capsys.readouterr().out
 
 
 def test_swap_check_reports_rank(capsys):

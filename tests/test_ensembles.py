@@ -1,6 +1,8 @@
 import ast
 import mmap
 import re
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +11,7 @@ from scipy import stats
 
 from kernelspectra import (VectorEnsemble, concentration_diagnostic, gram,
                            moment_diagnostic, sample_matrix)
-from kernelspectra._rng import (TAG_COLUMN, TAG_DIAGNOSTIC, substream,
-                                substreams)
+from kernelspectra._rng import TAG_COLUMN, substream, substreams
 from kernelspectra import ensembles
 from kernelspectra.ensembles import FAMILIES
 
@@ -142,55 +143,67 @@ def test_empirical_entry_variance_concentrates(family):
     assert hits >= 38
 
 
-def test_moment_diagnostic_gaussian_fourth_moment():
-    # E|N|^4 = 3 for the standardized entry
-    rep = moment_diagnostic(VectorEnsemble("gaussian", 300), K=4,
-                            trials=400, seed=0)
-    assert abs(rep.estimate - 3.0) < 5.0 * rep.stderr
+@pytest.mark.parametrize("p,K", [(5, 4), (5, 6), (50, 4), (50, 6)])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_entry_moment_matches_sampled_columns(family, p, K):
+    # one observation per independent column, the column mean of
+    # (sqrt(p) x_i)^K, so the standard error holds for the sphere's
+    # dependent entries too
+    per_column = np.array([
+        np.mean((np.sqrt(p) * _reference_column(family, p, rng)) ** K)
+        for rng in substreams(17, TAG_COLUMN, range(20_000))])
+    stderr = np.std(per_column, ddof=1) / np.sqrt(per_column.size)
+    exact = float(FAMILIES[family].entry_moment(p, K))
+    assert abs(np.mean(per_column) - exact) <= 4.0 * stderr
+
+
+@pytest.mark.parametrize("p", [1, 2, 5, 50])
+def test_entry_moments_equal_the_closed_forms(p):
+    moment = {name: FAMILIES[name].entry_moment for name in FAMILIES}
+    assert moment["gaussian"](p, 4) == 3
+    assert moment["gaussian"](p, 6) == 15
+    assert moment["rademacher"](p, 4) == moment["rademacher"](p, 6) == 1
+    assert moment["sphere"](p, 4) == Fraction(3 * p, p + 2)
+    assert moment["sphere"](p, 6) == Fraction(15 * p * p, (p + 2) * (p + 4))
+
+
+def test_moment_diagnostic_reports_the_sphere_at_p_2p_4p():
+    rep = moment_diagnostic(VectorEnsemble("sphere", 5), K=4)
+    assert rep.moments == (Fraction(15, 7), Fraction(5, 2), Fraction(30, 11))
     assert not rep.growth_flagged
 
 
-def test_moment_diagnostic_gaussian_second_moment():
-    rep = moment_diagnostic(VectorEnsemble("gaussian", 200), K=2,
-                            trials=200, seed=1)
-    assert abs(rep.estimate - 1.0) < 5.0 * rep.stderr
-
-
-def test_moment_diagnostic_rademacher_is_exact():
-    rep = moment_diagnostic(VectorEnsemble("rademacher", 100), K=4,
-                            trials=150, seed=2)
-    assert rep.estimate == 1.0
-    assert rep.stderr == 0.0
-
-
-def _reference_abs_moment(family, p, K, trials, seed, offset):
-    """(estimate, stderr) from one _reference_column per diagnostic stream."""
-    per_column = np.empty(trials)
-    for t in range(trials):
-        rng = substream(seed, TAG_DIAGNOSTIC, offset + t)
-        col = np.sqrt(p) * _reference_column(family, p, rng)
-        per_column[t] = np.mean(np.abs(col) ** K)
-    return (float(np.mean(per_column)),
-            float(np.std(per_column, ddof=1) / np.sqrt(trials)))
-
-
-@pytest.mark.parametrize("p,K,trials,seed", [(500, 4, 200, 3), (37, 6, 333, 8),
-                                             (1, 2, 100, 1), (601, 8, 150, 5)])
+@pytest.mark.parametrize("K", [2, 4, 6])
 @pytest.mark.parametrize("family", FAMILIES)
-def test_moment_diagnostic_matches_per_column_loop(family, p, K, trials, seed):
-    rep = moment_diagnostic(VectorEnsemble(family, p), K, trials, seed)
-    assert (rep.estimate, rep.stderr) == _reference_abs_moment(
-        family, p, K, trials, seed, 0)
-    assert (rep.estimate_2p, rep.stderr_2p) == _reference_abs_moment(
-        family, 2 * p, K, trials, seed, trials)
+def test_moment_diagnostic_flags_no_family(family, K):
+    for p in (1, 2, 5, 10, 50, 500):
+        assert not moment_diagnostic(VectorEnsemble(family, p),
+                                     K).growth_flagged
+
+
+@pytest.mark.parametrize("K", [2, 4, 6, 16])
+def test_moment_diagnostic_flags_sparse_entries_only_at_vanishing_s(
+        K, monkeypatch):
+    # entries +-1/sqrt(sp) with probability s: E (sqrt(p) x)^K = s^(1-K/2)
+    def sparse(s_of_p):
+        return replace(FAMILIES["gaussian"], entry_moment=lambda p, k:
+                       s_of_p(p) ** (1 - k // 2))
+
+    for p in (1, 2, 5, 10, 50, 500):
+        ens = VectorEnsemble("gaussian", p)
+        monkeypatch.setitem(FAMILIES, "gaussian",
+                            sparse(lambda q: Fraction(1, 2 * q)))  # s = c/p
+        assert moment_diagnostic(ens, K).growth_flagged == (K >= 4)
+        monkeypatch.setitem(FAMILIES, "gaussian",
+                            sparse(lambda q: Fraction(1, 10)))  # fixed s
+        assert not moment_diagnostic(ens, K).growth_flagged
 
 
 def test_moment_diagnostic_argument_validation():
     ens = VectorEnsemble("gaussian", 50)
-    with pytest.raises(ValueError):
-        moment_diagnostic(ens, K=3, trials=200, seed=0)
-    with pytest.raises(ValueError):
-        moment_diagnostic(ens, K=4, trials=50, seed=0)
+    for K in (-2, 0, 1, 3, 17, 18, 400):
+        with pytest.raises(ValueError, match="2 <= K <= 16"):
+            moment_diagnostic(ens, K=K)
 
 
 def test_concentration_sphere_norm_dev_is_zero():

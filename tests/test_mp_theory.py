@@ -106,6 +106,23 @@ def test_stieltjes_far_field_tail():
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)
+def test_stieltjes_far_from_the_support_matches_its_series(gamma):
+    # m(z) = -sum_k mu_k / z^(k+1) with the MP moments mu_0 ... mu_3 =
+    # 1, 1, 1 + lambda, 1 + 3 lambda + lambda^2; the next term is below
+    # 1e-20 relative at |z| >= 1e6
+    lam = 1.0 / gamma
+    mu = (1.0, 1.0, 1.0 + lam, 1.0 + lam * (3.0 + lam))
+    for r in (1e6, 1e10, 1e16, 1e50, 1e100, 1e200, 1e300):
+        for z in (r * 1j, r * (0.6 + 0.8j), r * (-0.6 + 0.8j), r + 1.0j,
+                  -r + 1.0j, r + 1e-300j, -r + 1e-300j):
+            w = 1.0 / z
+            series = -w * (mu[0] + w * (mu[1] + w * (mu[2] + w * mu[3])))
+            m = mp_stieltjes(gamma, z)
+            assert abs(m - series) <= 1e-14 * abs(series)
+            assert m.imag >= 0.0
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
 def test_stieltjes_matches_quadrature(gamma):
     a, b = mp_support(gamma)
     for z in (1j, 1.0 + 1j, 3.0 + 0.7j):
