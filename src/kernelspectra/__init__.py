@@ -8,7 +8,7 @@ from .errors import (CapabilityError, DegeneracyError, DerivativeError,
                      EnvelopeError, KernelSpectraError, NumericalError,
                      SolverError)
 from .experiments import (ExperimentConfig, ExperimentResult,
-                          PerturbationReport, load_config, parse_config,
+                          PerturbationReport, parse_config,
                           run_l2_perturbation, run_universality)
 from .kernels import (INNER_PRODUCT, KEEP, SQUARED_DISTANCE, ZERO, Envelope,
                       KernelSpec, build, gram, linearized, parse_envelope,
@@ -44,7 +44,7 @@ __all__ = [
     "LimitLaw", "solve_point", "solve_grid",
     "save_limit_law", "load_limit_law",
     "ExperimentConfig", "ExperimentResult", "PerturbationReport",
-    "parse_config", "load_config", "run_universality", "run_l2_perturbation",
+    "parse_config", "run_universality", "run_l2_perturbation",
     "KernelSpectraError", "EnvelopeError", "CapabilityError",
     "DerivativeError", "DegeneracyError", "SolverError", "NumericalError",
 ]

@@ -9,14 +9,15 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from .ensembles import (FAMILIES, VectorEnsemble, concentration_diagnostic,
                         moment_diagnostic, sample_matrix)
 from .errors import KernelSpectraError
-from .experiments import (ExperimentConfig, load_config, parse_config,
-                          run_universality, trial_samples, write_law_csv)
+from .experiments import (ExperimentConfig, parse_config, run_universality,
+                          trial_samples, write_law_csv)
 from .kernels import (ENVELOPE_FACTORIES, KernelSpec, build, gram,
                       parse_envelope, single_entry_swap)
 from .limit_solver import save_limit_law, solve_grid
@@ -181,10 +182,8 @@ def _cmd_compare(args) -> int:
         overrides[key.strip()] = val.strip()
     if args.out is not None:
         overrides["out"] = args.out
-    if args.config is not None:
-        config = load_config(args.config, overrides)
-    else:
-        config = parse_config("", overrides)
+    text = "" if args.config is None else Path(args.config).read_text()
+    config = parse_config(text, overrides)
     result = run_universality(config)
     for rec in result.distances:
         if rec.trial < 0:
@@ -216,8 +215,9 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_swap_check(args) -> int:
-    if not np.isfinite(args.value):
-        raise ValueError(f"--value must be finite, got {args.value}")
+    if not np.isfinite(args.value * args.value):  # gram sums squares
+        raise ValueError(f"--value must be finite with a finite square "
+                         f"(|v| <= 1.34e154), got {args.value}")
     spec = KernelSpec(args.kernel, args.diag, parse_envelope(args.envelope))
     S = sample_matrix(VectorEnsemble(args.ensemble, args.p), args.n, args.seed)
     before, after = single_entry_swap(S, args.i, args.j, args.value, spec)

@@ -20,8 +20,7 @@ from ._rng import TAG_BATCH, TAG_TRIAL, derive_seed
 from .ensembles import (ConcentrationDiagnostic, SampleMatrix, VectorEnsemble,
                         concentration_diagnostic, sample_matrix)
 from .errors import KernelSpectraError, SolverError
-from .kernels import (DIAGONALS, KERNELS, Envelope, KernelSpec, build, gram,
-                      parse_envelope)
+from .kernels import Envelope, KernelSpec, build, gram, parse_envelope
 from .limit_solver import _check_params, solve_grid
 from .mp_theory import predicted_law
 from .spectral import (ESD, Law, eigenvalues, empirical_stieltjes,
@@ -51,7 +50,7 @@ class ExperimentConfig:
     seed: int = 0
     kernel: str = "inner"
     diagonal: str = "zero"
-    envelope: str | Envelope = "identity"
+    envelope: str = "identity"  # a registry string such as exp:a=1
     target: str = AFFINE_MP
     ensemble_b: str | None = None
     law_a: float | None = None
@@ -71,8 +70,7 @@ class ExperimentConfig:
         if self.n * self.trials > MAX_N_TRIALS:
             raise ValueError(f"n * trials = {self.n * self.trials} exceeds the "
                              f"desk-scale cap {MAX_N_TRIALS}")
-        if self.kernel not in KERNELS or self.diagonal not in DIAGONALS:
-            raise ValueError(f"bad kernel spec {self.kernel!r}/{self.diagonal!r}")
+        self.kernel_spec()  # rejects an unknown kernel, diagonal or envelope
         if self.target not in TARGETS:
             raise ValueError(f"target must be one of {TARGETS}, got {self.target!r}")
         if (self.target == CROSS_ENSEMBLE
@@ -100,41 +98,35 @@ class ExperimentConfig:
     def gamma(self) -> float:
         return self.p / self.n
 
-    def envelope_obj(self) -> Envelope:
-        if isinstance(self.envelope, Envelope):
-            return self.envelope
-        return parse_envelope(self.envelope)
-
     def kernel_spec(self) -> KernelSpec:
         return KernelSpec(kernel=self.kernel, diagonal=self.diagonal,
-                          envelope=self.envelope_obj())
+                          envelope=parse_envelope(self.envelope))
 
     def items(self) -> list[tuple[str, str]]:
-        env = self.envelope if isinstance(self.envelope, str) \
-            else self.envelope.name
-        out = [("ensemble", self.ensemble), ("p", str(self.p)),
-               ("n", str(self.n)), ("gamma", repr(self.gamma)),
-               ("trials", str(self.trials)), ("seed", str(self.seed)),
-               ("kernel", self.kernel), ("diag", self.diagonal),
-               ("envelope", env), ("target", self.target)]
-        if self.ensemble_b is not None:
-            out.append(("ensemble_b", self.ensemble_b))
-        if self.law_a is not None:
-            out.append(("law_a", repr(self.law_a)))
-        if self.law_nu is not None:
-            out.append(("law_nu", repr(self.law_nu)))
-        out.append(("epsilon", repr(self.epsilon)))
-        out.append(("z_grid", ";".join(str(z) for z in self.z_grid)))
-        if self.out is not None:
-            out.append(("out", self.out))
+        """(key, text) pairs in written order; gamma = p/n follows n."""
+        out = []
+        for key, (_, show) in CONFIG_SCHEMA.items():
+            value = getattr(self, _FIELD[key])
+            if value is not None:
+                out.append((key, show(value)))
+            if key == "n":
+                out.append(("gamma", str(self.gamma)))
         return out
 
 
-_CONFIG_KEYS = {"ensemble", "ensemble_b", "p", "n", "trials", "seed", "kernel",
-                "diag", "envelope", "target", "law_a", "law_nu", "epsilon",
-                "z_grid", "out"}
-_INT_KEYS = {"p", "n", "trials", "seed"}
-_FLOAT_KEYS = {"law_a", "law_nu", "epsilon"}
+# Each config key in written order: how its text parses and how its value
+# prints. str prints a float as its shortest round-tripping repr and a
+# numpy scalar as a plain number. _FIELD names the field each key sets.
+_TEXT, _INT, _FLOAT = (str, str), (int, str), (float, str)
+CONFIG_SCHEMA = {
+    "ensemble": _TEXT, "p": _INT, "n": _INT, "trials": _INT, "seed": _INT,
+    "kernel": _TEXT, "diag": _TEXT, "envelope": _TEXT, "target": _TEXT,
+    "ensemble_b": _TEXT, "law_a": _FLOAT, "law_nu": _FLOAT, "epsilon": _FLOAT,
+    "z_grid": (lambda text: tuple(complex(z) for z in text.split(";") if z),
+               lambda zs: ";".join(map(str, zs))),
+    "out": _TEXT,
+}
+_FIELD = {**{key: key for key in CONFIG_SCHEMA}, "diag": "diagonal"}
 
 
 def parse_config(text: str, overrides: dict[str, str] | None = None
@@ -155,30 +147,15 @@ def parse_config(text: str, overrides: dict[str, str] | None = None
     kwargs: dict = {}
     gamma = raw.pop("gamma", "")  # derived; accepted as an echo of p/n
     for key, val in raw.items():
-        if key not in _CONFIG_KEYS:
+        if key not in CONFIG_SCHEMA:
             raise ValueError(f"unknown config key {key!r}")
-        if val == "":
-            continue
-        if key in _INT_KEYS:
-            kwargs[key] = int(val)
-        elif key in _FLOAT_KEYS:
-            kwargs[key] = float(val)
-        elif key == "z_grid":
-            kwargs[key] = tuple(complex(part) for part in val.split(";") if part)
-        elif key == "diag":
-            kwargs["diagonal"] = val
-        else:
-            kwargs[key] = val
+        if val != "":
+            kwargs[_FIELD[key]] = CONFIG_SCHEMA[key][0](val)
     config = ExperimentConfig(**kwargs)
     if gamma and float(gamma) != config.gamma:
         raise ValueError(f"gamma={gamma} differs from p/n = {config.gamma!r}; "
                          f"set p and n instead")
     return config
-
-
-def load_config(path: str | Path, overrides: dict[str, str] | None = None
-                ) -> ExperimentConfig:
-    return parse_config(Path(path).read_text(), overrides)
 
 
 def config_text(config: ExperimentConfig) -> str:

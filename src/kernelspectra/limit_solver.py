@@ -18,8 +18,10 @@ at nu = a^2, the semicircle of variance nu/gamma at a = 0, m = -1/z at
 a = nu = 0) and the lost root is w = 0 exactly.
 Every Stieltjes transform has Im(-1/m) >= Im z, while a root with
 Im m <= 0 has Im w >= 0, so the Herglotz root is the one with
-Im w < -Im z / 2. Rounding cannot tip that test, even where another
-root is huge and nearly real.
+Im w < -Im z / 2. Rounding noise in Im w is ~1e-16 max|w|, so below
+Im z = 1e-12 max|w| the test picks the root at Re z + 1e-12 max|w| i
+instead, and m(z) comes from the root at z nearest to it (m is
+continuous; the two roots differ by ~1e-12 of their size).
 
 Atoms and the support are closed-form too:
 
@@ -120,6 +122,15 @@ def _stieltjes(a: float, nu: float, gamma: float, z) -> np.ndarray:
                          "Im z > 0")
     w = _reciprocal_roots(a, nu, gamma, z)
     herglotz = w.imag < -0.5 * z.imag[..., None]
+    lift = 1e-12 * abs(w).max(axis=-1)
+    near = z.imag < lift
+    if np.any(near):  # continue the root picked at Re z + i lift down to z
+        w_up = _reciprocal_roots(a, nu, gamma, z.real + 1j * lift)
+        up = w_up.imag < -0.5 * lift[..., None]
+        gap = abs(w - np.where(up, w_up, 0).sum(axis=-1)[..., None])
+        nearest = (gap == gap.min(axis=-1, keepdims=True)) \
+            & (up.sum(axis=-1) == 1)[..., None]
+        herglotz = np.where(near[..., None], nearest, herglotz)
     unique = herglotz.sum(axis=-1) == 1
     if not unique.all():
         at = complex(z[~unique].flat[0])

@@ -299,7 +299,7 @@ def test_compare_gives_a_finite_sup_at_an_extreme_point(z, capsys):
 
 @pytest.mark.parametrize("settings, z", [
     (["target=functional-equation", "law_a=0.5", "law_nu=1"],
-     "(1e+100+1e-300j)"),
+     "(1e+301+1j)"),
     ([], "(1e+301+1j)"),
 ])
 def test_compare_names_a_point_it_cannot_score(settings, z, capsys):
@@ -310,6 +310,21 @@ def test_compare_names_a_point_it_cannot_score(settings, z, capsys):
     assert cli_main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and z in captured.err
+
+
+@pytest.mark.parametrize("z, sup", [("(1e+100+1e-300j)", 1e-100),
+                                    ("-4.187505077315176+1e-35j", 1e-3)])
+def test_compare_scores_the_functional_equation_law_next_to_the_axis(
+        z, sup, capsys):
+    # Im z is lost next to the roots' size; the root picked above z is
+    # continued down to it (at Im z = 1e-3 the second point gives 0.00029)
+    assert cli_main(["compare", "--set", "p=20", "--set", "n=40",
+                     "--set", "target=functional-equation",
+                     "--set", "envelope=sign-scaled",
+                     "--set", "law_a=0.7978845608028654", "--set", "law_nu=1",
+                     "--set", f"z_grid={z}"]) == 0
+    [line] = capsys.readouterr().out.splitlines()
+    assert float(line.rpartition("stieltjes_sup=")[2]) < sup
 
 
 def test_compare_with_config_file(tmp_path, capsys):
@@ -480,7 +495,9 @@ def test_expand_rejects_degree_above_cap_before_sampling(capsys,
         assert "need 1 <= L <= 6, got 7" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+# 1e300 and -1.35e154 are finite, but the Gram norm v^2 of their column
+# is not
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e300", "-1.35e154"])
 def test_swap_check_rejects_a_non_finite_value(value, capsys):
     assert cli_main(["swap-check", "--p", "20", "--n", "10",
                      f"--value={value}"]) == 1
@@ -490,12 +507,11 @@ def test_swap_check_rejects_a_non_finite_value(value, capsys):
 
 
 def test_swap_check_takes_a_huge_finite_value(capsys):
-    # the swapped column's squared norm overflows to inf on the diagonal,
-    # which diag=zero drops
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    # near the largest value whose square, the column's Gram norm, is finite
+    for diag in ("keep", "zero"):
         assert cli_main(["swap-check", "--p", "20", "--n", "10",
-                         "--value", "1e300"]) == 0
-    assert "numerical rank <= 2: True" in capsys.readouterr().out
+                         "--value", "1.3e154", "--diag", diag]) == 0
+        assert "numerical rank <= 2: True" in capsys.readouterr().out
 
 
 def test_swap_check_reports_rank(capsys):

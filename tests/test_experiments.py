@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +14,8 @@ from kernelspectra import (ESD, Envelope, ExperimentConfig, KernelSpec,
                            envelope_coeffs, gram, ks_distance, parse_config,
                            parse_envelope, run_l2_perturbation,
                            run_universality, sample_matrix, xi_moments)
-from kernelspectra.experiments import config_text
+from kernelspectra.experiments import _FIELD, CONFIG_SCHEMA, config_text
+from kernelspectra.kernels import ENVELOPE_FACTORIES
 
 
 def _esd_points(result, fam):
@@ -86,6 +87,39 @@ def test_config_validation():
     cfg = ExperimentConfig(p=1, n=3, target="functional-equation",
                            law_a=0.5, law_nu=0.75, out="run")
     assert parse_config(config_text(cfg)) == cfg
+
+
+def test_config_built_from_numpy_scalars_reloads():
+    cfg = ExperimentConfig(p=np.int64(20), n=np.int64(40), seed=np.int64(3),
+                           target="functional-equation", envelope="sign-scaled",
+                           law_a=np.sqrt(2 / np.pi), law_nu=np.float64(1.0),
+                           epsilon=np.float64(1e-3), out="run")
+    text = config_text(cfg)
+    assert "law_a=0.7978845608028654\n" in text and "np." not in text
+    assert parse_config(text) == cfg
+
+
+def test_each_config_field_has_one_schema_key():
+    assert list(_FIELD) == list(CONFIG_SCHEMA)
+    assert sorted(_FIELD.values()) == sorted(f.name
+                                             for f in fields(ExperimentConfig))
+
+
+def test_star_import_exports_every_name_once():
+    import kernelspectra
+    namespace: dict = {}
+    exec("from kernelspectra import *", namespace)
+    assert set(kernelspectra.__all__) <= namespace.keys()
+    assert len(set(kernelspectra.__all__)) == len(kernelspectra.__all__)
+
+
+def test_unknown_envelope_is_rejected_when_the_config_is_made():
+    with pytest.raises(ValueError, match="unknown envelope 'cosh'"):
+        parse_config("envelope=cosh:a=1\n")
+    with pytest.raises(ValueError, match="kernel"):
+        ExperimentConfig(kernel="cosine")
+    with pytest.raises(ValueError, match="diagonal"):
+        ExperimentConfig(diagonal="half")
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +311,15 @@ def test_rows_keep_true_trial_labels_after_a_failed_trial(tmp_path, target):
         assert dist[f"cross:{t}"][0] == ks_distance(a, b)
 
 
-def test_errors_csv_round_trips_quotes_and_commas(tmp_path):
+def test_errors_csv_round_trips_quotes_and_commas(tmp_path, monkeypatch):
     message = 'bad "value", here'
 
     def refuse(x, p):
         raise ValueError(message)
 
-    cfg = ExperimentConfig(p=10, n=12, trials=2, envelope=Envelope("refuse", refuse),
+    monkeypatch.setitem(ENVELOPE_FACTORIES, "refuse",
+                        lambda: Envelope("refuse", refuse))
+    cfg = ExperimentConfig(p=10, n=12, trials=2, envelope="refuse",
                            out=str(tmp_path))
     result = run_universality(cfg)
     assert [e.message for e in result.errors] == [message] * len(result.errors)

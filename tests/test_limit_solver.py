@@ -286,3 +286,32 @@ def test_point_without_a_unique_herglotz_root_raises(monkeypatch):
     with pytest.raises(SolverError) as err:
         solve_point(0.5, 1.0, 1.0, 1j)
     assert err.value.z == 1j
+
+
+_SIGN_SCALED_A = float(np.sqrt(2.0 / np.pi))
+
+
+@pytest.mark.parametrize("a, nu, gamma", [
+    (_SIGN_SCALED_A, 1.0, 0.5), (_SIGN_SCALED_A, 1.0, 2.0), (0.0, 1.0, 1.0),
+    (1.0, 1.0, 0.5), (0.5, 1.0, 2.0)])
+def test_stieltjes_next_to_the_real_axis_matches_the_value_above_it(
+        a, nu, gamma):
+    # Once Im z is lost next to the roots' size the Herglotz root test is
+    # rounding noise. m is continuous, so away from the support's edges
+    # and the atoms m(x + i y) for y <= 1e-12 is within ~1e-8 |m'| of
+    # m(x + 1e-8 i), where the test still holds.
+    marks = [*limit_solver._support(a, nu, gamma),
+             *(loc for loc, _ in limit_solver._atoms(a, nu, gamma))]
+    xs = np.linspace(min(marks) - 1.5, max(marks) + 1.5, 40)
+    xs = xs[[min(abs(x - e) for e in marks) > 0.1 for x in xs]]
+    z = xs[:, None] + 1j * np.logspace(-12, -300, 30)
+    m = limit_solver._stieltjes(a, nu, gamma, z)
+    above = limit_solver._stieltjes(a, nu, gamma, xs + 1e-8j)
+    np.testing.assert_allclose(m, np.broadcast_to(above[:, None], z.shape),
+                               rtol=1e-6)
+
+
+def test_stieltjes_of_the_sign_scaled_law_below_its_support():
+    # m(x + 1e-35 i) by mpmath at 700 digits: 0.26623269589548027024
+    m = solve_point(_SIGN_SCALED_A, 1.0, 0.5, -4.187505077315176 + 1e-35j)
+    assert abs(m - 0.26623269589548027024) < 1e-15
