@@ -17,7 +17,7 @@ from .ensembles import (FAMILIES, VectorEnsemble, concentration_diagnostic,
                         moment_diagnostic, sample_matrix)
 from .errors import KernelSpectraError
 from .experiments import (ExperimentConfig, parse_config, run_universality,
-                          trial_samples, write_law_csv)
+                          trial_grams, write_law_csv)
 from .kernels import (ENVELOPE_FACTORIES, KernelSpec, build, gram,
                       parse_envelope, single_entry_swap)
 from .limit_solver import save_limit_law, solve_grid
@@ -109,11 +109,9 @@ def _cmd_simulate(args) -> int:
                               envelope=args.envelope)
     spec = config.kernel_spec()
     trials = []
-    for _, _, S in trial_samples(config, (config.ensemble,)):
-        G = gram(S)
-        del S  # build writes A over G, so eigvalsh holds A and its copy
+    for _, _, G in trial_grams(config, (config.ensemble,)):
         trials.append(eigenvalues(build(spec, G, config.p)))
-        del G
+        del G  # so A is freed before the next draw
     pooled = ESD.pooled(trials)
     lam = pooled.points
     print(f"model {spec.label()}  ensemble={args.ensemble} n={args.n} "
@@ -130,19 +128,17 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_predict(args) -> int:
     if args.law == "mp":
-        if args.shift is not None or args.scale is not None:
-            law = AffineMPLaw(gamma=args.gamma,
-                              shift=args.shift or 0.0,
-                              scale=1.0 if args.scale is None else args.scale)
-        elif args.envelope is not None:
+        if (args.envelope is not None
+                and args.shift is None and args.scale is None):
             spec = KernelSpec(args.kernel, args.diag,
                               parse_envelope(args.envelope))
             law = predicted_law(spec, args.gamma)
         else:
-            law = AffineMPLaw(gamma=args.gamma, shift=0.0, scale=1.0)
+            law = AffineMPLaw(gamma=args.gamma, shift=args.shift or 0.0,
+                              scale=1.0 if args.scale is None else args.scale)
         print(f"affine MP law: {law.to_record()}")
         if args.out:
-            write_law_csv(args.out, law)
+            write_law_csv(args.out, law, law.to_record().items())
     elif args.law == "fe":
         if args.a is None or args.nu is None:
             raise ValueError("functional-equation law needs --a and --nu")
@@ -204,8 +200,7 @@ def _cmd_compare(args) -> int:
 def _cmd_diagnose(args) -> int:
     ens = VectorEnsemble(args.ensemble, args.p)
     mom = moment_diagnostic(ens, args.K)
-    S = sample_matrix(ens, args.n, args.seed)
-    conc = concentration_diagnostic(S, gram(S))  # checks n >= 2
+    conc = concentration_diagnostic(gram(sample_matrix(ens, args.n, args.seed)))
     print(f"E (sqrt(p) entry)^{args.K} at p, 2p, 4p = "
           + ", ".join(f"{float(m):.6f}" for m in mom.moments))
     print(f"growth flagged: {mom.growth_flagged}")

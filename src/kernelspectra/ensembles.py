@@ -202,11 +202,9 @@ class VectorEnsemble:
 
 @dataclass(frozen=True)
 class SampleMatrix:
-    """p x n matrix whose columns are independent draws from the ensemble."""
+    """p x n matrix whose columns are the vectors X_1, ..., X_n."""
 
     data: np.ndarray
-    ensemble: VectorEnsemble
-    seed: int
 
     @property
     def p(self) -> int:
@@ -237,7 +235,7 @@ def sample_matrix(ensemble: VectorEnsemble, n: int, seed: int) -> SampleMatrix:
             buf.madvise(mmap.MADV_HUGEPAGE)
         rows = np.frombuffer(buf).reshape(shape)
     FAMILIES[ensemble.family].fill(rows, substreams(seed, TAG_COLUMN, range(n)))
-    return SampleMatrix(data=rows.T, ensemble=ensemble, seed=seed)
+    return SampleMatrix(data=rows.T)
 
 
 @dataclass(frozen=True)
@@ -275,15 +273,14 @@ class ConcentrationDiagnostic:
     max_inner: float
 
 
-def concentration_diagnostic(S: SampleMatrix, G: np.ndarray
-                             ) -> ConcentrationDiagnostic:
+def concentration_diagnostic(G: np.ndarray) -> ConcentrationDiagnostic:
     """Exact concentration maxima over the realized sample.
 
     ``G`` is the sample's Gram matrix (``kernels.gram(S)``). Its diagonal
     is zeroed while the off-diagonal maximum is taken and restored before
     returning, so no n x n temporary is made.
     """
-    if S.n < 2:
+    if G.shape[0] < 2:
         raise ValueError("max_inner needs at least two columns (n >= 2)")
     norms_sq = np.diag(G).copy()
     np.fill_diagonal(G, 0.0)

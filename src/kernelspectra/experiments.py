@@ -17,7 +17,7 @@ import numpy as np
 
 from ._csvio import write_table
 from ._rng import TAG_BATCH, TAG_TRIAL, derive_seed
-from .ensembles import (ConcentrationDiagnostic, SampleMatrix, VectorEnsemble,
+from .ensembles import (ConcentrationDiagnostic, VectorEnsemble,
                         concentration_diagnostic, sample_matrix)
 from .errors import KernelSpectraError, SolverError
 from .kernels import Envelope, KernelSpec, build, gram, parse_envelope
@@ -225,17 +225,6 @@ def build_law(config: ExperimentConfig) -> Law | None:
     return None
 
 
-def trial_samples(config: ExperimentConfig, families: Sequence[str]
-                  ) -> Iterator[tuple[int, str, SampleMatrix]]:
-    """(trial, family, sample matrix), trial-major; every command draws
-    trial t from the derive_seed(config.seed, TAG_TRIAL, t) stream."""
-    for t in range(config.trials):
-        trial_seed = derive_seed(config.seed, TAG_TRIAL, t)
-        for fam in families:
-            yield t, fam, sample_matrix(VectorEnsemble(fam, config.p),
-                                        config.n, trial_seed)
-
-
 class _StageClock:
     """Seconds per stage; ``lap(stage)`` charges the time since the last lap."""
 
@@ -247,6 +236,25 @@ class _StageClock:
         now = time.perf_counter()
         self.seconds[stage] += now - self._mark
         self._mark = now
+
+
+def trial_grams(config: ExperimentConfig, families: Sequence[str],
+                clock: _StageClock | None = None
+                ) -> Iterator[tuple[int, str, np.ndarray]]:
+    """(trial, family, G = gram(S)), trial-major; trial t's samples S come
+    from the derive_seed(config.seed, TAG_TRIAL, t) stream. S is freed before
+    the yield and G on resume, so a caller that builds A over G and drops
+    G holds A alone. ``clock`` laps "sample" after each draw."""
+    clock = clock or _StageClock(("sample",))
+    for t in range(config.trials):
+        seed = derive_seed(config.seed, TAG_TRIAL, t)
+        for fam in families:
+            S = sample_matrix(VectorEnsemble(fam, config.p), config.n, seed)
+            clock.lap("sample")
+            G = gram(S)
+            del S
+            yield t, fam, G
+            del G
 
 
 def run_universality(config: ExperimentConfig) -> ExperimentResult:
@@ -268,25 +276,17 @@ def run_universality(config: ExperimentConfig) -> ExperimentResult:
     conc: dict[str, list[ConcentrationDiagnostic]] = {f: [] for f in families}
     errors: list[TrialError] = []
     clock = _StageClock(("sample", "gram", "build", "eig", "law", "distances"))
-    for t, fam, S in trial_samples(config, families):
-        clock.lap("sample")
-        step, stage = "sample", "gram"  # errors.csv stage, timings key
+    for t, fam, G in trial_grams(config, families, clock):
+        if config.n >= 2:  # the diagnostic reads G; build writes A over it
+            conc[fam].append(concentration_diagnostic(G))
+        clock.lap("gram")
+        step = stage = "build"  # errors.csv stage, timings key
         try:
-            # One Gram matrix per trial feeds both the diagnostic and the
-            # kernel, and build writes A over it. The sample is dropped
-            # once G is formed, so build and eigvalsh hold A alone.
-            G = gram(S)
-            if config.n >= 2:
-                conc[fam].append(concentration_diagnostic(S, G))
-            del S
-            clock.lap(stage)
-            step = stage = "build"
             A = build(spec, G, config.p)
-            del G
             clock.lap(stage)
             step, stage = "eigenvalues", "eig"
             samples[fam][t] = eigenvalues(A)
-            del A
+            del A, G
         except (KernelSpectraError, ValueError) as exc:
             errors.append(TrialError(trial=t, ensemble=fam, stage=step,
                                      message=str(exc)))
@@ -449,10 +449,10 @@ def run_l2_perturbation(config: ExperimentConfig, f1: Envelope, f2: Envelope,
     spec1 = KernelSpec(config.kernel, config.diagonal, f1)
     spec2 = KernelSpec(config.kernel, config.diagonal, f2)
     deltas = []
-    for _, _, S in trial_samples(config, (config.ensemble,)):
-        G = gram(S)
-        m1 = empirical_stieltjes(eigenvalues(build(spec1, G.copy(), S.p)), z)
-        m2 = empirical_stieltjes(eigenvalues(build(spec2, G, S.p)), z)
+    for _, _, G in trial_grams(config, (config.ensemble,)):
+        m1 = empirical_stieltjes(eigenvalues(build(spec1, G.copy(), config.p)),
+                                 z)
+        m2 = empirical_stieltjes(eigenvalues(build(spec2, G, config.p)), z)
         deltas.append(abs(m1 - m2))
     mean_delta = float(np.mean(deltas))
     ratio = mean_delta / eps_hat if eps_hat > 0 else (

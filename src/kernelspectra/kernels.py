@@ -246,9 +246,10 @@ def build(spec: KernelSpec, G: np.ndarray, p: int) -> np.ndarray:
     g = np.diag(G).copy()  # earlier row blocks overwrite the diagonal
     rows = max(1, _BLOCK_ENTRIES // n)
     for r0 in range(0, n, rows):
-        K = G[r0:r0 + rows] if spec.kernel == INNER_PRODUCT \
-            else _distance_rows(G, g, r0, r0 + rows)
+        # a distance overflows on the diagonal before it is set to 0
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            K = G[r0:r0 + rows] if spec.kernel == INNER_PRODUCT \
+                else _distance_rows(G, g, r0, r0 + rows)
             block = np.asarray(spec.envelope(K, p), dtype=float)
         if spec.diagonal == ZERO:
             np.fill_diagonal(block[:, r0:], 0.0)
@@ -308,5 +309,4 @@ def single_entry_swap(S: SampleMatrix, i: int, j: int, new_value: float,
     before = build(spec, gram(S), S.p)
     data = S.data.copy()
     data[i, j] = new_value
-    swapped = SampleMatrix(data=data, ensemble=S.ensemble, seed=S.seed)
-    return before, build(spec, gram(swapped), S.p)
+    return before, build(spec, gram(SampleMatrix(data)), S.p)

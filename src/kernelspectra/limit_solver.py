@@ -19,9 +19,9 @@ a = nu = 0) and the lost root is w = 0 exactly.
 Every Stieltjes transform has Im(-1/m) >= Im z, while a root with
 Im m <= 0 has Im w >= 0, so the Herglotz root is the one with
 Im w < -Im z / 2. Rounding noise in Im w is ~1e-16 max|w|, so below
-Im z = 1e-12 max|w| the test picks the root at Re z + 1e-12 max|w| i
-instead, and m(z) comes from the root at z nearest to it (m is
-continuous; the two roots differ by ~1e-12 of their size).
+Im z = 1e-12 max|w| it is one with Im w < -1e-12 max|w|, or else the
+nonzero root nearest to the one picked at Re z + 1e-12 max|w| i (m is
+continuous), and Im m, noise of either sign, is floored at Im z |m|^2.
 
 Atoms and the support are closed-form too:
 
@@ -107,10 +107,13 @@ def _reciprocal_roots(a: float, nu: float, gamma: float, z) -> np.ndarray:
         x = v - f / ((3.0 * v + 2.0 * b) * v + c)
         v = np.where(abs(((x + b) * x + c) * x + d) < abs(f), x, v)
         S, R = (c + d / v) / v, -d / v  # the other two: y^2 - S y + R = 0
+        e = np.frexp(np.maximum(abs(S), np.sqrt(abs(R))))[1]  # of max |y|
+        h = np.ldexp(1.0, np.where(e < -400, e, 0))  # keeps tiny S^2 normal
+        S, R = S / h, R / h / h
         r = np.sqrt(S * S - 4.0 * R)
         q = 0.5 * (S + np.where((S.conjugate() * r).real < 0, -r, r))
         y = np.divide(R, q, out=np.zeros_like(q), where=d != 0)
-    return np.stack([v, q, y], axis=-1) * s[..., None]
+    return np.stack([v, q * h, y * h], axis=-1) * s[..., None]
 
 
 def _stieltjes(a: float, nu: float, gamma: float, z) -> np.ndarray:
@@ -128,8 +131,11 @@ def _stieltjes(a: float, nu: float, gamma: float, z) -> np.ndarray:
         w_up = _reciprocal_roots(a, nu, gamma, z.real + 1j * lift)
         up = w_up.imag < -0.5 * lift[..., None]
         gap = abs(w - np.where(up, w_up, 0).sum(axis=-1)[..., None])
+        gap[w == 0] = np.inf  # the lost root, m = inf
         nearest = (gap == gap.min(axis=-1, keepdims=True)) \
             & (up.sum(axis=-1) == 1)[..., None]
+        clear = w.imag < -lift[..., None]  # Im w < 0 beyond rounding noise
+        nearest = np.where(clear.any(axis=-1, keepdims=True), clear, nearest)
         herglotz = np.where(near[..., None], nearest, herglotz)
     unique = herglotz.sum(axis=-1) == 1
     if not unique.all():
@@ -137,7 +143,9 @@ def _stieltjes(a: float, nu: float, gamma: float, z) -> np.ndarray:
         raise SolverError(
             f"{int(np.sum(~unique))} point(s) without exactly one Herglotz "
             f"root, first at z={at} (a={a}, nu={nu}, gamma={gamma})", z=at)
-    return 1.0 / w[herglotz].reshape(z.shape)
+    m = 1.0 / w[herglotz].reshape(z.shape)
+    floor = z.imag * abs(m) * abs(m)  # finite, as |m| <= 1/Im z
+    return np.where(near, m.real + 1j * np.maximum(m.imag, floor), m)
 
 
 def equation_residual(m, a: float, nu: float, gamma: float, z):

@@ -13,7 +13,7 @@ from scipy.integrate import quad
 
 import kernelspectra as ks
 from kernelspectra._rng import TAG_TRIAL, derive_seed
-from kernelspectra.experiments import trial_samples
+from kernelspectra.experiments import trial_grams
 from kernelspectra.orthopoly import normal_moment
 
 
@@ -26,8 +26,8 @@ def _verdict(num, name, ok, detail, elapsed, limit):
 def _pooled_esd(family, p, n, spec, trials, seed):
     config = ks.ExperimentConfig(ensemble=family, p=p, n=n, trials=trials,
                                  seed=seed)
-    return ks.ESD.pooled([ks.eigenvalues(ks.build(spec, ks.gram(S), S.p))
-                          for _, _, S in trial_samples(config, (family,))])
+    return ks.ESD.pooled([ks.eigenvalues(ks.build(spec, G, p))
+                          for _, _, G in trial_grams(config, (family,))])
 
 
 def test_criterion_01_mp_self_consistency():

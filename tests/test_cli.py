@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import inspect
 import os
@@ -13,6 +14,7 @@ from kernelspectra import (ESD, VectorEnsemble, envelope_coeffs, load_esd,
                            load_limit_law, mp_atom_mass, mp_density,
                            mp_support, parse_envelope)
 from kernelspectra import orthopoly
+from kernelspectra._csvio import read_table
 from kernelspectra.cli import cli_main
 from kernelspectra.ensembles import FAMILIES
 from kernelspectra.kernels import ENVELOPE_FACTORIES
@@ -159,6 +161,17 @@ def test_predict_mp_csv_mass(tmp_path, capsys):
     # emitted cdf column reaches 1 to quadrature accuracy
     assert abs(data[-1, 2] - 1.0) < 1e-6
     assert np.all(np.diff(data[:, 2]) >= -1e-12)
+
+
+def test_predict_mp_records_its_law(tmp_path, capsys):
+    out = tmp_path / "mp.csv"
+    assert cli_main(["predict", "--law", "mp", "--gamma", "2", "--envelope",
+                     "exp:a=-1", "--kernel", "distance", "--diag", "keep",
+                     "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()[0]
+    record = ast.literal_eval(printed.removeprefix("affine MP law: "))
+    _, meta = read_table(out, ("x", "density", "cdf"))
+    assert meta == {key: str(value) for key, value in record.items()}
 
 
 def test_predict_fe_needs_parameters(capsys):
@@ -512,6 +525,14 @@ def test_swap_check_takes_a_huge_finite_value(capsys):
         assert cli_main(["swap-check", "--p", "20", "--n", "10",
                          "--value", "1.3e154", "--diag", diag]) == 0
         assert "numerical rank <= 2: True" in capsys.readouterr().out
+
+
+def test_swap_check_distance_kernel_takes_a_huge_finite_value(capsys):
+    # the swapped column's diagonal distance g_j + g_j - 2 G_jj overflows
+    # before build sets it to 0; filterwarnings = error fails on a warning
+    assert cli_main(["swap-check", "--p", "20", "--n", "10", "--value",
+                     "1.3e154", "--kernel", "distance"]) == 0
+    assert "numerical rank <= 2: True" in capsys.readouterr().out
 
 
 def test_swap_check_reports_rank(capsys):

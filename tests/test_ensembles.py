@@ -208,7 +208,7 @@ def test_moment_diagnostic_argument_validation():
 
 def test_concentration_sphere_norm_dev_is_zero():
     S = sample_matrix(VectorEnsemble("sphere", 64), 30, seed=9)
-    rep = concentration_diagnostic(S, gram(S))
+    rep = concentration_diagnostic(gram(S))
     assert rep.max_norm_dev < 1e-12
     assert rep.max_inner > 0.0
 
@@ -218,7 +218,7 @@ def test_concentration_matches_off_diagonal_copy_reference(family):
     S = sample_matrix(VectorEnsemble(family, 33), 21, seed=4)
     G = gram(S)
     untouched = G.copy()
-    rep = concentration_diagnostic(S, G)
+    rep = concentration_diagnostic(G)
     norms_sq = np.diag(untouched).copy()
     off = untouched - np.diag(norms_sq)
     assert rep.max_inner == float(np.max(np.abs(off)))
@@ -244,7 +244,7 @@ def test_concentration_gaussian_calibrated_bound():
 def test_concentration_needs_two_columns():
     S = sample_matrix(VectorEnsemble("gaussian", 10), 1, seed=0)
     with pytest.raises(ValueError):
-        concentration_diagnostic(S, gram(S))
+        concentration_diagnostic(gram(S))
 
 
 def test_norm_deviation_decreases_stochastically_in_p():
@@ -253,7 +253,7 @@ def test_norm_deviation_decreases_stochastically_in_p():
         devs = []
         for seed in range(50):
             S = sample_matrix(VectorEnsemble("gaussian", p), 20, seed=seed)
-            devs.append(concentration_diagnostic(S, gram(S)).max_norm_dev)
+            devs.append(concentration_diagnostic(gram(S)).max_norm_dev)
         medians.append(np.median(devs))
     assert medians[1] < medians[0]
 

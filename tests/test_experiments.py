@@ -173,13 +173,18 @@ def test_run_universality_forms_one_gram_per_trial_and_family(monkeypatch):
     import kernelspectra.experiments as experiments_module
     import kernelspectra.kernels as kernels_module
     real_gram = kernels_module.gram
-    families = []
+    drawn, families = [], []
+
+    def tagged_sample(ensemble, n, seed):
+        drawn.append(ensemble.family)
+        return sample_matrix(ensemble, n, seed)
 
     def counting_gram(S):
-        families.append(S.ensemble.family)
+        families.append(drawn[-1])
         return real_gram(S)
 
     # kernels.gram is patched too, so a build that formed G again counts
+    monkeypatch.setattr(experiments_module, "sample_matrix", tagged_sample)
     monkeypatch.setattr(experiments_module, "gram", counting_gram)
     monkeypatch.setattr(kernels_module, "gram", counting_gram)
     cfg = ExperimentConfig(ensemble="rademacher", ensemble_b="sphere", p=30,

@@ -21,8 +21,7 @@ def _sample(family="gaussian", p=60, n=40, seed=0):
 
 def _orthonormal_sample(p=8, n=5):
     data = np.eye(p)[:, :n]
-    return SampleMatrix(data=data, ensemble=VectorEnsemble("gaussian", p),
-                        seed=0)
+    return SampleMatrix(data=data)
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +54,7 @@ def test_squared_distances_duplicate_columns():
     S = _sample(p=12, n=6, seed=4)
     data = S.data.copy()
     data[:, 3] = data[:, 1]
-    S2 = SampleMatrix(data=data, ensemble=S.ensemble, seed=S.seed)
+    S2 = SampleMatrix(data=data)
     D = _distances(S2)
     assert D[1, 3] == 0.0
 
@@ -112,8 +111,7 @@ def _layouts(p=17, n=13, seed=31):
     wide = np.ascontiguousarray(_sample(p=p, n=3 * n, seed=seed).data)
     datas = [wide[:, :n].copy(), np.asfortranarray(wide[:, :n]),
              wide[:, n:2 * n], wide[:, ::3]]
-    return [SampleMatrix(data=d, ensemble=VectorEnsemble("gaussian", p),
-                         seed=seed) for d in datas]
+    return [SampleMatrix(data=d) for d in datas]
 
 
 def _block_rows(monkeypatch, n=13):

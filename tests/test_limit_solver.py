@@ -315,3 +315,47 @@ def test_stieltjes_of_the_sign_scaled_law_below_its_support():
     # m(x + 1e-35 i) by mpmath at 700 digits: 0.26623269589548027024
     m = solve_point(_SIGN_SCALED_A, 1.0, 0.5, -4.187505077315176 + 1e-35j)
     assert abs(m - 0.26623269589548027024) < 1e-15
+
+
+_TINY_IM = np.logspace(-1, -295, 43)
+
+
+@pytest.mark.parametrize("x", [-30.0, -1.0, 1e-3, 0.1, 6.3, 30.0])
+def test_unit_atom_law_next_to_the_axis_is_minus_one_over_z(x):
+    # a = nu = 0 is the unit atom at 0, so m = -1/z and Im m > 0; rounding
+    # noise in Im w used to leave Im m < 0 at 6.3 + 1e-36 i
+    z = x + 1j * _TINY_IM
+    m = limit_solver._stieltjes(0.0, 0.0, 0.5, z)
+    assert np.all(m.imag > 0)
+    np.testing.assert_allclose(m, -1.0 / z, rtol=1e-15)
+
+
+@pytest.mark.parametrize("a, gamma", [(1.0, 0.5), (0.5, 0.3), (2.0, 0.9)])
+def test_stieltjes_at_the_atom_of_a_nu_equal_a_squared_law(a, gamma):
+    # the atom at -a of mass 1 - gamma puts m near (1 - gamma) i / Im z,
+    # so the root w = 1/m is as small as the lost root w = 0 is close
+    z = -a + 1j * _TINY_IM
+    m = limit_solver._stieltjes(a, a * a, gamma, z)
+    law = AffineMPLaw(gamma=gamma, shift=-a, scale=a)
+    np.testing.assert_allclose(m, law.stieltjes(z), rtol=1e-14)
+
+
+def test_grid_next_to_the_axis_has_a_monotone_cdf():
+    # at epsilon = 1e-30 every grid point is next to the axis; a negative
+    # Im m flipped a log branch and the recovered mass read -1
+    law = solve_grid(_SIGN_SCALED_A, 1.0, 0.5, epsilon=1e-30)
+    assert np.all(np.diff(law.cdf_values) >= 0)
+    assert law.cdf_values[-1] == 1.0
+    assert np.all(law.density >= 0)
+
+
+def test_stieltjes_at_the_hard_edge_of_a_nu_equal_a_squared_law():
+    # at gamma = 1, m blows up like 1/sqrt(z + a): both nonzero roots
+    # w = 1/m are ~sqrt(Im z), far beyond the rounding noise in Im w, and
+    # too close together to be told apart from the roots above them
+    a = 1.0
+    u = 1j * _TINY_IM  # z + a
+    r = np.sqrt(u * u - 4.0 * a * u)  # w^2 + u w + a u = 0, without w = 0
+    w = np.where((r - u).imag < 0, (r - u) / 2, (-r - u) / 2)
+    m = limit_solver._stieltjes(a, a * a, 1.0, u - a)
+    np.testing.assert_allclose(m, 1.0 / w, rtol=1e-14)
