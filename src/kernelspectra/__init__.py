@@ -13,8 +13,7 @@ from .experiments import (ExperimentConfig, ExperimentResult,
 from .kernels import (INNER_PRODUCT, KEEP, SQUARED_DISTANCE, ZERO, Envelope,
                       KernelSpec, build, gram, linearized, parse_envelope,
                       single_entry_swap)
-from .limit_solver import (LimitLaw, load_limit_law, save_limit_law,
-                           solve_grid, solve_point)
+from .limit_solver import LimitLaw, load_limit_law, solve_grid, solve_point
 from .mp_theory import (AffineMPLaw, mp_atom_mass, mp_cdf, mp_density,
                         mp_stieltjes, mp_support, predicted_law)
 from .orthopoly import (AdmissibleParams, MomentSequence, OrthoBasis,
@@ -22,7 +21,7 @@ from .orthopoly import (AdmissibleParams, MomentSequence, OrthoBasis,
                         hermite, hermite_deviation, xi_moments)
 from .spectral import (ESD, VarianceDecayReport, eigenvalues,
                        empirical_stieltjes, ks_distance, load_esd, save_esd,
-                       stieltjes_variance_decay, wasserstein1)
+                       save_limit_law, stieltjes_variance_decay, wasserstein1)
 
 __version__ = "0.1.0"
 

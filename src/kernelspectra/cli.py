@@ -16,14 +16,14 @@ import numpy as np
 from .ensembles import (FAMILIES, VectorEnsemble, concentration_diagnostic,
                         moment_diagnostic, sample_matrix)
 from .errors import KernelSpectraError
-from .experiments import (ExperimentConfig, parse_config, run_universality,
-                          trial_grams, write_law_csv)
+from .experiments import (ExperimentConfig, esd_meta, parse_config,
+                          run_universality, trial_grams)
 from .kernels import (ENVELOPE_FACTORIES, KernelSpec, build, gram,
                       parse_envelope, single_entry_swap)
-from .limit_solver import save_limit_law, solve_grid
+from .limit_solver import solve_grid
 from .mp_theory import AffineMPLaw, predicted_law
 from .orthopoly import envelope_coeffs
-from .spectral import ESD, eigenvalues, save_esd
+from .spectral import ESD, eigenvalues, save_esd, save_limit_law
 
 _ENSEMBLE_HELP = " | ".join(FAMILIES)
 
@@ -108,26 +108,24 @@ def _cmd_simulate(args) -> int:
                               kernel=args.kernel, diagonal=args.diag,
                               envelope=args.envelope)
     spec = config.kernel_spec()
-    trials = []
-    for _, _, G in trial_grams(config, (config.ensemble,)):
-        trials.append(eigenvalues(build(spec, G, config.p)))
+    spectra = {}
+    for t, _, G in trial_grams(config, (config.ensemble,)):
+        spectra[str(t)] = eigenvalues(build(spec, G, config.p))
         del G  # so A is freed before the next draw
-    pooled = ESD.pooled(trials)
-    lam = pooled.points
+    lam = ESD.pooled(list(spectra.values())).points
     print(f"model {spec.label()}  ensemble={args.ensemble} n={args.n} "
           f"p={args.p} gamma={args.p / args.n:g} trials={args.trials}")
     print(f"eigenvalues: count={lam.size} min={lam.min():.6g} "
           f"max={lam.max():.6g} mean-trace={lam.sum() / args.trials:.6g}")
     if args.out:
-        save_esd(args.out, pooled,
-                 {"p": args.p, "gamma": args.p / args.n, "seed": args.seed,
-                  "spec": spec.label(), "trials": args.trials})
+        save_esd(args.out, spectra, esd_meta(config))
         print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_predict(args) -> int:
     if args.law == "mp":
+        name = "affine MP law"
         if (args.envelope is not None
                 and args.shift is None and args.scale is None):
             spec = KernelSpec(args.kernel, args.diag,
@@ -136,19 +134,16 @@ def _cmd_predict(args) -> int:
         else:
             law = AffineMPLaw(gamma=args.gamma, shift=args.shift or 0.0,
                               scale=1.0 if args.scale is None else args.scale)
-        print(f"affine MP law: {law.to_record()}")
-        if args.out:
-            write_law_csv(args.out, law, law.to_record().items())
     elif args.law == "fe":
         if args.a is None or args.nu is None:
             raise ValueError("functional-equation law needs --a and --nu")
+        name = "functional-equation law"
         law = solve_grid(args.a, args.nu, args.gamma, epsilon=args.epsilon)
-        print(f"functional-equation law: {law.to_record()}")
-        if args.out:
-            save_limit_law(args.out, law)
     else:
         raise ValueError(f"unknown law kind {args.law!r} (use mp or fe)")
+    print(f"{name}: {law.to_record()}")
     if args.out:
+        save_limit_law(args.out, law)
         print(f"wrote {args.out}")
     return 0
 

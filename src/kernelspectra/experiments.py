@@ -24,7 +24,7 @@ from .kernels import Envelope, KernelSpec, build, gram, parse_envelope
 from .limit_solver import _check_params, solve_grid
 from .mp_theory import predicted_law
 from .spectral import (ESD, Law, eigenvalues, empirical_stieltjes,
-                       ks_distance, wasserstein1)
+                       ks_distance, save_esd, save_limit_law, wasserstein1)
 from .svgplot import write_overlay_svg
 
 AFFINE_MP = "affine-mp"
@@ -217,9 +217,7 @@ def _distance_record(family: str, trial: int, e: ESD, target: ESD | Law,
 def build_law(config: ExperimentConfig) -> Law | None:
     if config.target == AFFINE_MP:
         return predicted_law(config.kernel_spec(), config.gamma)
-    if config.target == FUNCTIONAL_EQUATION or (
-            config.target == CROSS_ENSEMBLE and config.law_a is not None
-            and config.law_nu is not None):
+    if config.law_a is not None:  # and law_nu; the FE target needs both
         return solve_grid(config.law_a, config.law_nu, config.gamma,
                           epsilon=config.epsilon)
     return None
@@ -335,11 +333,10 @@ def run_universality(config: ExperimentConfig) -> ExperimentResult:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def write_law_csv(path: str | Path, law: Law,
-                  meta: Sequence[tuple[str, object]] | None = None) -> None:
-    """law.table() as x,density,cdf rows; ``meta`` pairs go to <path>.meta."""
-    write_table(path, ("x", "density", "cdf"),
-                np.column_stack(law.table()).tolist(), meta)
+def esd_meta(config: ExperimentConfig) -> list[tuple[str, str]]:
+    """The .meta pairs of a run's spectra file."""
+    return [*config.items(), ("schema", "trial,lambda"),
+            ("spec", config.kernel_spec().label())]
 
 
 def write_result(result: ExperimentResult, out_dir: Path) -> None:
@@ -351,17 +348,11 @@ def write_result(result: ExperimentResult, out_dir: Path) -> None:
     def label(fam: str, trial: int | str) -> str:
         return f"{trial}" if fam == config.ensemble else f"{fam}:{trial}"
 
-    esd_rows = ((label(fam, t), lam)
-                for fam, per_trial in result.samples.items()
-                for t, e in per_trial.items()
-                for lam in e.points.tolist())
-    write_table(out_dir / "esd.csv", ("trial", "lambda"), esd_rows,
-                [*config.items(), ("schema", "trial,lambda"),
-                 ("spec", config.kernel_spec().label())])
-
+    save_esd(out_dir / "esd.csv",
+             {label(fam, t): e for fam, per_trial in result.samples.items()
+              for t, e in per_trial.items()}, esd_meta(config))
     if result.law is not None:
-        write_law_csv(out_dir / "law.csv", result.law,
-                      [*config.items(), *result.law.to_record().items()])
+        save_limit_law(out_dir / "law.csv", result.law, config.items())
 
     dist_rows = ([label(rec.family, "pooled" if rec.trial < 0 else rec.trial),
                   rec.ks, rec.w1, rec.stieltjes_sup]
@@ -379,24 +370,19 @@ def write_result(result: ExperimentResult, out_dir: Path) -> None:
     _write_report_svg(result, out_dir / "report.svg")
 
 
-def _density_histogram(e: ESD, bins: int = 80) -> tuple[np.ndarray, np.ndarray]:
-    hist, edges = np.histogram(e.points, bins=bins, density=True)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return centers, hist
-
-
 def _write_report_svg(result: ExperimentResult, path: Path) -> None:
     density_series = []
     cdf_series = []
     for fam, e in result.pooled.items():
-        cx, cy = _density_histogram(e)
-        density_series.append((cx, cy, f"esd {fam}"))
+        hist, edges = np.histogram(e.points, bins=80, density=True)
+        density_series.append((0.5 * (edges[:-1] + edges[1:]), hist,
+                               f"esd {fam}"))
         cdf_series.append((e.points, np.arange(1, e.n + 1) / e.n,
                            f"esd {fam}"))
     if result.law is not None:
-        xs, dens, cdfs = result.law.table()
-        density_series.append((xs, dens, "law"))
-        cdf_series.append((xs, cdfs, "law"))
+        table = result.law.table()
+        density_series.append((table["x"], table["density"], "law"))
+        cdf_series.append((table["x"], table["cdf"], "law"))
     if not density_series:
         return
     desc = config_text(result.config).replace("\n", " ")

@@ -21,7 +21,10 @@ Im m <= 0 has Im w >= 0, so the Herglotz root is the one with
 Im w < -Im z / 2. Rounding noise in Im w is ~1e-16 max|w|, so below
 Im z = 1e-12 max|w| it is one with Im w < -1e-12 max|w|, or else the
 nonzero root nearest to the one picked at Re z + 1e-12 max|w| i (m is
-continuous), and Im m, noise of either sign, is floored at Im z |m|^2.
+continuous). If that root is real (Im w within the noise and |Im w| <=
+1e-3 |Re w|) and 1e-3 max|w| clear of the others, Im m is
+Im z / x'(Re m), m's first-order term off the axis (x(m) is below);
+else Im m, noise of either sign, is floored at Im z |m|^2.
 
 Atoms and the support are closed-form too:
 
@@ -60,11 +63,12 @@ from pathlib import Path
 
 import numpy as np
 
-from ._csvio import read_table, write_table
+from ._csvio import read_table
 from .errors import SolverError
 from .spectral import Law
 
 _MASS_TOL = 1e-3          # the window must hold all mass but this
+_ISOLATED = 1e-3          # a root this far from the others, over max|w|
 # cube roots of unity; a complex ufunc at import pages in ~0.25 MB of code
 _CUBE_ROOTS = np.array([1.0, -0.5 + 0.75 ** 0.5 * 1j, -0.5 - 0.75 ** 0.5 * 1j])
 
@@ -143,9 +147,22 @@ def _stieltjes(a: float, nu: float, gamma: float, z) -> np.ndarray:
         raise SolverError(
             f"{int(np.sum(~unique))} point(s) without exactly one Herglotz "
             f"root, first at z={at} (a={a}, nu={nu}, gamma={gamma})", z=at)
-    m = 1.0 / w[herglotz].reshape(z.shape)
+    root = w[herglotz].reshape(z.shape)
+    m = 1.0 / root
+    im = m.imag
+    if np.any(near):  # a real root clear of the others: Im z / x'(Re m)
+        c, d = _cd(a, nu, gamma)
+        apart = np.where(herglotz | (w == 0), np.inf,
+                         abs(w - root[..., None])).min(axis=-1)
+        with np.errstate(all="ignore"):  # non-finite slopes are not used
+            m2 = m.real * m.real
+            slope = 1.0 - m2 * (a * c / (1.0 + c * m.real) ** 2 + d)  # m^2 x'
+            real = ((slope > 0) & (apart > _ISOLATED * abs(w).max(axis=-1))
+                    & (root.imag >= -lift)  # no Im w beyond rounding noise
+                    & (abs(root.imag) <= _ISOLATED * abs(root.real)))
+            im = np.where(real, z.imag * m2 / slope, im)
     floor = z.imag * abs(m) * abs(m)  # finite, as |m| <= 1/Im z
-    return np.where(near, m.real + 1j * np.maximum(m.imag, floor), m)
+    return np.where(near, m.real + 1j * np.maximum(im, floor), m)
 
 
 def equation_residual(m, a: float, nu: float, gamma: float, z):
@@ -216,17 +233,13 @@ class LimitLaw(Law):
     cdf_values: np.ndarray
     atoms: tuple[tuple[float, float], ...]
 
-    @property
-    def continuous_cdf(self) -> np.ndarray:
-        steps = np.zeros_like(self.grid)
-        for loc, mass in self.atoms:
-            steps += mass * (self.grid >= loc)
-        return self.cdf_values - steps
-
     def cdf(self, x) -> np.ndarray | float:
-        """Trapezoidal CDF evaluator: 0 below the grid, 1 above it."""
+        """Trapezoidal CDF evaluator: 0 below the grid, 1 above it; each
+        atom is an exact step over the interpolated continuous part."""
         x_arr = np.asarray(x, dtype=float)
-        cont = self.continuous_cdf
+        cont = self.cdf_values.copy()
+        for loc, mass in self.atoms:
+            cont -= mass * (self.grid >= loc)
         out = np.interp(x_arr, self.grid, cont, left=0.0, right=float(cont[-1]))
         for loc, mass in self.atoms:
             out = out + mass * (x_arr >= loc)
@@ -244,9 +257,11 @@ class LimitLaw(Law):
         """The solved grid's end points."""
         return float(self.grid[0]), float(self.grid[-1])
 
-    def table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(x, density, cdf) at the grid points."""
-        return self.grid, self.density, self.cdf_values
+    def table(self) -> dict[str, np.ndarray]:
+        """x, density, cdf and m = re_m + i im_m at the grid points."""
+        return {"x": self.grid, "density": self.density,
+                "cdf": self.cdf_values, "re_m": self.m_values.real,
+                "im_m": self.m_values.imag}
 
     def stieltjes(self, z) -> np.ndarray | complex:
         """Exact transform from the cubic's roots (no interpolation)."""
@@ -300,25 +315,14 @@ def solve_grid(a: float, nu: float, gamma: float,
                     atoms=atoms)
 
 
-_LAW_COLUMNS = ("x", "density", "cdf", "re_m", "im_m")
-
-
-def save_limit_law(path: str | Path, law: LimitLaw) -> None:
-    """CSV columns x, density, cdf, re_m, im_m; parameters in <path>.meta."""
-    columns = (law.grid, law.density, law.cdf_values, law.m_values.real,
-               law.m_values.imag)
-    write_table(path, _LAW_COLUMNS, np.column_stack(columns).tolist(),
-                law.to_record().items())
-
-
 def load_limit_law(path: str | Path) -> LimitLaw:
-    rows, meta = read_table(path, _LAW_COLUMNS)
-    if not {"a", "nu", "gamma", "epsilon"} <= meta.keys():
+    """The LimitLaw save_limit_law wrote to ``path``."""
+    rows, meta = read_table(path, ("x", "density", "cdf", "re_m", "im_m"))
+    params = ("a", "nu", "gamma", "epsilon")
+    if not set(params) <= meta.keys():
         raise ValueError(f"{path}.meta lacks the law's parameters")
-    data = np.array([[float(v) for v in row] for row in rows])
-    atoms = tuple(ast.literal_eval(meta.get("atoms", "[]")))
-    return LimitLaw(a=float(meta["a"]), nu=float(meta["nu"]),
-                    gamma=float(meta["gamma"]),
-                    epsilon=float(meta["epsilon"]), grid=data[:, 0],
-                    m_values=data[:, 3] + 1j * data[:, 4],
-                    density=data[:, 1], cdf_values=data[:, 2], atoms=atoms)
+    x, density, cdf, re_m, im_m = np.array([[float(v) for v in row]
+                                            for row in rows]).T
+    return LimitLaw(**{k: float(meta[k]) for k in params}, grid=x,
+                    m_values=re_m + 1j * im_m, density=density, cdf_values=cdf,
+                    atoms=tuple(ast.literal_eval(meta.get("atoms", "[]"))))

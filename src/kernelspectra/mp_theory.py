@@ -46,17 +46,23 @@ def mp_atom_mass(gamma: float) -> float:
 def mp_density(gamma: float, x) -> np.ndarray | float:
     """Continuous density; the atom at 0 is reported separately."""
     a, b = mp_support(gamma)
+    # gamma / (2 pi x) overflows for x < ~1e-309, next to a zero left edge
+    # only; there the density is gamma / (2 pi) sqrt(b - x) / sqrt(x).
     if np.ndim(x) == 0:  # scalar path for quadrature integrands, same rounding
         xs = float(x)
         if not a < xs < b:
             return 0.0
-        return float(gamma / (2.0 * np.pi * xs)
-                     * math.sqrt((b - xs) * (xs - a)))
+        out = gamma / (2.0 * np.pi * xs) * math.sqrt((b - xs) * (xs - a))
+        return float(out if out < math.inf else gamma / (2.0 * np.pi)
+                     * math.sqrt(b - xs) * (math.sqrt(xs - a) / xs))
     x_arr = np.asarray(x, dtype=float)
     inside = (x_arr > a) & (x_arr < b)
     out = np.zeros_like(x_arr)
     xs = x_arr[inside]
-    out[inside] = gamma / (2.0 * np.pi * xs) * np.sqrt((b - xs) * (xs - a))
+    with np.errstate(over="ignore"):
+        d = gamma / (2.0 * np.pi * xs) * np.sqrt((b - xs) * (xs - a))
+    out[inside] = np.where(d < np.inf, d, gamma / (2.0 * np.pi)
+                           * np.sqrt(b - xs) * (np.sqrt(xs - a) / xs))
     return out
 
 
@@ -87,12 +93,6 @@ def mp_cdf(gamma: float, x) -> np.ndarray | float:
     x_arr = np.asarray(x, dtype=float)
     out = _mp_continuous_cdf(gamma, x_arr) + mp_atom_mass(gamma) * (x_arr >= 0.0)
     return out if np.ndim(x) else float(out)
-
-
-def _mp_cdf_left(gamma: float, x) -> np.ndarray:
-    """Left limit of the CDF (atom counted only strictly below x)."""
-    x_arr = np.asarray(x, dtype=float)
-    return _mp_continuous_cdf(gamma, x_arr) + mp_atom_mass(gamma) * (x_arr > 0.0)
 
 
 def mp_stieltjes(gamma: float, z) -> np.ndarray | complex:
@@ -178,10 +178,10 @@ class AffineMPLaw(Law):
         """Support widened by 5% of its span (at least 0.05) on each side."""
         return self._widened(0.05)
 
-    def table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(x, density, cdf) on 2001 points over the support widened by 10%."""
+    def table(self) -> dict[str, np.ndarray]:
+        """x, density, cdf on 2001 points over the support widened by 10%."""
         x = np.linspace(*self._widened(0.1), 2001)
-        return x, np.asarray(self.density(x)), np.asarray(self.cdf(x))
+        return {"x": x, "density": self.density(x), "cdf": self.cdf(x)}
 
     def _pullback(self, x) -> np.ndarray:
         return (np.asarray(x, dtype=float) - self.shift) / self.scale
@@ -202,8 +202,9 @@ class AffineMPLaw(Law):
             out = (x_arr >= self.shift).astype(float)
         elif self.scale > 0:
             out = np.asarray(mp_cdf(self.gamma, self._pullback(x_arr)))
-        else:
-            out = 1.0 - _mp_cdf_left(self.gamma, self._pullback(x_arr))
+        else:  # 1 - F(y-), where F(y-) is F(y) less the atom at y = 0
+            y = self._pullback(x_arr)
+            out = 1.0 - (mp_cdf(self.gamma, y) - self.atom_mass * (y == 0.0))
         return out if np.ndim(x) else float(out)
 
     def stieltjes(self, z) -> np.ndarray | complex:

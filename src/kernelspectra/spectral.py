@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -47,8 +47,8 @@ class Law:
     """A limit law: right-continuous ``cdf(x)`` and point masses ``atoms``.
 
     Subclasses also define ``stieltjes(z)``, ``window`` (the interval W1
-    integrates over), ``table()`` (law.csv's x, density, cdf columns) and
-    ``to_record()``.
+    integrates over), ``table()`` (law.csv's columns by name, x, density
+    and cdf first) and ``to_record()``.
     """
 
     def cdf_left(self, x) -> np.ndarray | float:
@@ -203,16 +203,28 @@ def stieltjes_variance_decay(model: Callable[[int, int], np.ndarray],
 # CSV serialization
 # ---------------------------------------------------------------------------
 
-def save_esd(path: str | Path, e: ESD, metadata: dict | None = None) -> None:
-    """Write one eigenvalue per row under a 'lambda' header.
+def save_esd(path: str | Path, spectra: Mapping[str, ESD],
+             meta: Iterable[tuple] = ()) -> None:
+    """One row per eigenvalue under a trial,lambda header, labelled by its
+    spectrum's key in ``spectra``; ``meta`` pairs go to <path>.meta."""
+    write_table(path, ("trial", "lambda"),
+                ([label, lam] for label, e in spectra.items()
+                 for lam in e.points.tolist()), meta)
 
-    Metadata (n, p, gamma, seed, spec string, ...) goes to a sidecar
-    key=value file at <path>.meta.
-    """
-    write_table(path, ("lambda",), ([x] for x in e.points.tolist()),
-                {"n": e.n, **(metadata or {})}.items())
+
+def load_esd(path: str | Path) -> tuple[dict[str, ESD], dict[str, str]]:
+    """save_esd's label -> ESD mapping, in file order, and the .meta."""
+    rows, meta = read_table(path, ("trial", "lambda"))
+    points: dict[str, list[float]] = {}
+    for label, lam in rows:
+        points.setdefault(label, []).append(float(lam))
+    return {k: ESD(points=np.array(v)) for k, v in points.items()}, meta
 
 
-def load_esd(path: str | Path) -> tuple[ESD, dict]:
-    rows, meta = read_table(path, ("lambda",))
-    return ESD(points=np.array([float(r[0]) for r in rows])), meta
+def save_limit_law(path: str | Path, law: Law,
+                   meta: Iterable[tuple] = ()) -> None:
+    """law.table()'s columns under their names; ``meta`` pairs, then the
+    law's record, go to <path>.meta."""
+    table = law.table()
+    rows = np.column_stack(list(table.values())).tolist()
+    write_table(path, tuple(table), rows, [*meta, *law.to_record().items()])

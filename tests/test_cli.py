@@ -10,13 +10,16 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from kernelspectra import (ESD, VectorEnsemble, envelope_coeffs, load_esd,
-                           load_limit_law, mp_atom_mass, mp_density,
-                           mp_support, parse_envelope)
+from kernelspectra import (KernelSpec, LimitLaw, VectorEnsemble,
+                           envelope_coeffs, load_esd, load_limit_law,
+                           mp_atom_mass, mp_density, mp_support,
+                           parse_config, parse_envelope, predicted_law,
+                           run_universality, solve_grid)
 from kernelspectra import orthopoly
 from kernelspectra._csvio import read_table
 from kernelspectra.cli import cli_main
 from kernelspectra.ensembles import FAMILIES
+from kernelspectra.experiments import esd_meta
 from kernelspectra.kernels import ENVELOPE_FACTORIES
 
 
@@ -84,7 +87,8 @@ def test_simulate_sphere_identity(tmp_path, capsys):
     assert code == 0
     printed = capsys.readouterr().out
     assert "count=10" in printed
-    e, meta = load_esd(out)
+    spectra, meta = load_esd(out)
+    [e] = spectra.values()
     assert e.n == 10
     # unit diagonal: trace = 10
     assert abs(e.points.sum() - 10.0) < 1e-8
@@ -100,10 +104,14 @@ def test_simulate_matches_compare_trials(tmp_path, capsys):
     sets = [arg for key, val in {**model, "trials": "3"}.items()
             for arg in ("--set", f"{key}={val}")]
     assert cli_main(["compare", *sets, "--out", str(tmp_path / "cmp")]) == 0
-    simulated, _ = load_esd(tmp_path / "sim.csv")
-    rows = (tmp_path / "cmp" / "esd.csv").read_text().splitlines()[1:]
-    compared = ESD(points=np.array([float(r.split(",")[1]) for r in rows]))
-    assert np.array_equal(simulated.points, compared.points)
+    simulated = (tmp_path / "sim.csv").read_text().splitlines()
+    compared = (tmp_path / "cmp" / "esd.csv").read_text().splitlines()
+    assert simulated[0] == compared[0] == "trial,lambda"
+    assert simulated[1:] == compared[1:]
+    # the same sidecar but for compare's out line
+    meta = (tmp_path / "cmp" / "esd.csv.meta").read_text().splitlines()
+    assert (tmp_path / "sim.csv.meta").read_text().splitlines() == [
+        line for line in meta if not line.startswith("out=")]
 
 
 _SIMULATE_PEAK = """
@@ -191,6 +199,72 @@ def test_predict_fe_writes_law(tmp_path, capsys):
     law = load_limit_law(out)
     assert law.gamma == 1.0 and law.epsilon == 1e-3
     assert np.array_equal(law.cdf_values, data[:, 2])
+
+
+_SIGN_SCALED = {"envelope": "sign-scaled", "law_a": "0.7978845608028654",
+                "law_nu": "1"}
+
+
+def _assert_law_loads_back(path, law, meta=()):
+    """``path`` holds law.table() and, in its .meta, ``meta`` and then the
+    law's record; a LimitLaw also loads back through load_limit_law."""
+    table = law.table()
+    rows, written = read_table(path, tuple(table))
+    assert np.array_equal(np.array(rows, dtype=float),
+                          np.column_stack(list(table.values())))
+    assert written == {k: str(v) for k, v in [*meta, *law.to_record().items()]}
+    if isinstance(law, LimitLaw):
+        loaded = load_limit_law(path)
+        for field in dataclasses.fields(LimitLaw):
+            assert np.array_equal(getattr(loaded, field.name),
+                                  getattr(law, field.name)), field.name
+
+
+def _assert_spectra_load_back(path, spectra):
+    loaded, _ = load_esd(path)
+    assert list(loaded) == list(spectra)
+    for label, e in spectra.items():
+        assert loaded[label].points.tobytes() == e.points.tobytes()
+
+
+@pytest.mark.parametrize("settings", [
+    {"target": "affine-mp", "envelope": "exp:a=1"},
+    {"target": "functional-equation", **_SIGN_SCALED},
+    {"target": "cross-ensemble", "ensemble_b": "sphere", **_SIGN_SCALED},
+], ids=["affine-mp", "functional-equation", "cross-ensemble"])
+def test_every_table_compare_writes_loads_back(settings, tmp_path, capsys):
+    settings = {"ensemble": "rademacher", "p": "12", "n": "20", "seed": "5",
+                "trials": "2", **settings, "out": str(tmp_path)}
+    assert cli_main(["compare", *(arg for kv in settings.items()
+                                  for arg in ("--set", "=".join(kv)))]) == 0
+    config = parse_config("", settings)
+    run = run_universality(dataclasses.replace(config, out=None))
+    _assert_spectra_load_back(tmp_path / "esd.csv", {
+        (str(t) if fam == config.ensemble else f"{fam}:{t}"): e
+        for fam, per_trial in run.samples.items()
+        for t, e in per_trial.items()})
+    assert load_esd(tmp_path / "esd.csv")[1] == dict(esd_meta(config))
+    _assert_law_loads_back(tmp_path / "law.csv", run.law, config.items())
+
+
+def test_every_table_simulate_and_predict_write_loads_back(tmp_path, capsys):
+    model = {"ensemble": "sphere", "p": "12", "n": "20", "seed": "5",
+             "envelope": "exp:a=1", "kernel": "inner", "diag": "zero"}
+    assert cli_main(["simulate", *(arg for key, val in model.items()
+                                   for arg in (f"--{key}", val)),
+                     "--trials", "3", "--out", str(tmp_path / "sim.csv")]) == 0
+    run = run_universality(parse_config("", {**model, "trials": "3"}))
+    _assert_spectra_load_back(tmp_path / "sim.csv", {
+        str(t): e for t, e in run.samples["sphere"].items()})
+
+    assert cli_main(["predict", "--law", "fe", "--a", "1", "--nu", "1",
+                     "--gamma", "0.5", "--out", str(tmp_path / "fe.csv")]) == 0
+    _assert_law_loads_back(tmp_path / "fe.csv", solve_grid(1.0, 1.0, 0.5))
+    assert cli_main(["predict", "--law", "mp", "--gamma", "2", "--envelope",
+                     "exp:a=-1", "--kernel", "distance", "--diag", "keep",
+                     "--out", str(tmp_path / "mp.csv")]) == 0
+    _assert_law_loads_back(tmp_path / "mp.csv", predicted_law(
+        KernelSpec("distance", "keep", parse_envelope("exp:a=-1")), 2.0))
 
 
 def test_predict_overflowing_envelope_exits_one_without_warning(capsys):

@@ -330,6 +330,20 @@ def test_unit_atom_law_next_to_the_axis_is_minus_one_over_z(x):
     np.testing.assert_allclose(m, -1.0 / z, rtol=1e-15)
 
 
+@pytest.mark.parametrize("eta", [1e-20, 1e-100, 1e-295])
+@pytest.mark.parametrize("a, nu, gamma, x, slope", [
+    pytest.param(0.0, 0.0, 0.5, 6.3, 1.0 / 6.3 ** 2, id="atom-6.3"),  # -1/z
+    *(pytest.param(0.0, 1.0, 1.0, x, (-1.0 + x / np.sqrt(x * x - 4.0)) / 2.0,
+                   id=f"semicircle-{x:g}") for x in (2.5, 3.0, 10.0)),
+])
+def test_im_m_outside_the_support_next_to_the_axis_is_im_z_times_m_prime(
+        a, nu, gamma, x, slope, eta):
+    # outside the support m is real on the axis, so Im m(x + i eta) is
+    # eta m'(x) = eta / x'(m); rounding noise in Im w used to give ~1e-33
+    m = solve_point(a, nu, gamma, x + 1j * eta)
+    assert abs(m.imag / (eta * slope) - 1.0) < 1e-10
+
+
 @pytest.mark.parametrize("a, gamma", [(1.0, 0.5), (0.5, 0.3), (2.0, 0.9)])
 def test_stieltjes_at_the_atom_of_a_nu_equal_a_squared_law(a, gamma):
     # the atom at -a of mass 1 - gamma puts m near (1 - gamma) i / Im z,

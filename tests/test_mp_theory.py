@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -37,6 +39,19 @@ def test_scalar_density_equals_array_density_bit_for_bit(gamma):
     xs = np.concatenate([np.linspace(a - 1.0, b + 1.0, 997), [a, b]])
     scalar = np.array([mp_density(gamma, float(x)) for x in xs])
     assert scalar.tobytes() == mp_density(gamma, xs).tobytes()
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-315])
+def test_density_next_to_a_zero_left_edge_is_finite(x):
+    # gamma = 1 has a = 0, so the density sqrt((4 - x) / x) / (2 pi) is
+    # finite at every positive x; gamma / (2 pi x) alone overflowed to inf.
+    # At 5e-324 = 2^-1074 it is 2^538 / (2 pi); x 2^1100 keeps x normal.
+    exact = math.ldexp(math.sqrt((4.0 - x) / math.ldexp(x, 1100)), 550) \
+        / (2.0 * math.pi)
+    scalar = mp_density(1.0, x)
+    array = mp_density(1.0, np.array([x]))  # filterwarnings = error
+    assert np.isfinite(scalar) and abs(scalar / exact - 1.0) < 1e-12
+    assert array.tobytes() == np.array([scalar]).tobytes()
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)

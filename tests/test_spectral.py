@@ -314,13 +314,16 @@ def test_variance_decay_random_family_decreases():
 # ---------------------------------------------------------------------------
 
 def test_esd_csv_round_trip(tmp_path):
-    e = ESD(points=np.array([0.25, -1.5, 3.0]))
+    spectra = {"0": ESD(points=np.array([0.25, -1.5, 3.0])),
+               "sphere:0": ESD(points=np.array([-0.0, 1e-300, 2.5]))}
     path = tmp_path / "esd.csv"
-    save_esd(path, e, {"p": 10, "gamma": 0.5, "seed": 3, "spec": "inner/zero/x"})
+    save_esd(path, spectra, [("p", 10), ("gamma", 0.5),
+                             ("spec", "inner/zero/x")])
     loaded, meta = load_esd(path)
-    assert np.array_equal(loaded.points, np.sort(e.points))
-    assert meta["n"] == "3"
-    assert meta["spec"] == "inner/zero/x"
+    assert list(loaded) == ["0", "sphere:0"]
+    for label, e in spectra.items():
+        assert loaded[label].points.tobytes() == e.points.tobytes()
+    assert meta == {"p": "10", "gamma": "0.5", "spec": "inner/zero/x"}
 
 
 def test_load_esd_rejects_wrong_header(tmp_path):
@@ -338,6 +341,6 @@ def test_esd_rejects_non_finite_points(bad):
 
 def test_load_esd_rejects_nan_row(tmp_path):
     path = tmp_path / "nan.csv"
-    path.write_text("lambda\n1.0\nnan\n")
+    path.write_text("trial,lambda\n0,1.0\n0,nan\n")
     with pytest.raises(ValueError, match="finite"):
         load_esd(path)
