@@ -16,7 +16,7 @@ import numpy as np
 # Stream tags; keep indices below 2**48 per tag.
 TAG_COLUMN = 0      # sample-matrix columns
 TAG_TRIAL = 1       # per-trial seeds in experiments
-TAG_BATCH = 2       # Monte Carlo batches (xi draws, L2-perturbation pairs)
+TAG_BATCH = 2       # Monte Carlo batches (xi draws)
 
 _INDEX_BITS = 48
 _INDEX_LIMIT = 1 << _INDEX_BITS

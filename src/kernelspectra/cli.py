@@ -18,8 +18,8 @@ from .ensembles import (FAMILIES, VectorEnsemble, concentration_diagnostic,
 from .errors import KernelSpectraError
 from .experiments import (ExperimentConfig, esd_meta, parse_config,
                           run_universality, trial_grams)
-from .kernels import (ENVELOPE_FACTORIES, KernelSpec, build, gram,
-                      parse_envelope, single_entry_swap)
+from .kernels import (DIAGONALS, ENVELOPE_FACTORIES, KERNELS, KernelSpec,
+                      build, gram, parse_envelope, single_entry_swap)
 from .limit_solver import solve_grid
 from .mp_theory import AffineMPLaw, predicted_law
 from .orthopoly import envelope_coeffs
@@ -44,8 +44,8 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=400, help="matrix size")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--envelope", default="identity", help=_ENVELOPE_HELP)
-    p.add_argument("--kernel", default="inner", help="inner | distance")
-    p.add_argument("--diag", default="zero", help="keep | zero")
+    p.add_argument("--kernel", default="inner", help=" | ".join(KERNELS))
+    p.add_argument("--diag", default="zero", help=" | ".join(DIAGONALS))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,8 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pred.add_argument("--shift", type=float, default=None)
     pred.add_argument("--scale", type=float, default=None)
     pred.add_argument("--envelope", default=None, help=_ENVELOPE_HELP)
-    pred.add_argument("--kernel", default="inner")
-    pred.add_argument("--diag", default="keep")
+    pred.add_argument("--kernel", default="inner", help=" | ".join(KERNELS))
+    pred.add_argument("--diag", default="keep", help=" | ".join(DIAGONALS))
     pred.add_argument("--a", type=float, default=None)
     pred.add_argument("--nu", type=float, default=None)
     pred.add_argument("--epsilon", type=float, default=1e-3)

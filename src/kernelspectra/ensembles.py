@@ -70,13 +70,14 @@ def _fill_rademacher(rows: np.ndarray,
 
 def _fill_sphere(rows: np.ndarray,
                  streams: Iterable[np.random.Generator]) -> None:
-    """Normalized Gaussian vectors, exact in distribution."""
+    """Normalized Gaussian vectors, exact in distribution. Only an all-zero
+    draw has norm 0, and it is redrawn; one batched matmul takes the ddot
+    np.linalg.norm would take per row."""
     for row, rng in zip(rows, streams):
-        norm = 0.0
-        while norm == 0.0:  # probability zero, but keep the map total
-            rng.standard_normal(out=row)
-            norm = np.linalg.norm(row)
-        row /= norm
+        rng.standard_normal(out=row)
+        while row[0] == 0.0 and not row.any():  # probability zero, but
+            rng.standard_normal(out=row)         # keep the map total
+    rows /= np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0])
 
 
 def _iid_xi_moments(entry_moment: Callable[[int], int], p: int,

@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ._csvio import write_table
-from ._rng import TAG_BATCH, TAG_TRIAL, derive_seed
+from ._rng import TAG_TRIAL, derive_seed
 from .ensembles import (ConcentrationDiagnostic, VectorEnsemble,
                         concentration_diagnostic, sample_matrix)
 from .errors import KernelSpectraError, SolverError
@@ -352,7 +352,7 @@ def write_result(result: ExperimentResult, out_dir: Path) -> None:
              {label(fam, t): e for fam, per_trial in result.samples.items()
               for t, e in per_trial.items()}, esd_meta(config))
     if result.law is not None:
-        save_limit_law(out_dir / "law.csv", result.law, config.items())
+        save_limit_law(out_dir / "law.csv", result.law)
 
     dist_rows = ([label(rec.family, "pooled" if rec.trial < 0 else rec.trial),
                   rec.ks, rec.w1, rec.stieltjes_sup]
@@ -398,7 +398,7 @@ class PerturbationReport:
     """Empirical version of the L2 perturbation bound.
 
     epsilon_hat estimates the hypothesis scale via
-    epsilon^2 = p * E|f1(g) - f2(g)|^2 over independent kernel values g;
+    epsilon^2 = p * E|f1(g) - f2(g)|^2 over the trials' off-diagonal pairs;
     delta_m lists |m_A1(z) - m_A2(z)| for coupled per-trial matrix pairs.
     """
 
@@ -409,40 +409,32 @@ class PerturbationReport:
 
 
 def run_l2_perturbation(config: ExperimentConfig, f1: Envelope, f2: Envelope,
-                        z: complex = 1j, pair_samples: int = 100_000
-                        ) -> PerturbationReport:
-    """Measure |m_A1 - m_A2| for envelopes f1, f2 on coupled samples."""
+                        z: complex = 1j) -> PerturbationReport:
+    """Measure |m_A1 - m_A2| for envelopes f1, f2 on coupled samples. Entry
+    (i, j != i) of A1 - A2 is f1(g) - f2(g) at the kernel value g of the
+    independent pair (X_i, X_j), so those entries give epsilon_hat."""
     if np.imag(z) <= 0:
         raise ValueError(f"need Im z > 0, got z={z}")
-    ens = VectorEnsemble(config.ensemble, config.p)
-    pair_seed = derive_seed(config.seed, TAG_TRIAL, 2 ** 32)
-    sq_sum = 0.0
-    batch = max(100, min(pair_samples, 2_000_000 // max(config.p, 1)))
-    for b, done in enumerate(range(0, pair_samples, batch)):
-        count = min(batch, pair_samples - done)
-        S = sample_matrix(ens, 2 * count, derive_seed(pair_seed, TAG_BATCH, b))
-        a_cols = S.data[:, :count]
-        b_cols = S.data[:, count:2 * count]
-        if config.kernel == "distance":
-            g = np.sum((a_cols - b_cols) ** 2, axis=0)
-        else:
-            g = np.sum(a_cols * b_cols, axis=0)
-        diff = np.asarray(f1(g, config.p), dtype=float) \
-            - np.asarray(f2(g, config.p), dtype=float)
-        sq_sum += float(np.sum(diff ** 2))
-    eps_hat = float(np.sqrt(config.p * sq_sum / pair_samples))
-
+    if config.n < 2:
+        raise ValueError(f"epsilon_hat needs n >= 2, got n={config.n}")
     spec1 = KernelSpec(config.kernel, config.diagonal, f1)
     spec2 = KernelSpec(config.kernel, config.diagonal, f2)
+    sq_sum = 0.0
     deltas = []
     for _, _, G in trial_grams(config, (config.ensemble,)):
-        m1 = empirical_stieltjes(eigenvalues(build(spec1, G.copy(), config.p)),
-                                 z)
-        m2 = empirical_stieltjes(eigenvalues(build(spec2, G, config.p)), z)
-        deltas.append(abs(m1 - m2))
+        A1 = build(spec1, G.copy(), config.p)
+        m1 = empirical_stieltjes(eigenvalues(A1), z)
+        A2 = build(spec2, G, config.p)
+        A1 -= A2
+        np.fill_diagonal(A1, 0.0)
+        sq_sum += float(np.vdot(A1, A1))
+        del A1
+        deltas.append(abs(m1 - empirical_stieltjes(eigenvalues(A2), z)))
+        del A2, G  # so A2 is freed before the next draw
+    eps_hat = float(np.sqrt(config.p * sq_sum
+                            / (config.trials * config.n * (config.n - 1))))
     mean_delta = float(np.mean(deltas))
     ratio = mean_delta / eps_hat if eps_hat > 0 else (
         0.0 if mean_delta == 0 else float("inf"))
     return PerturbationReport(epsilon_hat=eps_hat, z=z,
                               delta_m=tuple(deltas), ratio=ratio)
-

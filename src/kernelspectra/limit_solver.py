@@ -240,7 +240,7 @@ class LimitLaw(Law):
         cont = self.cdf_values.copy()
         for loc, mass in self.atoms:
             cont -= mass * (self.grid >= loc)
-        out = np.interp(x_arr, self.grid, cont, left=0.0, right=float(cont[-1]))
+        out = np.interp(x_arr, self.grid, cont, left=0.0)
         for loc, mass in self.atoms:
             out = out + mass * (x_arr >= loc)
         out = np.where(x_arr > self.grid[-1], 1.0, out)

@@ -221,10 +221,9 @@ def load_esd(path: str | Path) -> tuple[dict[str, ESD], dict[str, str]]:
     return {k: ESD(points=np.array(v)) for k, v in points.items()}, meta
 
 
-def save_limit_law(path: str | Path, law: Law,
-                   meta: Iterable[tuple] = ()) -> None:
-    """law.table()'s columns under their names; ``meta`` pairs, then the
-    law's record, go to <path>.meta."""
+def save_limit_law(path: str | Path, law: Law) -> None:
+    """law.table()'s columns under their names; the law's record goes to
+    <path>.meta."""
     table = law.table()
     rows = np.column_stack(list(table.values())).tolist()
-    write_table(path, tuple(table), rows, [*meta, *law.to_record().items()])
+    write_table(path, tuple(table), rows, law.to_record().items())

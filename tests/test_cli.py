@@ -20,7 +20,7 @@ from kernelspectra._csvio import read_table
 from kernelspectra.cli import cli_main
 from kernelspectra.ensembles import FAMILIES
 from kernelspectra.experiments import esd_meta
-from kernelspectra.kernels import ENVELOPE_FACTORIES
+from kernelspectra.kernels import DIAGONALS, ENVELOPE_FACTORIES, KERNELS
 
 
 def test_unknown_subcommand_exits_one(capsys):
@@ -52,6 +52,13 @@ def test_envelope_help_lists_the_registry(command, capsys):
         usages.append(f"{name}:" + ",".join(f"{k}=<{k}>" for k in params)
                       if params else name)
     assert " | ".join(usages) in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("command", ["simulate", "swap-check", "predict"])
+def test_kernel_and_diag_help_list_the_names(command, capsys):
+    assert cli_main([command, "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert " | ".join(KERNELS) in out and " | ".join(DIAGONALS) in out
 
 
 _IMPORT_GUARD = """
@@ -205,19 +212,29 @@ _SIGN_SCALED = {"envelope": "sign-scaled", "law_a": "0.7978845608028654",
                 "law_nu": "1"}
 
 
-def _assert_law_loads_back(path, law, meta=()):
-    """``path`` holds law.table() and, in its .meta, ``meta`` and then the
-    law's record; a LimitLaw also loads back through load_limit_law."""
+def _assert_law_loads_back(path, law):
+    """``path`` holds law.table() and, in its .meta, the law's record; a
+    LimitLaw also loads back through load_limit_law."""
     table = law.table()
     rows, written = read_table(path, tuple(table))
     assert np.array_equal(np.array(rows, dtype=float),
                           np.column_stack(list(table.values())))
-    assert written == {k: str(v) for k, v in [*meta, *law.to_record().items()]}
+    assert written == {k: str(v) for k, v in law.to_record().items()}
     if isinstance(law, LimitLaw):
         loaded = load_limit_law(path)
         for field in dataclasses.fields(LimitLaw):
             assert np.array_equal(getattr(loaded, field.name),
                                   getattr(law, field.name)), field.name
+
+
+def _assert_no_sidecar_repeats_a_key(directory):
+    # read_table's dict keeps the last of a repeated key, so read the lines
+    sidecars = sorted(directory.glob("*.meta"))
+    assert sidecars
+    for sidecar in sidecars:
+        keys = [line.partition("=")[0]
+                for line in sidecar.read_text().splitlines()]
+        assert len(keys) == len(set(keys)), sidecar.name
 
 
 def _assert_spectra_load_back(path, spectra):
@@ -244,7 +261,8 @@ def test_every_table_compare_writes_loads_back(settings, tmp_path, capsys):
         for fam, per_trial in run.samples.items()
         for t, e in per_trial.items()})
     assert load_esd(tmp_path / "esd.csv")[1] == dict(esd_meta(config))
-    _assert_law_loads_back(tmp_path / "law.csv", run.law, config.items())
+    _assert_law_loads_back(tmp_path / "law.csv", run.law)
+    _assert_no_sidecar_repeats_a_key(tmp_path)
 
 
 def test_every_table_simulate_and_predict_write_loads_back(tmp_path, capsys):
@@ -265,6 +283,7 @@ def test_every_table_simulate_and_predict_write_loads_back(tmp_path, capsys):
                      "--out", str(tmp_path / "mp.csv")]) == 0
     _assert_law_loads_back(tmp_path / "mp.csv", predicted_law(
         KernelSpec("distance", "keep", parse_envelope("exp:a=-1")), 2.0))
+    _assert_no_sidecar_repeats_a_key(tmp_path)
 
 
 def test_predict_overflowing_envelope_exits_one_without_warning(capsys):

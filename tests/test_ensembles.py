@@ -34,7 +34,7 @@ def _reference_column(family, p, rng):
 # Odd p leaves a buffered 32-bit half behind in rademacher's integer draws;
 # the sampler reads only the low half of its last raw word.
 @pytest.mark.parametrize("p,n", [(7, 9), (601, 40), (8, 1), (601, 1), (1, 5),
-                                 (2, 3)])
+                                 (2, 3), (600, 300)])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_sample_matrix_matches_per_column_substreams(family, p, n):
     S = sample_matrix(VectorEnsemble(family, p), n, seed=2024)
@@ -78,6 +78,21 @@ def test_substreams_rekey_to_the_fresh_substream_state():
         rng.integers(0, 2, size=5)  # leave a buffered half behind
     with pytest.raises(ValueError):
         next(substreams(99, TAG_COLUMN, [2**48]))
+
+
+def test_sphere_redraws_an_all_zero_draw_from_its_stream():
+    class ZeroFirst:
+        calls = 0
+
+        def standard_normal(self, out):
+            self.calls += 1
+            out[:] = 0.0 if self.calls == 1 else np.arange(1.0, out.size + 1)
+
+    rows, streams = np.empty((2, 3)), [ZeroFirst(), ZeroFirst()]
+    FAMILIES["sphere"].fill(rows, iter(streams))
+    assert [rng.calls for rng in streams] == [2, 2]
+    unit = np.arange(1.0, 4.0) / np.sqrt(14)
+    assert np.array_equal(rows, [unit, unit])
 
 
 def test_sphere_columns_have_unit_norm():

@@ -14,7 +14,8 @@ from kernelspectra import (ESD, Envelope, ExperimentConfig, KernelSpec,
                            envelope_coeffs, gram, ks_distance, parse_config,
                            parse_envelope, run_l2_perturbation,
                            run_universality, sample_matrix, xi_moments)
-from kernelspectra.experiments import _FIELD, CONFIG_SCHEMA, config_text
+from kernelspectra.experiments import (_FIELD, CONFIG_SCHEMA, config_text,
+                                       trial_grams)
 from kernelspectra.kernels import ENVELOPE_FACTORIES
 
 
@@ -365,7 +366,7 @@ def test_l2_perturbation_identical_envelopes():
     cfg = ExperimentConfig(ensemble="gaussian", p=40, n=80, trials=2, seed=15,
                            kernel="inner", diagonal="zero", envelope="identity")
     f = parse_envelope("exp:a=1")
-    rep = run_l2_perturbation(cfg, f, f, z=1j, pair_samples=5_000)
+    rep = run_l2_perturbation(cfg, f, f, z=1j)
     assert rep.epsilon_hat == 0.0
     assert rep.delta_m == (0.0, 0.0)
     assert rep.ratio == 0.0
@@ -391,7 +392,7 @@ def test_l2_perturbation_truncated_expansion_bound():
     f2 = Envelope("truncated-exp", truncated)
     cfg = ExperimentConfig(ensemble="gaussian", p=p, n=300, trials=4, seed=21,
                            kernel="inner", diagonal="zero", envelope="identity")
-    rep = run_l2_perturbation(cfg, f1, f2, z=1j, pair_samples=50_000)
+    rep = run_l2_perturbation(cfg, f1, f2, z=1j)
     assert rep.epsilon_hat > 0.0
     assert rep.ratio <= 1.0
 
@@ -406,9 +407,37 @@ def test_l2_perturbation_rank_one_shift_vanishes():
         cfg = ExperimentConfig(ensemble="gaussian", p=n // 2, n=n, trials=3,
                                seed=5, kernel="inner", diagonal="keep",
                                envelope="identity")
-        rep = run_l2_perturbation(cfg, f1, f3, z=1j, pair_samples=2_000)
+        rep = run_l2_perturbation(cfg, f1, f3, z=1j)
         means.append(float(np.mean(rep.delta_m)))
     assert means[0] > means[1] > means[2]
+
+
+@pytest.mark.parametrize("kernel, diagonal",
+                         [("inner", "zero"), ("distance", "keep")])
+def test_l2_perturbation_epsilon_from_its_trials(kernel, diagonal):
+    # epsilon_hat^2 is p times the mean square of A1 - A2's off-diagonal
+    # entries over the trials the report's delta_m comes from
+    f1 = parse_envelope("exp:a=-1")
+    f2 = parse_envelope("nonsmooth-sin")
+    cfg = ExperimentConfig(ensemble="rademacher", p=30, n=50, trials=3,
+                           seed=8, kernel=kernel, diagonal=diagonal)
+    off = ~np.eye(cfg.n, dtype=bool)
+    squares = []
+    for _, _, G in trial_grams(cfg, (cfg.ensemble,)):
+        A1 = build(KernelSpec(kernel, diagonal, f1), G.copy(), cfg.p)
+        A2 = build(KernelSpec(kernel, diagonal, f2), G, cfg.p)
+        squares.append((A1 - A2)[off] ** 2)
+    expected = np.sqrt(cfg.p * np.mean(squares))
+    rep = run_l2_perturbation(cfg, f1, f2, z=1j)
+    assert expected > 0.0
+    assert rep.epsilon_hat == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_l2_perturbation_needs_an_off_diagonal_pair():
+    cfg = ExperimentConfig(p=4, n=1)
+    f = parse_envelope("exp:a=1")
+    with pytest.raises(ValueError, match="n >= 2"):
+        run_l2_perturbation(cfg, f, f)
 
 
 def test_with_overrides():

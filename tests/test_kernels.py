@@ -1,5 +1,7 @@
+import ast
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from kernelspectra import (DerivativeError, Envelope, EnvelopeError,
                            gram, linearized, parse_envelope,
                            single_entry_swap)
 from kernelspectra import kernels
-from kernelspectra.kernels import ENVELOPE_FACTORIES, numeric_derivative
+from kernelspectra.kernels import (DIAGONALS, ENVELOPE_FACTORIES, KERNELS,
+                                   numeric_derivative)
 
 
 def _sample(family="gaussian", p=60, n=40, seed=0):
@@ -482,3 +485,21 @@ def test_power_envelope_omits_an_overflowing_slope(a):
     env = parse_envelope(f"power:a={a:g}")
     assert dict(env.slopes) == {0.0: a}
     assert env.value(2.0, 1) == np.inf
+
+
+def test_only_kernels_compares_a_kernel_name():
+    # A kernel's and a diagonal's behaviour lives in kernels, so no other
+    # module compares a value with their names; a KernelSpec carries them.
+    names = {*KERNELS, *DIAGONALS}
+    package = Path(kernels.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "kernels.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Compare):
+                where = f"{path.name}:{node.lineno}"
+                for op in (node.left, *node.comparators):
+                    items = getattr(op, "elts", [op])
+                    assert not any(isinstance(e, ast.Constant)
+                                   and e.value in names
+                                   for e in items), where
