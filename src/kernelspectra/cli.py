@@ -59,17 +59,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--trials", type=int, default=1)
     sim.add_argument("--out", default=None, help="ESD csv path")
 
-    pred = sub.add_parser("predict", help="emit a limiting law as CSV")
-    pred.add_argument("--law", default="mp", help="mp | fe")
+    # A flag left out is absent from args, so predict can tell it was not given.
+    pred = sub.add_parser("predict", help="emit a limiting law as CSV",
+                          argument_default=argparse.SUPPRESS)
+    pred.add_argument("--law", default="mp", choices=("mp", "fe"), help=(
+        "mp: --shift --scale | --envelope --kernel --diag; fe: --a --nu --epsilon"))
     pred.add_argument("--gamma", type=float, default=1.0)
-    pred.add_argument("--shift", type=float, default=None)
-    pred.add_argument("--scale", type=float, default=None)
-    pred.add_argument("--envelope", default=None, help=_ENVELOPE_HELP)
-    pred.add_argument("--kernel", default="inner", help=" | ".join(KERNELS))
-    pred.add_argument("--diag", default="keep", help=" | ".join(DIAGONALS))
-    pred.add_argument("--a", type=float, default=None)
-    pred.add_argument("--nu", type=float, default=None)
-    pred.add_argument("--epsilon", type=float, default=1e-3)
+    pred.add_argument("--shift", type=float, help="default 0")
+    pred.add_argument("--scale", type=float, help="default 1")
+    pred.add_argument("--envelope", help=_ENVELOPE_HELP)
+    pred.add_argument("--kernel", help="default inner: " + " | ".join(KERNELS))
+    pred.add_argument("--diag", help="default keep: " + " | ".join(DIAGONALS))
+    pred.add_argument("--a", type=float)
+    pred.add_argument("--nu", type=float)
+    pred.add_argument("--epsilon", type=float, help="default 1e-3")
     pred.add_argument("--out", default=None, help="law csv path")
 
     exp = sub.add_parser("expand", help="envelope coefficient table")
@@ -123,24 +126,33 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+# The flags each kind of law reads besides --law, --gamma and --out.
+_LAW_FLAGS = {"mp": ("shift", "scale"),
+              "mp with --envelope": ("envelope", "kernel", "diag"),
+              "fe": ("a", "nu", "epsilon")}
+
+
 def _cmd_predict(args) -> int:
-    if args.law == "mp":
-        name = "affine MP law"
-        if (args.envelope is not None
-                and args.shift is None and args.scale is None):
-            spec = KernelSpec(args.kernel, args.diag,
-                              parse_envelope(args.envelope))
-            law = predicted_law(spec, args.gamma)
-        else:
-            law = AffineMPLaw(gamma=args.gamma, shift=args.shift or 0.0,
-                              scale=1.0 if args.scale is None else args.scale)
-    elif args.law == "fe":
-        if args.a is None or args.nu is None:
+    given = vars(args)
+    kind = ("mp with --envelope" if args.law == "mp" and "envelope" in given
+            else args.law)
+    unused = [f"--{flag}" for flags in _LAW_FLAGS.values() for flag in flags
+              if flag in given and flag not in _LAW_FLAGS[kind]]
+    if unused:
+        raise ValueError(f"--law {kind} does not use {', '.join(unused)}")
+    name = "functional-equation law" if kind == "fe" else "affine MP law"
+    if kind == "mp":
+        law = AffineMPLaw(gamma=args.gamma, shift=given.get("shift", 0.0),
+                          scale=given.get("scale", 1.0))
+    elif kind == "fe":
+        if "a" not in given or "nu" not in given:
             raise ValueError("functional-equation law needs --a and --nu")
-        name = "functional-equation law"
-        law = solve_grid(args.a, args.nu, args.gamma, epsilon=args.epsilon)
+        law = solve_grid(args.a, args.nu, args.gamma,
+                         epsilon=given.get("epsilon", 1e-3))
     else:
-        raise ValueError(f"unknown law kind {args.law!r} (use mp or fe)")
+        spec = KernelSpec(given.get("kernel", "inner"), given.get("diag", "keep"),
+                          parse_envelope(args.envelope))
+        law = predicted_law(spec, args.gamma)
     print(f"{name}: {law.to_record()}")
     if args.out:
         save_limit_law(args.out, law)

@@ -1,9 +1,9 @@
 """Config-driven experiment runner tying ensembles -> kernels -> spectra -> laws.
 
-Every run is a pure function of its config: trial t uses the seed derived
-from (master seed, t), trials aggregate by index, and CSV outputs are
-byte-identical across reruns of the same config. Wall-clock timings stay
-out of the CSV contract.
+Every run is a pure function of its config: each family's trial t uses its
+own seed derived from (master seed, t) (see trial_grams), trials aggregate
+by index, and CSV outputs are byte-identical across reruns of the same
+config. Wall-clock timings stay out of the CSV contract.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ._csvio import write_table
-from ._rng import TAG_TRIAL, derive_seed
+from ._rng import TAG_TRIAL, TAG_TRIAL_B, derive_seed
 from .ensembles import (ConcentrationDiagnostic, VectorEnsemble,
                         concentration_diagnostic, sample_matrix)
 from .errors import KernelSpectraError, SolverError
@@ -25,7 +25,6 @@ from .limit_solver import _check_params, solve_grid
 from .mp_theory import predicted_law
 from .spectral import (ESD, Law, eigenvalues, empirical_stieltjes,
                        ks_distance, save_esd, save_limit_law, wasserstein1)
-from .svgplot import write_overlay_svg
 
 AFFINE_MP = "affine-mp"
 FUNCTIONAL_EQUATION = "functional-equation"
@@ -240,13 +239,14 @@ def trial_grams(config: ExperimentConfig, families: Sequence[str],
                 clock: _StageClock | None = None
                 ) -> Iterator[tuple[int, str, np.ndarray]]:
     """(trial, family, G = gram(S)), trial-major; trial t's samples S come
-    from the derive_seed(config.seed, TAG_TRIAL, t) stream. S is freed before
-    the yield and G on resume, so a caller that builds A over G and drops
-    G holds A alone. ``clock`` laps "sample" after each draw."""
+    from derive_seed(config.seed, tag, t), with tag TAG_TRIAL for the first
+    family and TAG_TRIAL_B for the second. S is freed before the yield and G
+    on resume, so a caller that builds A over G and drops G holds A alone.
+    ``clock`` laps "sample" after each draw."""
     clock = clock or _StageClock(("sample",))
     for t in range(config.trials):
-        seed = derive_seed(config.seed, TAG_TRIAL, t)
-        for fam in families:
+        for fam, tag in zip(families, (TAG_TRIAL, TAG_TRIAL_B)):
+            seed = derive_seed(config.seed, tag, t)
             S = sample_matrix(VectorEnsemble(fam, config.p), config.n, seed)
             clock.lap("sample")
             G = gram(S)
@@ -340,6 +340,8 @@ def esd_meta(config: ExperimentConfig) -> list[tuple[str, str]]:
 
 
 def write_result(result: ExperimentResult, out_dir: Path) -> None:
+    """Write config.resolved, esd.csv, law.csv when there is a law and
+    distances.csv with their .meta sidecars, and errors.csv if a trial failed."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = result.config
@@ -366,27 +368,6 @@ def write_result(result: ExperimentResult, out_dir: Path) -> None:
                     ("trial", "ensemble", "stage", "message"),
                     [[e.trial, e.ensemble, e.stage, e.message]
                      for e in result.errors])
-
-    _write_report_svg(result, out_dir / "report.svg")
-
-
-def _write_report_svg(result: ExperimentResult, path: Path) -> None:
-    density_series = []
-    cdf_series = []
-    for fam, e in result.pooled.items():
-        hist, edges = np.histogram(e.points, bins=80, density=True)
-        density_series.append((0.5 * (edges[:-1] + edges[1:]), hist,
-                               f"esd {fam}"))
-        cdf_series.append((e.points, np.arange(1, e.n + 1) / e.n,
-                           f"esd {fam}"))
-    if result.law is not None:
-        table = result.law.table()
-        density_series.append((table["x"], table["density"], "law"))
-        cdf_series.append((table["x"], table["cdf"], "law"))
-    if not density_series:
-        return
-    desc = config_text(result.config).replace("\n", " ")
-    write_overlay_svg(path, density_series, cdf_series, description=desc)
 
 
 # ---------------------------------------------------------------------------

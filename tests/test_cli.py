@@ -193,6 +193,36 @@ def test_predict_fe_needs_parameters(capsys):
     assert cli_main(["predict", "--law", "fe", "--gamma", "1"]) == 1
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--law", "mp", "--envelope", "exp:a=1", "--shift", "3"], "--envelope"),
+    (["--law", "mp", "--envelope", "exp:a=1", "--scale", "2"], "--envelope"),
+    (["--law", "fe", "--a", "0.5", "--nu", "1", "--envelope", "exp:a=1",
+      "--shift", "7"], "--envelope"),
+    (["--law", "fe", "--a", "0.5", "--nu", "1", "--shift", "7"], "--shift"),
+    (["--law", "fe", "--a", "0.5", "--nu", "1", "--kernel", "distance"],
+     "--kernel"),
+    (["--law", "mp", "--a", "0.5", "--nu", "1"], "--a"),
+    (["--law", "mp", "--nu", "1"], "--nu"),
+    (["--law", "mp", "--epsilon", "0.01"], "--epsilon"),
+    (["--law", "mp", "--kernel", "distance", "--gamma", "2"], "--kernel"),
+    (["--law", "mp", "--diag", "zero"], "--diag"),
+])
+def test_predict_rejects_a_flag_its_law_ignores(argv, flag, tmp_path, capsys):
+    out = tmp_path / "law.csv"
+    assert cli_main(["predict", *argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert flag in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+def test_predict_kernel_and_diag_default_to_inner_and_keep(capsys):
+    law = predicted_law(KernelSpec("inner", "keep", parse_envelope("exp:a=1")),
+                        2.0)
+    assert cli_main(["predict", "--law", "mp", "--gamma", "2",
+                     "--envelope", "exp:a=1"]) == 0
+    assert capsys.readouterr().out == f"affine MP law: {law.to_record()}\n"
+
+
 def test_predict_fe_writes_law(tmp_path, capsys):
     out = tmp_path / "fe.csv"
     code = cli_main(["predict", "--law", "fe", "--a", "0", "--nu", "1",
@@ -442,8 +472,9 @@ def test_compare_with_config_file(tmp_path, capsys):
     code = cli_main(["compare", "--config", str(config), "--out",
                      str(out_dir)])
     assert code == 0
-    for name in ("esd.csv", "law.csv", "distances.csv", "report.svg"):
-        assert (out_dir / name).exists()
+    assert sorted(path.name for path in out_dir.iterdir()) == [
+        "config.resolved", "distances.csv", "distances.csv.meta", "esd.csv",
+        "esd.csv.meta", "law.csv", "law.csv.meta"]
     assert "pooled ks=" in capsys.readouterr().out
 
 

@@ -14,6 +14,7 @@ from kernelspectra import (ESD, Envelope, ExperimentConfig, KernelSpec,
                            envelope_coeffs, gram, ks_distance, parse_config,
                            parse_envelope, run_l2_perturbation,
                            run_universality, sample_matrix, xi_moments)
+from kernelspectra._rng import TAG_TRIAL, TAG_TRIAL_B, derive_seed
 from kernelspectra.experiments import (_FIELD, CONFIG_SCHEMA, config_text,
                                        trial_grams)
 from kernelspectra.kernels import ENVELOPE_FACTORIES
@@ -21,6 +22,17 @@ from kernelspectra.kernels import ENVELOPE_FACTORIES
 
 def _esd_points(result, fam):
     return result.pooled[fam].points
+
+
+def _written(out_dir):
+    return sorted(path.name for path in Path(out_dir).iterdir())
+
+
+def _contract_files(law, errors=False):
+    """What write_result puts in a run's directory, sorted."""
+    tables = ["esd.csv", "distances.csv", *(["law.csv"] if law else [])]
+    return sorted(["config.resolved", *tables, *(t + ".meta" for t in tables),
+                   *(["errors.csv"] if errors else [])])
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +151,7 @@ def test_run_universality_affine_mp(tmp_path):
     [rec] = [r for r in result.distances
              if r.family == "gaussian" and r.trial == -1]
     assert 0.0 <= rec.ks <= 1.0 and rec.w1 >= 0.0 and rec.stieltjes_sup >= 0.0
-    for name in ("config.resolved", "esd.csv", "law.csv", "distances.csv",
-                 "report.svg", "esd.csv.meta", "law.csv.meta"):
-        assert (tmp_path / "run" / name).exists()
+    assert _written(tmp_path / "run") == _contract_files(law=True)
     header = (tmp_path / "run" / "distances.csv").read_text().splitlines()[0]
     assert header == "trial,ks,w1,stieltjes_sup"
 
@@ -168,6 +178,37 @@ def test_cross_ensemble_run():
     assert len([r for r in cross if r.trial >= 0]) == 2
     assert 0.0 <= pooled_cross.ks <= 1.0
     assert result.law is None  # no law params given
+
+
+def test_cross_ensemble_families_draw_independent_trials():
+    # The sphere draw is a gaussian one over its norm; with a shared trial
+    # seed the two spectra of a trial coincide and every cross distance is 0.
+    cfg = ExperimentConfig(ensemble="gaussian", ensemble_b="sphere", p=300,
+                           n=600, trials=2, seed=1, kernel="inner",
+                           diagonal="zero", envelope="sign-scaled",
+                           target="cross-ensemble")
+    cross = [r for r in run_universality(cfg).distances if r.family == "cross"]
+    assert [r.trial for r in cross] == [0, 1, -1]
+    for r in cross:
+        assert r.ks > 0 and r.w1 > 0 and r.stieltjes_sup > 0
+
+
+def test_trial_seeds_of_each_family(monkeypatch):
+    import kernelspectra.experiments as experiments_module
+    seeds = []
+
+    def recording_sample(ensemble, n, seed):
+        seeds.append((ensemble.family, seed))
+        return sample_matrix(ensemble, n, seed)
+
+    monkeypatch.setattr(experiments_module, "sample_matrix", recording_sample)
+    cfg = ExperimentConfig(ensemble="rademacher", ensemble_b="sphere", p=5,
+                           n=4, trials=3, seed=9, target="cross-ensemble")
+    list(trial_grams(cfg, ("rademacher", "sphere")))
+    assert seeds == [(fam, derive_seed(9, tag, t)) for t in range(3)
+                     for fam, tag in (("rademacher", TAG_TRIAL),
+                                      ("sphere", TAG_TRIAL_B))]
+    assert len(set(seeds)) == 6
 
 
 def test_run_universality_forms_one_gram_per_trial_and_family(monkeypatch):
@@ -305,6 +346,8 @@ def test_rows_keep_true_trial_labels_after_a_failed_trial(tmp_path, target):
     dist = {row[0]: [float(v) for v in row[1:]]
             for row in _csv_rows(tmp_path / "distances.csv")}
     survivors = ["0", "1", "2", "4", "5"]
+    assert _written(tmp_path) == _contract_files(law=target == "affine-mp",
+                                                 errors=True)
     if target == "affine-mp":
         assert list(esd) == survivors
         assert list(dist) == [*survivors, "pooled"]
