@@ -19,9 +19,8 @@ from .mp_theory import (AffineMPLaw, mp_atom_mass, mp_cdf, mp_density,
 from .orthopoly import (AdmissibleParams, MomentSequence, OrthoBasis,
                         build_basis, envelope_coeffs, gaussian_limit_moments,
                         hermite, hermite_deviation, xi_moments)
-from .spectral import (ESD, VarianceDecayReport, eigenvalues,
-                       empirical_stieltjes, ks_distance, load_esd, save_esd,
-                       save_limit_law, stieltjes_variance_decay, wasserstein1)
+from .spectral import (ESD, eigenvalues, empirical_stieltjes, ks_distance,
+                       load_esd, save_esd, save_limit_law, wasserstein1)
 
 __version__ = "0.1.0"
 
@@ -33,8 +32,7 @@ __all__ = [
     "INNER_PRODUCT", "SQUARED_DISTANCE", "KEEP", "ZERO",
     "gram", "build", "linearized", "single_entry_swap",
     "ESD", "eigenvalues", "empirical_stieltjes",
-    "ks_distance", "wasserstein1", "stieltjes_variance_decay",
-    "VarianceDecayReport", "save_esd", "load_esd",
+    "ks_distance", "wasserstein1", "save_esd", "load_esd",
     "AffineMPLaw", "mp_density", "mp_cdf", "mp_stieltjes", "mp_support",
     "mp_atom_mass", "predicted_law",
     "MomentSequence", "OrthoBasis", "AdmissibleParams", "xi_moments",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -155,48 +155,6 @@ def wasserstein1(e: ESD, target) -> float:
     grid = np.unique(np.concatenate([base, e.points]))
     diff = np.abs(np.asarray(e.cdf(grid)) - np.asarray(target.cdf(grid)))
     return float(np.trapezoid(diff, grid))
-
-
-@dataclass(frozen=True)
-class VarianceDecayReport:
-    """Sample variance of m_A(z) across trials, per matrix size."""
-
-    z: complex
-    sizes: tuple[int, ...]
-    trials: int
-    variances: tuple[float, ...]
-    means: tuple[complex, ...]
-    strictly_decreasing: bool
-
-
-def stieltjes_variance_decay(model: Callable[[int, int], np.ndarray],
-                             z: complex, trials: int,
-                             sizes: Sequence[int]) -> VarianceDecayReport:
-    """Variance of m_A(z) across trials for each size in ``sizes``.
-
-    ``model(n, t)`` must build the trial-t kernel matrix at size n; it owns
-    its own seeding, so a deterministic family (ignoring t) reports zero
-    variance. Variance of the complex value is E|m - Em|^2.
-    """
-    if np.imag(z) <= 0:
-        raise ValueError(f"stieltjes_variance_decay requires Im z > 0, got z={z}")
-    if trials < 2:
-        raise ValueError(f"variance needs trials >= 2, got {trials}")
-    sizes = tuple(int(n) for n in sizes)
-    if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError(f"sizes must be strictly increasing, got {sizes}")
-    variances = []
-    means = []
-    for n in sizes:
-        ms = np.array([empirical_stieltjes(eigenvalues(model(n, t)), z)
-                       for t in range(trials)])
-        mean = ms.mean()
-        variances.append(float(np.mean(np.abs(ms - mean) ** 2)))
-        means.append(complex(mean))
-    decreasing = all(b < a for a, b in zip(variances, variances[1:]))
-    return VarianceDecayReport(z=z, sizes=sizes, trials=trials,
-                               variances=tuple(variances), means=tuple(means),
-                               strictly_decreasing=decreasing)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,6 @@ import pytest
 from scipy.integrate import quad
 
 import kernelspectra as ks
-from kernelspectra._rng import TAG_TRIAL, derive_seed
-from kernelspectra.experiments import trial_grams
 from kernelspectra.orthopoly import normal_moment
 
 
@@ -23,11 +21,11 @@ def _verdict(num, name, ok, detail, elapsed, limit):
           f"runtime {elapsed:.1f}s < {limit:.0f}s: {state}")
 
 
-def _pooled_esd(family, p, n, spec, trials, seed):
-    config = ks.ExperimentConfig(ensemble=family, p=p, n=n, trials=trials,
-                                 seed=seed)
-    return ks.ESD.pooled([ks.eigenvalues(ks.build(spec, G, p))
-                          for _, _, G in trial_grams(config, (family,))])
+def _pooled_record(result, family):
+    """The run's distances.csv record of ``family``'s pooled spectrum."""
+    [rec] = [r for r in result.distances
+             if r.family == family and r.trial == -1]
+    return rec
 
 
 def test_criterion_01_mp_self_consistency():
@@ -106,15 +104,10 @@ def _bulk_sup(e, law):
                                - np.asarray(law.cdf(ts)))))
 
 
-def _stieltjes_sup(e, law):
-    return max(abs(ks.empirical_stieltjes(e, z) - law.stieltjes(z))
-               for z in ks.ExperimentConfig().z_grid)
-
-
-def _weak_detail(e, law, st, bulk):
+def _weak_detail(e, law, rec, bulk):
     below = float(np.mean(e.points < law.shift))
-    return (f"Stieltjes sup = {st:.4f}, bulk-support CDF sup = {bulk:.4f} "
-            f"(tol 0.005 each); KS = {ks.ks_distance(e, law):.4f} "
+    return (f"Stieltjes sup = {rec.stieltjes_sup:.4f}, bulk-support CDF sup "
+            f"= {bulk:.4f} (tol 0.005 each); KS = {rec.ks:.4f} "
             f"(not asserted, >= max(b, 1/2 - b) with b = {below:.4f} "
             f"below the atom)")
 
@@ -122,17 +115,18 @@ def _weak_detail(e, law, st, bulk):
 def test_criterion_04_inner_zero_diag_smooth_envelope():
     limit = 60.0
     t0 = time.perf_counter()
-    spec = ks.KernelSpec("inner", "zero", ks.parse_envelope("exp:a=1"))
-    e = _pooled_esd("gaussian", 600, 1200, spec, trials=5, seed=1)
-    law = ks.predicted_law(spec, 0.5)
+    result = ks.run_universality(ks.ExperimentConfig(
+        ensemble="gaussian", p=600, n=1200, trials=5, seed=1,
+        envelope="exp:a=1", target="affine-mp"))
+    e, law = result.pooled["gaussian"], result.law
     assert law.shift == -2.0 and law.scale == 1.0
-    st = _stieltjes_sup(e, law)
+    rec = _pooled_record(result, "gaussian")
     bulk = _bulk_sup(e, law)
     elapsed = time.perf_counter() - t0
-    ok = st < 0.005 and bulk < 0.005 and elapsed < limit
+    ok = rec.stieltjes_sup < 0.005 and bulk < 0.005 and elapsed < limit
     _verdict(4, "inner/zero exp envelope vs affine MP",
-             ok, _weak_detail(e, law, st, bulk), elapsed, limit)
-    assert st < 0.005
+             ok, _weak_detail(e, law, rec, bulk), elapsed, limit)
+    assert rec.stieltjes_sup < 0.005
     assert bulk < 0.005
     assert elapsed < limit
 
@@ -140,17 +134,18 @@ def test_criterion_04_inner_zero_diag_smooth_envelope():
 def test_criterion_05_inner_zero_diag_minimal_regularity():
     limit = 60.0
     t0 = time.perf_counter()
-    spec = ks.KernelSpec("inner", "zero", ks.parse_envelope("nonsmooth-sin"))
-    e = _pooled_esd("gaussian", 600, 1200, spec, trials=5, seed=1)
-    law = ks.predicted_law(spec, 0.5)
+    result = ks.run_universality(ks.ExperimentConfig(
+        ensemble="gaussian", p=600, n=1200, trials=5, seed=1,
+        envelope="nonsmooth-sin", target="affine-mp"))
+    e, law = result.pooled["gaussian"], result.law
     assert law.shift == -1.0 and law.scale == 1.0
-    st = _stieltjes_sup(e, law)
+    rec = _pooled_record(result, "gaussian")
     bulk = _bulk_sup(e, law)
     elapsed = time.perf_counter() - t0
-    ok = st < 0.005 and bulk < 0.005 and elapsed < limit
+    ok = rec.stieltjes_sup < 0.005 and bulk < 0.005 and elapsed < limit
     _verdict(5, "inner/zero nonsmooth envelope vs affine MP",
-             ok, _weak_detail(e, law, st, bulk), elapsed, limit)
-    assert st < 0.005
+             ok, _weak_detail(e, law, rec, bulk), elapsed, limit)
+    assert rec.stieltjes_sup < 0.005
     assert bulk < 0.005
     assert elapsed < limit
 
@@ -158,12 +153,14 @@ def test_criterion_05_inner_zero_diag_minimal_regularity():
 def test_criterion_06_distance_kernel():
     limit = 60.0
     t0 = time.perf_counter()
-    spec = ks.KernelSpec("distance", "keep", ks.parse_envelope("exp:a=-1"))
-    e = _pooled_esd("gaussian", 1000, 500, spec, trials=5, seed=3)
-    law = ks.predicted_law(spec, 2.0)
+    result = ks.run_universality(ks.ExperimentConfig(
+        ensemble="gaussian", p=1000, n=500, trials=5, seed=3,
+        kernel="distance", diagonal="keep", envelope="exp:a=-1",
+        target="affine-mp"))
+    law = result.law
     assert abs(law.shift - (1.0 - 3.0 * np.exp(-2.0))) < 1e-12
     assert abs(law.scale - 2.0 * np.exp(-2.0)) < 1e-12
-    d = ks.ks_distance(e, law)
+    d = _pooled_record(result, "gaussian").ks
     elapsed = time.perf_counter() - t0
     ok = d < 0.05 and elapsed < limit
     _verdict(6, "distance kernel vs affine MP",
@@ -175,13 +172,12 @@ def test_criterion_06_distance_kernel():
 def test_criterion_07_p_dependent_universality():
     limit = 120.0
     t0 = time.perf_counter()
-    law = ks.solve_grid(np.sqrt(2.0 / np.pi), 1.0, 1.0, epsilon=1e-3)
-    spec = ks.KernelSpec("inner", "zero", ks.parse_envelope("sign-scaled"))
-    pooled = {fam: _pooled_esd(fam, 800, 800, spec, trials=3, seed=4)
-              for fam in ("gaussian", "rademacher")}
-    d_gauss = ks.ks_distance(pooled["gaussian"], law)
-    d_rad = ks.ks_distance(pooled["rademacher"], law)
-    d_cross = ks.ks_distance(pooled["gaussian"], pooled["rademacher"])
+    result = ks.run_universality(ks.ExperimentConfig(
+        ensemble="gaussian", ensemble_b="rademacher", p=800, n=800, trials=3,
+        seed=4, envelope="sign-scaled", target="cross-ensemble",
+        law_a=np.sqrt(2.0 / np.pi), law_nu=1.0))
+    d_gauss, d_rad, d_cross = (_pooled_record(result, fam).ks
+                               for fam in ("gaussian", "rademacher", "cross"))
     elapsed = time.perf_counter() - t0
     ok = d_gauss < 0.06 and d_rad < 0.06 and d_cross < 0.03 and elapsed < limit
     _verdict(7, "p-dependent limit law and universality",
@@ -314,19 +310,20 @@ def test_criterion_10_structural_properties():
 def test_criterion_11_stieltjes_concentration_trend():
     limit = 120.0
     t0 = time.perf_counter()
-    spec = ks.KernelSpec("inner", "zero", ks.parse_envelope("exp:a=1"))
-
-    def model(n, t):
-        seed = derive_seed(9, TAG_TRIAL, 1000 * n + t)
-        S = ks.sample_matrix(ks.VectorEnsemble("gaussian", n), n, seed)
-        return ks.build(spec, ks.gram(S), S.p)
-
-    rep = ks.stieltjes_variance_decay(model, 1j, trials=20,
-                                      sizes=(250, 500, 1000))
+    variances = []
+    for n in (250, 500, 1000):
+        result = ks.run_universality(ks.ExperimentConfig(
+            ensemble="gaussian", p=n, n=n, trials=20, seed=9,
+            envelope="exp:a=1"))
+        # E|m - Em|^2 of the complex m_A(i) across the run's trials
+        ms = np.array([e.stieltjes(1j)
+                       for e in result.samples["gaussian"].values()])
+        variances.append(float(np.mean(np.abs(ms - ms.mean()) ** 2)))
+    decreasing = all(b < a for a, b in zip(variances, variances[1:]))
     elapsed = time.perf_counter() - t0
-    ok = rep.strictly_decreasing and elapsed < limit
+    ok = decreasing and elapsed < limit
     _verdict(11, "Stieltjes transform concentration",
-             ok, "variances " + " > ".join(f"{v:.2e}" for v in rep.variances),
+             ok, "variances " + " > ".join(f"{v:.2e}" for v in variances),
              elapsed, limit)
-    assert rep.strictly_decreasing
+    assert decreasing
     assert elapsed < limit

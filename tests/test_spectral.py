@@ -6,7 +6,7 @@ from kernelspectra import (ESD, KernelSpec, VectorEnsemble, build,
                            eigenvalues, empirical_stieltjes, gram, ks_distance,
                            load_esd, mp_atom_mass, mp_cdf, mp_stieltjes,
                            mp_support, parse_envelope, sample_matrix, save_esd,
-                           solve_grid, stieltjes_variance_decay, wasserstein1)
+                           solve_grid, wasserstein1)
 from kernelspectra.mp_theory import AffineMPLaw
 
 
@@ -274,39 +274,6 @@ def test_trace_resolvent_submatrix_bound():
         mu = np.linalg.eigvalsh(B)
         diff = np.sum(1.0 / (lam - z)) - np.sum(1.0 / (mu - z))
         assert abs(diff) <= 1.0 / z.imag + 1e-12
-
-
-# ---------------------------------------------------------------------------
-# variance decay
-# ---------------------------------------------------------------------------
-
-def test_variance_decay_requires_two_trials():
-    with pytest.raises(ValueError):
-        stieltjes_variance_decay(lambda n, t: np.eye(n), 1j, trials=1,
-                                 sizes=(10, 20))
-
-
-def test_variance_decay_requires_increasing_sizes():
-    with pytest.raises(ValueError):
-        stieltjes_variance_decay(lambda n, t: np.eye(n), 1j, trials=5,
-                                 sizes=(20, 10))
-
-
-def test_variance_decay_deterministic_family_is_zero():
-    rep = stieltjes_variance_decay(lambda n, t: np.eye(n), 1j, trials=5,
-                                   sizes=(10, 20, 30))
-    assert rep.variances == (0.0, 0.0, 0.0)
-    assert not rep.strictly_decreasing
-
-
-def test_variance_decay_random_family_decreases():
-    def model(n, t):
-        S = sample_matrix(VectorEnsemble("gaussian", n), n, seed=7000 + 17 * n + t)
-        spec = KernelSpec("inner", "zero", parse_envelope("exp:a=1"))
-        return build(spec, gram(S), S.p)
-
-    rep = stieltjes_variance_decay(model, 1j, trials=12, sizes=(60, 120, 240))
-    assert rep.strictly_decreasing
 
 
 # ---------------------------------------------------------------------------
