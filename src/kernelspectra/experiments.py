@@ -3,7 +3,8 @@
 Every run is a pure function of its config: each family's trial t uses its
 own seed derived from (master seed, t) (see trial_grams), trials aggregate
 by index, and CSV outputs are byte-identical across reruns of the same
-config. Wall-clock timings stay out of the CSV contract.
+config. Wall-clock timings stay out of the CSV contract. A config accepts
+only the keys its run reads, and a run computes only what its outputs read.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ import numpy as np
 
 from ._csvio import write_table
 from ._rng import TAG_TRIAL, TAG_TRIAL_B, derive_seed
-from .ensembles import (ConcentrationDiagnostic, VectorEnsemble,
-                        concentration_diagnostic, sample_matrix)
+from .ensembles import VectorEnsemble, sample_matrix
 from .errors import KernelSpectraError, SolverError
 from .kernels import Envelope, KernelSpec, build, gram, parse_envelope
 from .limit_solver import _check_params, solve_grid
@@ -40,7 +40,9 @@ MAX_N_TRIALS = 20_000_000  # bound on n * trials
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully parsed experiment description."""
+    """Fully parsed experiment description; a key its run does not read is
+    an error. ``epsilon`` is read only with ``law_a``/``law_nu``, and then
+    defaults to 1e-3 as in ``predict --law fe``."""
 
     ensemble: str = "gaussian"
     p: int = 200
@@ -54,7 +56,7 @@ class ExperimentConfig:
     ensemble_b: str | None = None
     law_a: float | None = None
     law_nu: float | None = None
-    epsilon: float = 1e-3
+    epsilon: float | None = None
     z_grid: tuple[complex, ...] = _DEFAULT_Z_GRID
     out: str | None = None
 
@@ -88,9 +90,14 @@ class ExperimentConfig:
             raise ValueError("law_a and law_nu must be given together")
         if self.law_a is not None:
             _check_params(self.law_a, self.law_nu, self.gamma)
-        if not 0 < self.epsilon < np.inf:
-            raise ValueError(f"epsilon must be positive and finite, "
-                             f"got {self.epsilon}")
+            if self.epsilon is None:
+                object.__setattr__(self, "epsilon", 1e-3)
+            if not 0 < self.epsilon < np.inf:
+                raise ValueError(f"epsilon must be positive and finite, "
+                                 f"got {self.epsilon}")
+        elif self.epsilon is not None:
+            raise ValueError("epsilon is read only with law_a and law_nu, "
+                             "where a law is solved")
         if not self.z_grid:
             raise ValueError("z_grid needs at least one point")
         for z in self.z_grid:
@@ -193,7 +200,6 @@ class ExperimentResult:
     pooled: dict[str, ESD]
     law: Law | None
     distances: list[DistanceRecord]  # in distances.csv row order
-    concentration: dict[str, list[ConcentrationDiagnostic]]
     errors: list[TrialError]
     timings: dict[str, float]
 
@@ -266,8 +272,7 @@ def run_universality(config: ExperimentConfig) -> ExperimentResult:
     A module error inside one trial is recorded and the run continues;
     results with any failed trial are flagged incomplete. ``timings``
     holds ``total`` and the seconds, summed over trials, of the stages
-    sample, gram (with the concentration diagnostic), build, eig, law and
-    distances (with pooling).
+    sample, gram, build, eig, law and distances (with pooling).
     """
     t0 = time.perf_counter()
     spec = config.kernel_spec()
@@ -276,12 +281,9 @@ def run_universality(config: ExperimentConfig) -> ExperimentResult:
         families.append(config.ensemble_b)
 
     samples: dict[str, dict[int, ESD]] = {f: {} for f in families}
-    conc: dict[str, list[ConcentrationDiagnostic]] = {f: [] for f in families}
     errors: list[TrialError] = []
     clock = _StageClock(("sample", "gram", "build", "eig", "law", "distances"))
     for t, fam, G in trial_grams(config, families, clock):
-        if config.n >= 2:  # the diagnostic reads G; build writes A over it
-            conc[fam].append(concentration_diagnostic(G))
         clock.lap("gram")
         step = stage = "build"  # errors.csv stage, timings key
         try:
@@ -325,8 +327,7 @@ def run_universality(config: ExperimentConfig) -> ExperimentResult:
     timings = {**clock.seconds, "total": time.perf_counter() - t0}
     result = ExperimentResult(
         config=config, samples=samples, pooled=pooled, law=law,
-        distances=distances, concentration=conc, errors=errors,
-        timings=timings)
+        distances=distances, errors=errors, timings=timings)
     if config.out is not None:
         write_result(result, Path(config.out))
     return result

@@ -274,16 +274,14 @@ class LimitLaw(Law):
                 "atoms": list(self.atoms)}
 
 
-def solve_grid(a: float, nu: float, gamma: float,
-               x_range: tuple[float, float] | None = None,
-               n_points: int = 2000, epsilon: float = 1e-3) -> LimitLaw:
+def solve_grid(a: float, nu: float, gamma: float, n_points: int = 2000,
+               epsilon: float = 1e-3) -> LimitLaw:
     """Invert the limit law on a real grid at imaginary offset epsilon.
 
-    The default window is the support's hull and the atoms, widened on
-    each side by 4 epsilon / (pi * 1e-3): the smoothed law's Cauchy tails
-    put at most 5e-4 of its mass outside it. A given ``x_range`` is used
-    as is. Raises SolverError when the grid holds less than 1 - 1e-3 of
-    the mass.
+    The window is the support's hull and the atoms, widened on each side
+    by 4 epsilon / (pi * 1e-3): the smoothed law's Cauchy tails put at
+    most 5e-4 of its mass outside it. Raises SolverError when the grid
+    holds less than 1 - 1e-3 of the mass.
     """
     _check_params(a, nu, gamma)
     if not 0 < epsilon < np.inf:
@@ -291,16 +289,9 @@ def solve_grid(a: float, nu: float, gamma: float,
     if n_points < 16:
         raise ValueError(f"need n_points >= 16, got {n_points}")
     atoms = _atoms(a, nu, gamma)
-    if x_range is None:
-        ends = [*_support(a, nu, gamma), *(loc for loc, _ in atoms)]
-        margin = 4.0 * epsilon / (np.pi * _MASS_TOL)
-        lo, hi = min(ends) - margin, max(ends) + margin
-    else:
-        lo, hi = float(x_range[0]), float(x_range[1])
-        if not lo < hi:
-            raise ValueError(f"empty x_range {x_range}")
-
-    grid = np.linspace(lo, hi, n_points)
+    ends = [*_support(a, nu, gamma), *(loc for loc, _ in atoms)]
+    margin = 4.0 * epsilon / (np.pi * _MASS_TOL)
+    grid = np.linspace(min(ends) - margin, max(ends) + margin, n_points)
     m_eps = _stieltjes(a, nu, gamma, grid + 1j * epsilon)
     cdf = _smoothed_cdf(a, nu, gamma, m_eps)
     for loc, mass in atoms:

@@ -384,8 +384,29 @@ def test_repeated_or_non_finite_envelope_parameter_exits_one_before_any_trial(
 
 def test_compare_rejects_non_finite_epsilon(capsys):
     assert cli_main(["compare", "--set", "p=10", "--set", "n=20",
-                     "--set", "epsilon=nan"]) == 1
+                     "--set", "target=functional-equation", "--set", "law_a=1",
+                     "--set", "law_nu=1", "--set", "epsilon=nan"]) == 1
+    assert "epsilon must be positive and finite" in capsys.readouterr().err
+
+
+def test_compare_writes_epsilon_only_where_a_law_is_solved(tmp_path, capsys):
+    small = ["compare", "--set", "p=20", "--set", "n=40"]
+    assert cli_main([*small, "--set", "epsilon=0.5"]) == 1
     assert "epsilon" in capsys.readouterr().err
+    assert cli_main([*small, "--out", str(tmp_path / "mp")]) == 0
+    for name in ("config.resolved", "esd.csv.meta", "distances.csv.meta"):
+        keys = [line.partition("=")[0]
+                for line in (tmp_path / "mp" / name).read_text().splitlines()]
+        assert "epsilon" not in keys, name
+    fe = [*small, "--set", "target=functional-equation", "--set", "law_a=1",
+          "--set", "law_nu=1"]
+    for given, written in ([], "0.001"), (["--set", "epsilon=0.002"], "0.002"):
+        out = tmp_path / f"fe{written}"
+        assert cli_main([*fe, *given, "--out", str(out)]) == 0
+        for name in ("config.resolved", "esd.csv.meta", "distances.csv.meta",
+                     "law.csv.meta"):
+            lines = (out / name).read_text().splitlines()
+            assert f"epsilon={written}" in lines, name
 
 
 @pytest.mark.parametrize("settings", [

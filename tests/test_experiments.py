@@ -84,8 +84,9 @@ def test_config_validation():
     with pytest.raises(ValueError, match="z_grid"):
         ExperimentConfig(z_grid=())
     for epsilon in (0.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="epsilon"):
-            ExperimentConfig(epsilon=epsilon)
+        with pytest.raises(ValueError, match="positive and finite"):
+            ExperimentConfig(p=20, n=40, target="functional-equation",
+                             law_a=1.0, law_nu=1.0, epsilon=epsilon)
     for law_a, law_nu in ((-1.0, 1.0), (1.0, 0.5), (float("nan"), 1.0)):
         with pytest.raises(ValueError):
             ExperimentConfig(p=20, n=40, target="functional-equation",
@@ -108,13 +109,30 @@ def test_config_validation():
     ({"target": "affine-mp", "ensemble_b": "sphere"}, "ensemble_b"),
     ({"target": "functional-equation", "ensemble_b": "sphere",
       "law_a": 0.5, "law_nu": 1.0}, "ensemble_b"),
+    ({"target": "affine-mp", "epsilon": 1e-3}, "epsilon"),
+    ({"target": "cross-ensemble", "ensemble_b": "sphere", "epsilon": 1e-3},
+     "epsilon"),
 ], ids=["affine-mp-law", "affine-mp-law_nu", "affine-mp-ensemble_b",
-        "functional-equation-ensemble_b"])
+        "functional-equation-ensemble_b", "affine-mp-epsilon",
+        "cross-ensemble-epsilon"])
 def test_config_rejects_a_key_its_target_ignores(settings, key):
-    # affine-mp predicts its law from the kernel, and only a cross-ensemble
-    # run draws ensemble_b; a key that would only be echoed is an error
+    # affine-mp predicts its law from the kernel, only a cross-ensemble run
+    # draws ensemble_b, and only a solved law reads epsilon; a key that
+    # would only be echoed is an error
     with pytest.raises(ValueError, match=key):
         ExperimentConfig(p=20, n=40, **settings)
+
+
+@pytest.mark.parametrize("settings", [
+    {"target": "functional-equation"},
+    {"target": "cross-ensemble", "ensemble_b": "sphere"},
+], ids=["functional-equation", "cross-ensemble"])
+def test_a_solved_law_reads_epsilon_and_defaults_it(settings):
+    settings = {"p": 20, "n": 40, "law_a": 1.0, "law_nu": 1.5, **settings}
+    config = ExperimentConfig(**settings)
+    assert config.epsilon == 1e-3 and "epsilon=0.001\n" in config_text(config)
+    result = run_universality(ExperimentConfig(**settings, epsilon=2e-3))
+    assert result.law.epsilon == 2e-3
 
 
 def test_config_built_from_numpy_scalars_reloads():
@@ -270,7 +288,6 @@ def test_run_universality_forms_one_gram_per_trial_and_family(monkeypatch):
     result = run_universality(cfg)
     assert not result.incomplete
     assert families == ["rademacher", "sphere"] * 3
-    assert all(len(c) == 3 for c in result.concentration.values())
 
 
 def test_run_universality_drops_each_sample_before_build(monkeypatch):

@@ -90,8 +90,8 @@ def test_grid_reduces_to_affine_mp_at_nu_equals_a_squared():
 
 
 def test_semicircle_density_is_even():
-    law = solve_grid(0.0, 1.0, 1.0, x_range=(-5.0, 5.0), n_points=1001,
-                     epsilon=1e-3)
+    # the default window is symmetric about the semicircle's centre
+    law = solve_grid(0.0, 1.0, 1.0, n_points=1001, epsilon=1e-3)
     assert np.max(np.abs(law.density - law.density[::-1])) < 1e-6
 
 
@@ -107,11 +107,12 @@ def test_law_cdf_clamps_outside_grid():
 
 
 def test_epsilon_refinement_stability():
-    coarse = solve_grid(0.0, 1.0, 1.0, x_range=(-5, 5), n_points=1001,
-                        epsilon=1e-3)
-    fine = solve_grid(0.0, 1.0, 1.0, x_range=(-5, 5), n_points=1001,
-                      epsilon=5e-4)
-    assert np.max(np.abs(coarse.density - fine.density)) < 0.05
+    coarse = solve_grid(0.0, 1.0, 1.0, n_points=1001, epsilon=1e-3)
+    fine = solve_grid(0.0, 1.0, 1.0, n_points=1001, epsilon=5e-4)
+    # the windows widen with epsilon; compare where both grids reach
+    inside = (coarse.grid >= fine.grid[0]) & (coarse.grid <= fine.grid[-1])
+    fine_density = np.interp(coarse.grid[inside], fine.grid, fine.density)
+    assert np.max(np.abs(coarse.density[inside] - fine_density)) < 0.05
     # smooth-region cdf values move by less than 1e-3
     for x in (-1.5, -0.5, 0.0, 0.8, 1.7):
         assert abs(coarse.cdf(x) - fine.cdf(x)) < 1e-3
@@ -135,8 +136,6 @@ def test_grid_validation():
         solve_grid(0.0, 1.0, 1.0, epsilon=0.0)
     with pytest.raises(ValueError):
         solve_grid(0.0, 1.0, 1.0, n_points=4)
-    with pytest.raises(ValueError):
-        solve_grid(0.0, 1.0, 1.0, x_range=(2.0, -2.0))
 
 
 def test_solver_error_carries_location():
