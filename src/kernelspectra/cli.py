@@ -17,10 +17,10 @@ from .ensembles import (FAMILIES, VectorEnsemble, concentration_diagnostic,
                         moment_diagnostic, sample_matrix)
 from .errors import KernelSpectraError
 from .experiments import (ExperimentConfig, esd_meta, parse_config,
-                          run_universality, trial_grams)
+                          run_universality, trial_grams, write_result)
 from .kernels import (DIAGONALS, ENVELOPE_FACTORIES, KERNELS, KernelSpec,
                       build, gram, parse_envelope, single_entry_swap)
-from .limit_solver import solve_grid
+from .limit_solver import DEFAULT_EPSILON, solve_grid
 from .mp_theory import AffineMPLaw, predicted_law
 from .orthopoly import envelope_coeffs
 from .spectral import ESD, eigenvalues, save_esd, save_limit_law
@@ -72,7 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pred.add_argument("--diag", help="default keep: " + " | ".join(DIAGONALS))
     pred.add_argument("--a", type=float)
     pred.add_argument("--nu", type=float)
-    pred.add_argument("--epsilon", type=float, help="default 1e-3")
+    pred.add_argument("--epsilon", type=float,
+                      help=f"default {DEFAULT_EPSILON:g}")
     pred.add_argument("--out", default=None, help="law csv path")
 
     exp = sub.add_parser("expand", help="envelope coefficient table")
@@ -87,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--config", default=None, help="key=value config file")
     cmp_.add_argument("--set", action="append", default=[],
                       metavar="KEY=VALUE", help="config overrides")
-    cmp_.add_argument("--out", default=None, help="output directory override")
+    cmp_.add_argument("--out", default=None, help="output directory")
 
     diag = sub.add_parser("diagnose", help="moment and concentration checks")
     diag.add_argument("--ensemble", default="gaussian", help=_ENSEMBLE_HELP)
@@ -148,7 +149,7 @@ def _cmd_predict(args) -> int:
         if "a" not in given or "nu" not in given:
             raise ValueError("functional-equation law needs --a and --nu")
         law = solve_grid(args.a, args.nu, args.gamma,
-                         epsilon=given.get("epsilon", 1e-3))
+                         epsilon=given.get("epsilon", DEFAULT_EPSILON))
     else:
         spec = KernelSpec(given.get("kernel", "inner"), given.get("diag", "keep"),
                           parse_envelope(args.envelope))
@@ -183,11 +184,11 @@ def _cmd_compare(args) -> int:
         if not sep:
             raise ValueError(f"override must be KEY=VALUE, got {item!r}")
         overrides[key.strip()] = val.strip()
-    if args.out is not None:
-        overrides["out"] = args.out
     text = "" if args.config is None else Path(args.config).read_text()
     config = parse_config(text, overrides)
     result = run_universality(config)
+    if args.out:
+        write_result(result, args.out)
     for rec in result.distances:
         if rec.trial < 0:
             head = ("cross-ensemble:" if rec.family == "cross"
@@ -199,8 +200,8 @@ def _cmd_compare(args) -> int:
         for err in result.errors[:5]:
             print(f"  trial {err.trial} [{err.ensemble}/{err.stage}]: "
                   f"{err.message}")
-    if config.out:
-        print(f"wrote {config.out}/")
+    if args.out:
+        print(f"wrote {args.out}/")
     return 2 if result.incomplete else 0
 
 

@@ -2,8 +2,8 @@
 
 Every run is a pure function of its config: each family's trial t uses its
 own seed derived from (master seed, t) (see trial_grams), trials aggregate
-by index, and CSV outputs are byte-identical across reruns of the same
-config. Wall-clock timings stay out of the CSV contract. A config accepts
+by index, and write_result's files hold no output path and no timing, so
+they are byte-identical across reruns of the same config. A config accepts
 only the keys its run reads, and a run computes only what its outputs read.
 """
 
@@ -21,7 +21,7 @@ from ._rng import TAG_TRIAL, TAG_TRIAL_B, derive_seed
 from .ensembles import VectorEnsemble, sample_matrix
 from .errors import KernelSpectraError, SolverError
 from .kernels import Envelope, KernelSpec, build, gram, parse_envelope
-from .limit_solver import _check_params, solve_grid
+from .limit_solver import DEFAULT_EPSILON, _check_params, solve_grid
 from .mp_theory import predicted_law
 from .spectral import (ESD, Law, eigenvalues, empirical_stieltjes,
                        ks_distance, save_esd, save_limit_law, wasserstein1)
@@ -42,7 +42,7 @@ MAX_N_TRIALS = 20_000_000  # bound on n * trials
 class ExperimentConfig:
     """Fully parsed experiment description; a key its run does not read is
     an error. ``epsilon`` is read only with ``law_a``/``law_nu``, and then
-    defaults to 1e-3 as in ``predict --law fe``."""
+    defaults to DEFAULT_EPSILON as in ``predict --law fe``."""
 
     ensemble: str = "gaussian"
     p: int = 200
@@ -58,7 +58,6 @@ class ExperimentConfig:
     law_nu: float | None = None
     epsilon: float | None = None
     z_grid: tuple[complex, ...] = _DEFAULT_Z_GRID
-    out: str | None = None
 
     def __post_init__(self):
         if self.p < 1 or self.n < 1:
@@ -91,7 +90,7 @@ class ExperimentConfig:
         if self.law_a is not None:
             _check_params(self.law_a, self.law_nu, self.gamma)
             if self.epsilon is None:
-                object.__setattr__(self, "epsilon", 1e-3)
+                object.__setattr__(self, "epsilon", DEFAULT_EPSILON)
             if not 0 < self.epsilon < np.inf:
                 raise ValueError(f"epsilon must be positive and finite, "
                                  f"got {self.epsilon}")
@@ -135,24 +134,26 @@ CONFIG_SCHEMA = {
     "ensemble_b": _TEXT, "law_a": _FLOAT, "law_nu": _FLOAT, "epsilon": _FLOAT,
     "z_grid": (lambda text: tuple(complex(z) for z in text.split(";") if z),
                lambda zs: ";".join(map(str, zs))),
-    "out": _TEXT,
 }
 _FIELD = {**{key: key for key in CONFIG_SCHEMA}, "diag": "diagonal"}
 
 
 def parse_config(text: str, overrides: dict[str, str] | None = None
                  ) -> ExperimentConfig:
-    """Parse flat key=value config text ('#' starts a comment)."""
+    """Parse flat key=value config text ('#' starts a comment). A key may
+    appear once in the text; ``overrides`` replace keys from it."""
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        key, sep, val = line.partition("=")
+        key, sep, val = (part.strip() for part in line.partition("="))
         if not sep:
             raise ValueError(f"config line {lineno}: expected key=value, "
                              f"got {line!r}")
-        raw[key.strip()] = val.strip()
+        if key in raw:
+            raise ValueError(f"config line {lineno}: key {key!r} is already set")
+        raw[key] = val
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
     kwargs: dict = {}
@@ -269,10 +270,10 @@ def trial_grams(config: ExperimentConfig, families: Sequence[str],
 def run_universality(config: ExperimentConfig) -> ExperimentResult:
     """Build per-trial kernel matrices, pool ESDs, compare to the target law.
 
-    A module error inside one trial is recorded and the run continues;
-    results with any failed trial are flagged incomplete. ``timings``
-    holds ``total`` and the seconds, summed over trials, of the stages
-    sample, gram, build, eig, law and distances (with pooling).
+    Writes nothing. A module error inside one trial is recorded and the
+    run continues; results with any failed trial are flagged incomplete.
+    ``timings`` holds ``total`` and the seconds, summed over trials, of
+    the stages sample, gram, build, eig, law and distances (with pooling).
     """
     t0 = time.perf_counter()
     spec = config.kernel_spec()
@@ -325,12 +326,9 @@ def run_universality(config: ExperimentConfig) -> ExperimentResult:
 
     clock.lap("distances")
     timings = {**clock.seconds, "total": time.perf_counter() - t0}
-    result = ExperimentResult(
+    return ExperimentResult(
         config=config, samples=samples, pooled=pooled, law=law,
         distances=distances, errors=errors, timings=timings)
-    if config.out is not None:
-        write_result(result, Path(config.out))
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +341,14 @@ def esd_meta(config: ExperimentConfig) -> list[tuple[str, str]]:
             ("spec", config.kernel_spec().label())]
 
 
-def write_result(result: ExperimentResult, out_dir: Path) -> None:
+def write_result(result: ExperimentResult, out_dir: str | Path) -> None:
     """Write config.resolved, esd.csv, law.csv when there is a law and
-    distances.csv with their .meta sidecars, and errors.csv if a trial failed."""
+    distances.csv with their .meta sidecars, and errors.csv if a trial failed,
+    after removing any law.csv, law.csv.meta and errors.csv already there."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for name in ("law.csv", "law.csv.meta", "errors.csv"):
+        (out_dir / name).unlink(missing_ok=True)
     config = result.config
     (out_dir / "config.resolved").write_text(config_text(config))
 

@@ -67,6 +67,7 @@ from ._csvio import read_table
 from .errors import SolverError
 from .spectral import Law
 
+DEFAULT_EPSILON = 1e-3    # the inversion offset when a caller sets none
 _MASS_TOL = 1e-3          # the window must hold all mass but this
 _ISOLATED = 1e-3          # a root this far from the others, over max|w|
 # cube roots of unity; a complex ufunc at import pages in ~0.25 MB of code
@@ -275,7 +276,7 @@ class LimitLaw(Law):
 
 
 def solve_grid(a: float, nu: float, gamma: float, n_points: int = 2000,
-               epsilon: float = 1e-3) -> LimitLaw:
+               epsilon: float = DEFAULT_EPSILON) -> LimitLaw:
     """Invert the limit law on a real grid at imaginary offset epsilon.
 
     The window is the support's hull and the atoms, widened on each side

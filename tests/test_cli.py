@@ -115,10 +115,8 @@ def test_simulate_matches_compare_trials(tmp_path, capsys):
     compared = (tmp_path / "cmp" / "esd.csv").read_text().splitlines()
     assert simulated[0] == compared[0] == "trial,lambda"
     assert simulated[1:] == compared[1:]
-    # the same sidecar but for compare's out line
-    meta = (tmp_path / "cmp" / "esd.csv.meta").read_text().splitlines()
-    assert (tmp_path / "sim.csv.meta").read_text().splitlines() == [
-        line for line in meta if not line.startswith("out=")]
+    assert ((tmp_path / "sim.csv.meta").read_bytes()
+            == (tmp_path / "cmp" / "esd.csv.meta").read_bytes())
 
 
 _SIMULATE_PEAK = """
@@ -281,11 +279,12 @@ def _assert_spectra_load_back(path, spectra):
 ], ids=["affine-mp", "functional-equation", "cross-ensemble"])
 def test_every_table_compare_writes_loads_back(settings, tmp_path, capsys):
     settings = {"ensemble": "rademacher", "p": "12", "n": "20", "seed": "5",
-                "trials": "2", **settings, "out": str(tmp_path)}
+                "trials": "2", **settings}
     assert cli_main(["compare", *(arg for kv in settings.items()
-                                  for arg in ("--set", "=".join(kv)))]) == 0
+                                  for arg in ("--set", "=".join(kv))),
+                     "--out", str(tmp_path)]) == 0
     config = parse_config("", settings)
-    run = run_universality(dataclasses.replace(config, out=None))
+    run = run_universality(config)
     _assert_spectra_load_back(tmp_path / "esd.csv", {
         (str(t) if fam == config.ensemble else f"{fam}:{t}"): e
         for fam, per_trial in run.samples.items()
@@ -409,6 +408,17 @@ def test_compare_writes_epsilon_only_where_a_law_is_solved(tmp_path, capsys):
             assert f"epsilon={written}" in lines, name
 
 
+def test_compare_and_predict_default_to_solve_grids_epsilon(tmp_path, capsys):
+    default = inspect.signature(solve_grid).parameters["epsilon"].default
+    assert cli_main(["compare", "--set", "p=20", "--set", "n=40",
+                     "--set", "target=functional-equation", "--set", "law_a=1",
+                     "--set", "law_nu=1", "--out", str(tmp_path / "fe")]) == 0
+    assert cli_main(["predict", "--law", "fe", "--a", "1", "--nu", "1",
+                     "--gamma", "0.5", "--out", str(tmp_path / "fe.csv")]) == 0
+    for sidecar in (tmp_path / "fe" / "law.csv.meta", tmp_path / "fe.csv.meta"):
+        assert f"epsilon={default!r}" in sidecar.read_text().splitlines()
+
+
 @pytest.mark.parametrize("settings", [
     ["target=functional-equation", "law_a=-1", "law_nu=1"],
     ["target=functional-equation", "law_a=1", "law_nu=0.5"],
@@ -524,6 +534,30 @@ def test_compare_override_flag(tmp_path, capsys):
                      "--set", "trials=1", "--set", "envelope=identity",
                      "--set", "target=affine-mp"])
     assert code == 0
+
+
+def test_compare_takes_a_key_once_from_its_file_and_last_from_set(tmp_path,
+                                                                  capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("p=10\nn=20\np=12\n")
+    assert cli_main(["compare", "--config", str(config)]) == 1
+    assert "line 3: key 'p'" in capsys.readouterr().err
+    config.write_text("p=10\nn=20\n")
+    assert cli_main(["compare", "--config", str(config), "--set", "p=12",
+                     "--set", "p=14", "--out", str(tmp_path / "run")]) == 0
+    written = (tmp_path / "run" / "config.resolved").read_text().splitlines()
+    assert "p=14" in written and "n=20" in written
+
+
+@pytest.mark.parametrize("how", ["set", "config"])
+def test_compare_rejects_out_as_a_config_key(how, tmp_path, capsys):
+    # --out names the directory; no config key holds it
+    config = tmp_path / "run.cfg"
+    config.write_text("p=10\nn=20\n" + ("out=x\n" if how == "config" else ""))
+    extra = ["--set", "out=x"] if how == "set" else []
+    assert cli_main(["compare", "--config", str(config), *extra]) == 1
+    captured = capsys.readouterr()
+    assert "unknown config key 'out'" in captured.err and captured.out == ""
 
 
 def test_diagnose_runs(capsys):

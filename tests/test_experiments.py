@@ -15,8 +15,9 @@ from kernelspectra import (ESD, Envelope, ExperimentConfig, KernelSpec,
                            parse_envelope, run_l2_perturbation,
                            run_universality, sample_matrix, xi_moments)
 from kernelspectra._rng import TAG_TRIAL, TAG_TRIAL_B, derive_seed
+from kernelspectra.cli import cli_main
 from kernelspectra.experiments import (_FIELD, CONFIG_SCHEMA, config_text,
-                                       trial_grams)
+                                       trial_grams, write_result)
 from kernelspectra.kernels import ENVELOPE_FACTORIES
 
 
@@ -99,7 +100,7 @@ def test_config_validation():
         parse_config("p=20\nn=40\ngamma=0.3\n")
     # a written config.resolved echoes gamma=repr(p/n) and loads unchanged
     cfg = ExperimentConfig(p=1, n=3, target="functional-equation",
-                           law_a=0.5, law_nu=0.75, out="run")
+                           law_a=0.5, law_nu=0.75)
     assert parse_config(config_text(cfg)) == cfg
 
 
@@ -139,7 +140,7 @@ def test_config_built_from_numpy_scalars_reloads():
     cfg = ExperimentConfig(p=np.int64(20), n=np.int64(40), seed=np.int64(3),
                            target="functional-equation", envelope="sign-scaled",
                            law_a=np.sqrt(2 / np.pi), law_nu=np.float64(1.0),
-                           epsilon=np.float64(1e-3), out="run")
+                           epsilon=np.float64(1e-3))
     text = config_text(cfg)
     assert "law_a=0.7978845608028654\n" in text and "np." not in text
     assert parse_config(text) == cfg
@@ -175,8 +176,9 @@ def test_unknown_envelope_is_rejected_when_the_config_is_made():
 def test_run_universality_affine_mp(tmp_path):
     cfg = ExperimentConfig(ensemble="gaussian", p=50, n=100, trials=3, seed=4,
                            kernel="inner", diagonal="zero", envelope="exp:a=1",
-                           target="affine-mp", out=str(tmp_path / "run"))
+                           target="affine-mp")
     result = run_universality(cfg)
+    write_result(result, tmp_path / "run")
     assert not result.incomplete
     assert _esd_points(result, "gaussian").size == 300
     assert len([r for r in result.distances
@@ -189,16 +191,39 @@ def test_run_universality_affine_mp(tmp_path):
     assert header == "trial,ks,w1,stieltjes_sup"
 
 
-def test_run_universality_outputs_are_byte_identical(tmp_path):
+def test_run_universality_outputs_are_byte_identical(tmp_path, capsys):
+    # every file, sidecars and config.resolved included: the directory a
+    # run is written to is no part of what it writes
+    settings = {"ensemble": "rademacher", "p": 30, "n": 60, "trials": 2,
+                "seed": 11, "kernel": "inner", "diag": "zero",
+                "envelope": "exp:a=1", "target": "affine-mp"}
+    sets = [arg for key, val in settings.items()
+            for arg in ("--set", f"{key}={val}")]
     texts = []
     for sub in ("a", "b"):
-        cfg = ExperimentConfig(ensemble="rademacher", p=30, n=60, trials=2, seed=11,
-                               kernel="inner", diagonal="zero", envelope="exp:a=1",
-                               target="affine-mp", out=str(tmp_path / sub))
-        run_universality(cfg)
-        texts.append({name: (tmp_path / sub / name).read_bytes()
-                      for name in ("esd.csv", "law.csv", "distances.csv")})
+        assert cli_main(["compare", *sets, "--out", str(tmp_path / sub)]) == 0
+        texts.append({path.name: path.read_bytes()
+                      for path in (tmp_path / sub).iterdir()})
+    assert sorted(texts[0]) == _contract_files(law=True)
     assert texts[0] == texts[1]
+
+
+def test_a_rerun_leaves_only_its_own_files(tmp_path):
+    # an affine-mp run whose trials fail leaves law.csv, its sidecar and
+    # errors.csv; a cross-ensemble run without a law then writes over it
+    failing = ExperimentConfig(p=10, n=12, trials=2, envelope="exp:a=1e6")
+    first = run_universality(failing)
+    assert first.law is not None and first.errors
+    write_result(first, tmp_path)
+    (tmp_path / "notes.txt").write_text("kept\n")
+    assert _written(tmp_path) == sorted([*_contract_files(law=True, errors=True),
+                                         "notes.txt"])
+    lawless = ExperimentConfig(p=10, n=12, trials=2, target="cross-ensemble",
+                               ensemble_b="sphere")
+    write_result(run_universality(lawless), tmp_path)
+    assert _written(tmp_path) == sorted([*_contract_files(law=False),
+                                         "notes.txt"])
+    assert (tmp_path / "notes.txt").read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("target, settings", [
@@ -387,8 +412,9 @@ def test_rows_keep_true_trial_labels_after_a_failed_trial(tmp_path, target):
                            kernel="distance", diagonal="keep",
                            envelope="exp:a=215", target=target,
                            ensemble_b="sphere" if target == "cross-ensemble"
-                           else None, out=str(tmp_path))
+                           else None)
     result = run_universality(cfg)
+    write_result(result, tmp_path)
     assert [(e.trial, e.ensemble, e.stage) for e in result.errors] == [
         (3, "rademacher", "build")]
     esd = {}
@@ -419,9 +445,9 @@ def test_errors_csv_round_trips_quotes_and_commas(tmp_path, monkeypatch):
 
     monkeypatch.setitem(ENVELOPE_FACTORIES, "refuse",
                         lambda: Envelope("refuse", refuse))
-    cfg = ExperimentConfig(p=10, n=12, trials=2, envelope="refuse",
-                           out=str(tmp_path))
+    cfg = ExperimentConfig(p=10, n=12, trials=2, envelope="refuse")
     result = run_universality(cfg)
+    write_result(result, tmp_path)
     assert [e.message for e in result.errors] == [message] * len(result.errors)
     with open(tmp_path / "errors.csv", newline="") as fh:
         rows = list(csv.reader(fh))
