@@ -20,8 +20,9 @@ class CapabilityError(KernelSpectraError):
     """Requested computation is not available for the given inputs."""
 
 
-class DerivativeError(CapabilityError):
-    """Derivative value unavailable and numeric differentiation failed."""
+class DerivativeError(CapabilityError, ValueError):
+    """The envelope records no slope where a linearization needs one; a
+    usage error, since the model asked for has no affine MP law."""
 
 
 class DegeneracyError(KernelSpectraError):

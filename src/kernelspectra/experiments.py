@@ -20,7 +20,8 @@ from ._csvio import write_table
 from ._rng import TAG_TRIAL, TAG_TRIAL_B, derive_seed
 from .ensembles import VectorEnsemble, sample_matrix
 from .errors import KernelSpectraError, SolverError
-from .kernels import Envelope, KernelSpec, build, gram, parse_envelope
+from .kernels import (Envelope, KernelSpec, build, gram,
+                      linearization_coefficients, parse_envelope)
 from .limit_solver import DEFAULT_EPSILON, _check_params, solve_grid
 from .mp_theory import predicted_law
 from .spectral import (ESD, Law, eigenvalues, empirical_stieltjes,
@@ -270,13 +271,17 @@ def trial_grams(config: ExperimentConfig, families: Sequence[str],
 def run_universality(config: ExperimentConfig) -> ExperimentResult:
     """Build per-trial kernel matrices, pool ESDs, compare to the target law.
 
-    Writes nothing. A module error inside one trial is recorded and the
-    run continues; results with any failed trial are flagged incomplete.
+    Writes nothing. An affine-mp target whose envelope records no slope
+    its kernel needs raises DerivativeError before any trial. A module
+    error inside one trial is recorded and the run continues; results
+    with any failed trial are flagged incomplete.
     ``timings`` holds ``total`` and the seconds, summed over trials, of
     the stages sample, gram, build, eig, law and distances (with pooling).
     """
     t0 = time.perf_counter()
     spec = config.kernel_spec()
+    if config.target == AFFINE_MP:
+        linearization_coefficients(spec, config.p)
     families = [config.ensemble]
     if config.target == CROSS_ENSEMBLE:
         families.append(config.ensemble_b)

@@ -40,8 +40,10 @@ class Envelope:
     ``fn`` must accept numpy arrays in x and broadcast entrywise.
     Degenerate points are handled by explicit extension inside ``fn``
     (e.g. the nonsmooth oscillatory envelope takes the value 0 at x = 0).
-    ``slopes`` holds (x0, f'(x0)) pairs known in closed form; p-dependent
-    envelopes omit any slope that varies with p.
+    ``slopes`` holds the (x0, f'(x0)) pairs the affine MP law reads. An
+    envelope records a slope only where f' is known in closed form, is
+    finite and does not depend on p, so an envelope that varies with p
+    records none and has no affine law.
     """
 
     name: str
@@ -55,44 +57,14 @@ class Envelope:
         with np.errstate(over="ignore"):  # callers reject a non-finite value
             return float(self(x0, p))
 
-    def derivative(self, x0: float, p: int) -> float:
-        """f'(x0, p): the recorded slope if present, else numeric."""
+    def derivative(self, x0: float) -> float:
+        """The slope f'(x0) recorded in ``slopes``."""
         slopes = dict(self.slopes)
-        return slopes[x0] if x0 in slopes else numeric_derivative(self, x0, p)
-
-
-def numeric_derivative(envelope: Envelope, x0: float, p: int) -> float:
-    """Central difference with one Richardson extrapolation step.
-
-    Step h = max(1e-6, 1e-6 |x0|). Raises DerivativeError when the two
-    half-step estimates disagree badly (no convergence, e.g. a jump), or
-    when the forward and backward differences do (a kink such as |x| at
-    0, where the central difference reads 0).
-    """
-    h = max(1e-6, 1e-6 * abs(x0))
-
-    def slope(lo: float, hi: float) -> float:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return float((envelope(x0 + hi, p) - envelope(x0 + lo, p))
-                         / (hi - lo))
-
-    d_h = slope(-h, h)
-    d_h2 = slope(-h / 2.0, h / 2.0)
-    richardson = (4.0 * d_h2 - d_h) / 3.0
-    if not np.isfinite(richardson):
-        raise DerivativeError(
-            f"numeric derivative of {envelope.name!r} at x={x0} is not finite")
-    tol = 0.1 * max(1.0, abs(richardson))
-    if abs(d_h - d_h2) > tol:
-        raise DerivativeError(
-            f"numeric derivative of {envelope.name!r} at x={x0} did not "
-            f"converge: D(h)={d_h:.6g}, D(h/2)={d_h2:.6g}")
-    forward, backward = slope(0.0, h), slope(-h, 0.0)
-    if abs(forward - backward) > tol:
-        raise DerivativeError(
-            f"numeric derivative of {envelope.name!r} at x={x0} has a kink: "
-            f"forward {forward:.6g}, backward {backward:.6g}")
-    return richardson
+        if x0 not in slopes:
+            raise DerivativeError(
+                f"envelope {self.name!r} records no slope at x={x0}, so it "
+                f"has no affine MP law")
+        return slopes[x0]
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +106,8 @@ def power_envelope(a: float) -> Envelope:
 def sign_scaled_envelope() -> Envelope:
     """p-dependent envelope f(x, p) = sign(x) / sqrt(p).
 
-    Not differentiable at 0, so no slope is recorded; the scaled form
+    It varies with p (and jumps at 0), so it records no slope and has no
+    affine MP law; its limit is a functional-equation law. The scaled form
     sqrt(p) f(x / sqrt(p), p) = sign(x) is p-independent.
     """
     return Envelope("sign-scaled", lambda x, p: np.sign(x) / np.sqrt(p))
@@ -271,15 +244,17 @@ def linearization_coefficients(spec: KernelSpec, p: int) -> tuple[float, float]:
     inner/zero:  alpha = -f(0) - f'(0),            beta = f'(0)
     distance:    alpha = f(0) - f(2) + 2 f'(2),    beta = -2 f'(2)
                  (zero-diagonal distance drops the f(0) diagonal term)
+
+    Raises DerivativeError when the envelope records no slope it needs.
     """
     f = spec.envelope
     if spec.kernel == INNER_PRODUCT:
-        beta = f.derivative(0.0, p)
+        beta = f.derivative(0.0)
         alpha = -f.value(0.0, p) - beta
         if spec.diagonal == KEEP:
             alpha = f.value(1.0, p) - f.value(0.0, p) - beta
         return alpha, beta
-    d2 = f.derivative(2.0, p)
+    d2 = f.derivative(2.0)
     alpha = -f.value(2.0, p) + 2.0 * d2
     if spec.diagonal == KEEP:
         alpha += f.value(0.0, p)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DerivativeError, SolverError
+from .errors import SolverError
 from .kernels import KernelSpec, linearization_coefficients
 from .spectral import Law
 
@@ -237,15 +237,13 @@ def predicted_law(spec: KernelSpec, gamma: float) -> AffineMPLaw:
     """Affine MP image (or degenerate atom) predicted for spec's model.
 
     The shift/scale come from the linearization theorems:
-    inner/keep distances the spectrum by f(1) - f(0) - f'(0) and scales by
+    inner/keep shifts the spectrum by f(1) - f(0) - f'(0) and scales by
     f'(0); inner/zero shifts by -f(0) - f'(0); the distance kernel shifts
     by f(0) - f(2) + 2 f'(2) and scales by -2 f'(2). A vanishing scale
-    degenerates the law to an atom at the shift.
+    degenerates the law to an atom at the shift. The slopes are the ones
+    the envelope records; an envelope missing one it needs (a p-dependent
+    envelope, a jump or a kink) raises DerivativeError. The values are
+    read at p = 1, as an envelope with slopes does not vary with p.
     """
-    try:
-        alpha, beta = linearization_coefficients(spec, p=1)
-    except DerivativeError as exc:
-        raise DerivativeError(
-            f"predicted law for {spec.label()} needs envelope derivatives: {exc}"
-        ) from exc
+    alpha, beta = linearization_coefficients(spec, p=1)
     return AffineMPLaw(gamma=float(gamma), shift=float(alpha), scale=float(beta))

@@ -52,10 +52,6 @@ class MomentSequence:
     def values(self) -> np.ndarray:
         return np.array([float(e) for e in self.exact_values])
 
-    @property
-    def order(self) -> int:
-        return len(self.exact_values) - 1
-
     def exact(self, k: int) -> Fraction:
         return self.exact_values[k]
 

@@ -669,9 +669,51 @@ def test_power_envelope_beyond_float_range_predicts_or_fails_cleanly(
     assert cli_main([*argv, "--kernel", "inner", "--diag", "zero"]) == 0
     out = capsys.readouterr().out
     assert "'shift': -1001.0" in out and "'scale': 1000.0" in out
-    assert cli_main([*argv, "--kernel", "distance", "--diag", "keep"]) == 2
+    # f'(2) = 1000 * 3^999 overflows, so the envelope records no slope there
+    assert cli_main([*argv, "--kernel", "distance", "--diag", "keep"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure:") and "is not finite" in err
+    assert err.startswith("error:")
+    assert "'power:a=1000' records no slope at x=2.0" in err
+
+
+_SIGN_SCALED_DISTANCE = {"envelope": "sign-scaled", "kernel": "distance",
+                         "diag": "keep"}
+
+
+def test_predict_mp_of_a_p_dependent_envelope_exits_one(capsys):
+    # sign(x) / sqrt(p) records no slope, so it has no affine MP law
+    argv = ["predict", "--law", "mp", "--gamma", "2"]
+    for key, val in _SIGN_SCALED_DISTANCE.items():
+        argv += [f"--{key}", val]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "'sign-scaled' records no slope at x=2.0" in captured.err
+
+
+def test_compare_affine_mp_of_a_p_dependent_envelope_exits_one_before_any_trial(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("kernelspectra.experiments.sample_matrix",
+                        lambda *args: pytest.fail("compare drew a trial"))
+    argv = ["compare", "--set", "target=affine-mp", "--set", "p=400",
+            "--set", "n=200", "--out", str(tmp_path / "res")]
+    for item in _SIGN_SCALED_DISTANCE.items():
+        argv += ["--set", "=".join(item)]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'sign-scaled' records no slope at x=2.0" in captured.err
+    assert not (tmp_path / "res").exists()
+
+
+def test_simulate_needs_no_affine_law(capsys):
+    # simulate's config carries the default target but compares to no law
+    argv = ["simulate", "--p", "40", "--n", "20"]
+    for key, val in _SIGN_SCALED_DISTANCE.items():
+        argv += [f"--{key}", val]
+    assert cli_main(argv) == 0
+    assert "model distance/keep/sign-scaled" in capsys.readouterr().out
 
 
 def test_expand_rejects_degree_above_cap_before_sampling(capsys,

@@ -386,15 +386,15 @@ def test_run_universality_times_every_stage(envelope):
 
 
 def test_failing_envelope_records_errors():
-    # exp(1000 x) overflows on distance values near 2 for every trial
+    # exp(1000 x) overflows on the diagonal, near 1, for every trial
     cfg = ExperimentConfig(ensemble="gaussian", p=30, n=40, trials=3, seed=7,
-                           kernel="distance", diagonal="keep",
+                           kernel="inner", diagonal="keep",
                            envelope="exp:a=1000", target="affine-mp")
     result = run_universality(cfg)
     assert result.incomplete
     build_errors = [e for e in result.errors if e.stage == "build"]
     assert len(build_errors) == 3
-    # the law itself is unbuildable here (f(2) overflows); recorded, not raised
+    # the law itself is unbuildable here (f(1) overflows); recorded, not raised
     assert any(e.stage == "law" for e in result.errors)
     assert result.law is None
     assert result.pooled == {}
@@ -445,7 +445,11 @@ def test_errors_csv_round_trips_quotes_and_commas(tmp_path, monkeypatch):
 
     monkeypatch.setitem(ENVELOPE_FACTORIES, "refuse",
                         lambda: Envelope("refuse", refuse))
-    cfg = ExperimentConfig(p=10, n=12, trials=2, envelope="refuse")
+    # a functional-equation law is solved without the envelope, so only
+    # the builds fail
+    cfg = ExperimentConfig(p=10, n=12, trials=2, envelope="refuse",
+                           target="functional-equation", law_a=1.0,
+                           law_nu=1.0)
     result = run_universality(cfg)
     write_result(result, tmp_path)
     assert [e.message for e in result.errors] == [message] * len(result.errors)

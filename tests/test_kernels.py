@@ -13,8 +13,7 @@ from kernelspectra import (DerivativeError, Envelope, EnvelopeError,
                            gram, linearized, parse_envelope,
                            single_entry_swap)
 from kernelspectra import kernels
-from kernelspectra.kernels import (DIAGONALS, ENVELOPE_FACTORIES, KERNELS,
-                                   numeric_derivative)
+from kernelspectra.kernels import DIAGONALS, ENVELOPE_FACTORIES, KERNELS
 
 
 def _sample(family="gaussian", p=60, n=40, seed=0):
@@ -395,7 +394,7 @@ def test_transference_smallness_on_sampled_kernel_values(name):
     vals = vals[np.abs(vals) < delta]
     assert vals.size > 0
     f0 = env.value(0.0, S.p)
-    d0 = env.derivative(0.0, S.p)
+    d0 = env.derivative(0.0)
     resid = np.abs(np.asarray(env(vals, S.p)) - f0 - d0 * vals)
     assert np.all(resid <= epsilon * np.abs(vals) + 1e-15)
 
@@ -404,46 +403,18 @@ def test_transference_smallness_on_sampled_kernel_values(name):
 # envelopes
 # ---------------------------------------------------------------------------
 
-def test_numeric_derivative_fallback_matches_analytic():
-    bare_exp = Envelope("bare-exp", lambda x, p: np.exp(x))
-    d = numeric_derivative(bare_exp, 0.0, p=1)
-    assert abs(d - 1.0) < 1e-9
-    assert abs(bare_exp.derivative(2.0, 1) - np.exp(2.0)) < 1e-5
-
-
-def test_numeric_derivative_rejects_jump():
-    step = Envelope("step", lambda x, p: np.sign(x))
-    with pytest.raises(DerivativeError):
-        numeric_derivative(step, 0.0, p=1)
-
-
-@pytest.mark.parametrize("x0", [0.0, 1.0])
-def test_numeric_derivative_rejects_symmetric_kink(x0):
-    kink = Envelope("kink", lambda x, p: np.abs(x - x0))
-    with pytest.raises(DerivativeError, match="forward 1, backward -1"):
-        numeric_derivative(kink, x0, p=1)
-
-
-@pytest.mark.parametrize("text", ["identity", "const:c=2", "exp:a=1",
-                                  "exp:a=-1", "power:a=0.5", "power:a=3",
-                                  "nonsmooth-sin"])
-@pytest.mark.parametrize("x0", [0.0, 1.0, 2.0, -0.3])
-def test_numeric_derivative_of_registered_envelopes_is_central_richardson(
-        text, x0):
-    env = parse_envelope(text)
-    h = max(1e-6, 1e-6 * abs(x0))
-
-    def central(hh):
-        return float((env(x0 + hh, 1) - env(x0 - hh, 1)) / (2.0 * hh))
-
-    assert numeric_derivative(env, x0, p=1) == \
-        (4.0 * central(h / 2.0) - central(h)) / 3.0
+def test_derivative_is_recorded_or_absent():
+    bare_exp = Envelope("bare-exp", lambda x, p: np.exp(x), ((1.0, np.e),))
+    assert bare_exp.derivative(1.0) == np.e
+    with pytest.raises(DerivativeError,
+                       match="'bare-exp' records no slope at x=0.0"):
+        bare_exp.derivative(0.0)
 
 
 def test_nonsmooth_sin_extension_and_derivative():
     env = parse_envelope("nonsmooth-sin")
     assert env(0.0, 1) == 0.0
-    assert env.derivative(0.0, 1) == 1.0
+    assert env.derivative(0.0) == 1.0
     x = 1.0 / (100.5 * np.pi)
     assert abs(env(x, 1) - (x + x * x * np.sin(1.0 / x))) < 1e-18
 
@@ -474,9 +445,15 @@ _PARAMETERS = {"const": ["c=2"], "exp": ["a=0.7", "a=-1"],
     f"{name}:{params}" if params else name
     for name in ENVELOPE_FACTORIES for params in _PARAMETERS.get(name, [""])])
 def test_recorded_slopes_match_the_numeric_derivative(text):
+    # oracle: a central difference with one Richardson extrapolation step
     env = parse_envelope(text)
     for x0, slope in env.slopes:
-        numeric = numeric_derivative(env, x0, p=1)
+        h = max(1e-6, 1e-6 * abs(x0))
+
+        def central(hh):
+            return float((env(x0 + hh, 1) - env(x0 - hh, 1)) / (2.0 * hh))
+
+        numeric = (4.0 * central(h / 2.0) - central(h)) / 3.0
         assert abs(slope - numeric) <= 1e-6 * max(1.0, abs(numeric)), x0
 
 

@@ -225,10 +225,9 @@ def test_predicted_law_requires_derivative():
 
 
 def test_predicted_law_rejects_symmetric_kink():
-    # the central difference of |x| at 0 reads exactly 0, which would
-    # silently turn the law into a unit atom
+    # |x| records no slope at 0, so it has no affine law
     spec = KernelSpec("inner", "zero", Envelope("abs", lambda x, p: np.abs(x)))
-    with pytest.raises(DerivativeError, match="kink"):
+    with pytest.raises(DerivativeError, match="'abs' records no slope at x=0.0"):
         predicted_law(spec, 0.5)
 
 
