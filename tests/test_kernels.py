@@ -1,4 +1,5 @@
 import ast
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -441,20 +442,44 @@ _PARAMETERS = {"const": ["c=2"], "exp": ["a=0.7", "a=-1"],
                "power": ["a=0.5", "a=1.5", "a=3"]}
 
 
+def _richardson_slope(env, x0):
+    """Oracle: a central difference at p = 1 with one Richardson step."""
+    h = max(1e-6, 1e-6 * abs(x0))
+
+    def central(hh):
+        return float((env(x0 + hh, 1) - env(x0 - hh, 1)) / (2.0 * hh))
+
+    return (4.0 * central(h / 2.0) - central(h)) / 3.0
+
+
 @pytest.mark.parametrize("text", [
     f"{name}:{params}" if params else name
     for name in ENVELOPE_FACTORIES for params in _PARAMETERS.get(name, [""])])
 def test_recorded_slopes_match_the_numeric_derivative(text):
-    # oracle: a central difference with one Richardson extrapolation step
     env = parse_envelope(text)
     for x0, slope in env.slopes:
-        h = max(1e-6, 1e-6 * abs(x0))
-
-        def central(hh):
-            return float((env(x0 + hh, 1) - env(x0 - hh, 1)) / (2.0 * hh))
-
-        numeric = (4.0 * central(h / 2.0) - central(h)) / 3.0
+        numeric = _richardson_slope(env, x0)
         assert abs(slope - numeric) <= 1e-6 * max(1.0, abs(numeric)), x0
+
+
+@pytest.mark.parametrize("text", ["identity", "const:c=2", "exp:a=1",
+                                  "exp:a=-1", "power:a=0.5", "power:a=3",
+                                  "nonsmooth-sin", "sign-scaled"])
+@pytest.mark.parametrize("x0", [0.0, 1.0, 2.0, -0.3])
+def test_derivative_of_registered_envelopes_is_recorded_or_refused(text, x0):
+    # the smooth envelopes record f'(0) and f'(2), the points the affine MP
+    # law reads; p-dependent sign-scaled records none; no slope is computed
+    env = parse_envelope(text)
+    if text != "sign-scaled" and x0 in (0.0, 2.0):
+        slope = env.derivative(x0)
+        assert slope == dict(env.slopes)[x0]
+        numeric = _richardson_slope(env, x0)
+        assert abs(slope - numeric) <= 1e-6 * max(1.0, abs(numeric))
+    else:
+        with pytest.raises(DerivativeError,
+                           match=re.escape(f"{env.name!r} records no slope "
+                                           f"at x={x0}")):
+            env.derivative(x0)
 
 
 @pytest.mark.parametrize("a", [647.0, 1000.0])
