@@ -26,6 +26,7 @@ from .orthopoly import envelope_coeffs
 from .spectral import ESD, eigenvalues, save_esd, save_limit_law
 
 _ENSEMBLE_HELP = " | ".join(FAMILIES)
+_MODEL = ExperimentConfig  # a dataclass field's class attribute is its default
 
 
 def _envelope_usage(name: str) -> str:
@@ -39,13 +40,13 @@ _ENVELOPE_HELP = " | ".join(map(_envelope_usage, ENVELOPE_FACTORIES))
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ensemble", default="gaussian", help=_ENSEMBLE_HELP)
-    p.add_argument("--p", type=int, default=200, help="vector dimension")
-    p.add_argument("--n", type=int, default=400, help="matrix size")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--envelope", default="identity", help=_ENVELOPE_HELP)
-    p.add_argument("--kernel", default="inner", help=" | ".join(KERNELS))
-    p.add_argument("--diag", default="zero", help=" | ".join(DIAGONALS))
+    p.add_argument("--ensemble", default=_MODEL.ensemble, help=_ENSEMBLE_HELP)
+    p.add_argument("--p", type=int, default=_MODEL.p, help="vector dimension")
+    p.add_argument("--n", type=int, default=_MODEL.n, help="matrix size")
+    p.add_argument("--seed", type=int, default=_MODEL.seed)
+    p.add_argument("--envelope", default=_MODEL.envelope, help=_ENVELOPE_HELP)
+    p.add_argument("--kernel", default=_MODEL.kernel, help=" | ".join(KERNELS))
+    p.add_argument("--diag", default=_MODEL.diagonal, help=" | ".join(DIAGONALS))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="eigenvalues of one configuration")
     _add_model_flags(sim)
-    sim.add_argument("--trials", type=int, default=1)
+    sim.add_argument("--trials", type=int, default=_MODEL.trials)
     sim.add_argument("--out", default=None, help="ESD csv path")
 
     # A flag left out is absent from args, so predict can tell it was not given.
@@ -68,7 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pred.add_argument("--shift", type=float, help="default 0")
     pred.add_argument("--scale", type=float, help="default 1")
     pred.add_argument("--envelope", help=_ENVELOPE_HELP)
-    pred.add_argument("--kernel", help="default inner: " + " | ".join(KERNELS))
+    pred.add_argument("--kernel", help=f"default {_MODEL.kernel}: "
+                      + " | ".join(KERNELS))
     pred.add_argument("--diag", help="default keep: " + " | ".join(DIAGONALS))
     pred.add_argument("--a", type=float)
     pred.add_argument("--nu", type=float)
@@ -77,12 +79,12 @@ def _build_parser() -> argparse.ArgumentParser:
     pred.add_argument("--out", default=None, help="law csv path")
 
     exp = sub.add_parser("expand", help="envelope coefficient table")
-    exp.add_argument("--ensemble", default="gaussian", help=_ENSEMBLE_HELP)
+    exp.add_argument("--ensemble", default=_MODEL.ensemble, help=_ENSEMBLE_HELP)
     exp.add_argument("--p", type=int, default=500)
     exp.add_argument("--envelope", required=True, help=_ENVELOPE_HELP)
     exp.add_argument("--degree", type=int, default=4)
     exp.add_argument("--samples", type=int, default=1_000_000)
-    exp.add_argument("--seed", type=int, default=0)
+    exp.add_argument("--seed", type=int, default=_MODEL.seed)
 
     cmp_ = sub.add_parser("compare", help="full universality run from a config")
     cmp_.add_argument("--config", default=None, help="key=value config file")
@@ -91,10 +93,10 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--out", default=None, help="output directory")
 
     diag = sub.add_parser("diagnose", help="moment and concentration checks")
-    diag.add_argument("--ensemble", default="gaussian", help=_ENSEMBLE_HELP)
+    diag.add_argument("--ensemble", default=_MODEL.ensemble, help=_ENSEMBLE_HELP)
     diag.add_argument("--p", type=int, default=500)
     diag.add_argument("--n", type=int, default=200)
-    diag.add_argument("--seed", type=int, default=0, help="sample seed")
+    diag.add_argument("--seed", type=int, default=_MODEL.seed, help="sample seed")
     diag.add_argument("--K", type=int, default=4, help="even, 2 to 16")
 
     swap = sub.add_parser("swap-check",
@@ -151,8 +153,8 @@ def _cmd_predict(args) -> int:
         law = solve_grid(args.a, args.nu, args.gamma,
                          epsilon=given.get("epsilon", DEFAULT_EPSILON))
     else:
-        spec = KernelSpec(given.get("kernel", "inner"), given.get("diag", "keep"),
-                          parse_envelope(args.envelope))
+        spec = KernelSpec(given.get("kernel", _MODEL.kernel),
+                          given.get("diag", "keep"), parse_envelope(args.envelope))
         law = predicted_law(spec, args.gamma)
     print(f"{name}: {law.to_record()}")
     if args.out:

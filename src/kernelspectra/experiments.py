@@ -137,6 +137,8 @@ CONFIG_SCHEMA = {
                lambda zs: ";".join(map(str, zs))),
 }
 _FIELD = {**{key: key for key in CONFIG_SCHEMA}, "diag": "diagonal"}
+# The keys that choose what a run's spectra are scored against.
+_TARGET_KEYS = ("target", "law_a", "law_nu", "epsilon", "z_grid")
 
 
 def parse_config(text: str, overrides: dict[str, str] | None = None
@@ -226,15 +228,6 @@ def _distance_record(family: str, trial: int, e: ESD, target: ESD | Law,
                           stieltjes_sup=float(max(gaps)))
 
 
-def build_law(config: ExperimentConfig) -> Law | None:
-    if config.target == AFFINE_MP:
-        return predicted_law(config.kernel_spec(), config.gamma)
-    if config.law_a is not None:  # and law_nu; the FE target needs both
-        return solve_grid(config.law_a, config.law_nu, config.gamma,
-                          epsilon=config.epsilon)
-    return None
-
-
 class _StageClock:
     """Seconds per stage; ``lap(stage)`` charges the time since the last lap."""
 
@@ -281,7 +274,7 @@ def run_universality(config: ExperimentConfig) -> ExperimentResult:
     t0 = time.perf_counter()
     spec = config.kernel_spec()
     if config.target == AFFINE_MP:
-        linearization_coefficients(spec, config.p)
+        linearization_coefficients(spec)
     families = [config.ensemble]
     if config.target == CROSS_ENSEMBLE:
         families.append(config.ensemble_b)
@@ -304,7 +297,11 @@ def run_universality(config: ExperimentConfig) -> ExperimentResult:
         clock.lap(stage)
     law = None
     try:
-        law = build_law(config)
+        if config.target == AFFINE_MP:
+            law = predicted_law(spec, config.gamma)
+        elif config.law_a is not None:  # and law_nu; the FE target needs both
+            law = solve_grid(config.law_a, config.law_nu, config.gamma,
+                             epsilon=config.epsilon)
     except (KernelSpectraError, ValueError) as exc:
         errors.append(TrialError(trial=-1, ensemble=config.ensemble,
                                  stage="law", message=str(exc)))
@@ -341,9 +338,9 @@ def run_universality(config: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 def esd_meta(config: ExperimentConfig) -> list[tuple[str, str]]:
-    """The .meta pairs of a run's spectra file."""
-    return [*config.items(), ("schema", "trial,lambda"),
-            ("spec", config.kernel_spec().label())]
+    """The .meta pairs of a run's spectra file: the keys they depend on."""
+    return [*((k, v) for k, v in config.items() if k not in _TARGET_KEYS),
+            ("schema", "trial,lambda"), ("spec", config.kernel_spec().label())]
 
 
 def write_result(result: ExperimentResult, out_dir: str | Path) -> None:

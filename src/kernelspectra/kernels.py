@@ -53,9 +53,9 @@ class Envelope:
     def __call__(self, x, p: int):
         return self.fn(np.asarray(x, dtype=float), p)
 
-    def value(self, x0: float, p: int) -> float:
+    def value(self, x0: float) -> float:
         with np.errstate(over="ignore"):  # callers reject a non-finite value
-            return float(self(x0, p))
+            return float(self(x0, 1))  # an envelope with slopes is p-free
 
     def derivative(self, x0: float) -> float:
         """The slope f'(x0) recorded in ``slopes``."""
@@ -237,7 +237,7 @@ def build(spec: KernelSpec, G: np.ndarray, p: int) -> np.ndarray:
     return G
 
 
-def linearization_coefficients(spec: KernelSpec, p: int) -> tuple[float, float]:
+def linearization_coefficients(spec: KernelSpec) -> tuple[float, float]:
     """(alpha, beta) with B = alpha I + beta G for the matching theorem.
 
     inner/keep:  alpha = f(1) - f(0) - f'(0),      beta = f'(0)
@@ -245,25 +245,26 @@ def linearization_coefficients(spec: KernelSpec, p: int) -> tuple[float, float]:
     distance:    alpha = f(0) - f(2) + 2 f'(2),    beta = -2 f'(2)
                  (zero-diagonal distance drops the f(0) diagonal term)
 
-    Raises DerivativeError when the envelope records no slope it needs.
+    Raises DerivativeError, before any value is read, when the envelope
+    records no slope it needs; with the slopes found the values are p-free.
     """
     f = spec.envelope
     if spec.kernel == INNER_PRODUCT:
         beta = f.derivative(0.0)
-        alpha = -f.value(0.0, p) - beta
+        alpha = -f.value(0.0) - beta
         if spec.diagonal == KEEP:
-            alpha = f.value(1.0, p) - f.value(0.0, p) - beta
+            alpha = f.value(1.0) - f.value(0.0) - beta
         return alpha, beta
     d2 = f.derivative(2.0)
-    alpha = -f.value(2.0, p) + 2.0 * d2
+    alpha = -f.value(2.0) + 2.0 * d2
     if spec.diagonal == KEEP:
-        alpha += f.value(0.0, p)
+        alpha += f.value(0.0)
     return alpha, -2.0 * d2
 
 
 def linearized(spec: KernelSpec, S: SampleMatrix) -> np.ndarray:
     """The linearized companion matrix B of the matching theorem."""
-    alpha, beta = linearization_coefficients(spec, S.p)
+    alpha, beta = linearization_coefficients(spec)
     B = gram(S)
     B *= beta
     B[np.diag_indices(S.n)] += alpha

@@ -63,8 +63,7 @@ def gaussian_limit_moments(order: int) -> MomentSequence:
 
 
 def _power_sums(xi: np.ndarray, order: int,
-                weight: Callable[[np.ndarray], np.ndarray] | None = None,
-                weight_order: int = 0,
+                weight: Callable[[np.ndarray], np.ndarray], weight_order: int,
                 counts: np.ndarray | None = None) -> np.ndarray:
     """S[j, m] = sum_i c_i k_i^j xi_i^m for j = 0 ... weight_order and
     m = 0 ... order, with c = counts (or 1) and k = weight(xi).
@@ -84,10 +83,9 @@ def _power_sums(xi: np.ndarray, order: int,
         v[0] = 1.0 if counts is None else counts[c0:c0 + _CHUNK]
         for m in range(1, order + 1):
             np.multiply(v[m - 1], x, out=v[m])
-        if weight_order:
-            w[1] = weight(x)
-            for j in range(2, weight_order + 1):
-                np.multiply(w[j - 1], w[1], out=w[j])
+        k = weight(x)
+        for j in range(1, weight_order + 1):
+            np.multiply(w[j - 1], k, out=w[j])
         sums += w @ v.T
     return sums
 

@@ -119,6 +119,25 @@ def test_simulate_matches_compare_trials(tmp_path, capsys):
             == (tmp_path / "cmp" / "esd.csv.meta").read_bytes())
 
 
+def test_spectra_sidecars_record_the_model_and_not_the_target(tmp_path):
+    # sign-scaled with the distance kernel has no affine MP law, so a
+    # target=affine-mp line would name a law that simulate never read
+    assert cli_main(["simulate", "--envelope", "sign-scaled", "--kernel",
+                     "distance", "--diag", "keep", "--p", "20", "--n", "10",
+                     "--out", str(tmp_path / "x.csv")]) == 0
+    model = ["ensemble", "p", "n", "gamma", "trials", "seed", "kernel", "diag",
+             "envelope"]
+    keys = [line.partition("=")[0]
+            for line in (tmp_path / "x.csv.meta").read_text().splitlines()]
+    assert keys == [*model, "schema", "spec"]
+    assert cli_main(["compare", "--set", "p=12", "--set", "n=20",
+                     "--set", "target=cross-ensemble", "--set",
+                     "ensemble_b=sphere", "--out", str(tmp_path / "cmp")]) == 0
+    keys = [line.partition("=")[0] for line in
+            (tmp_path / "cmp" / "esd.csv.meta").read_text().splitlines()]
+    assert keys == [*model, "ensemble_b", "schema", "spec"]
+
+
 _SIMULATE_PEAK = """
 import re
 from kernelspectra.cli import cli_main
@@ -402,10 +421,11 @@ def test_compare_writes_epsilon_only_where_a_law_is_solved(tmp_path, capsys):
     for given, written in ([], "0.001"), (["--set", "epsilon=0.002"], "0.002"):
         out = tmp_path / f"fe{written}"
         assert cli_main([*fe, *given, "--out", str(out)]) == 0
-        for name in ("config.resolved", "esd.csv.meta", "distances.csv.meta",
-                     "law.csv.meta"):
+        for name in ("config.resolved", "distances.csv.meta", "law.csv.meta"):
             lines = (out / name).read_text().splitlines()
             assert f"epsilon={written}" in lines, name
+        # the spectra do not depend on the law, so their sidecar omits it
+        assert "epsilon" not in (out / "esd.csv.meta").read_text()
 
 
 def test_compare_and_predict_default_to_solve_grids_epsilon(tmp_path, capsys):

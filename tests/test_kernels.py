@@ -1,4 +1,5 @@
 import ast
+import inspect
 import re
 import tracemalloc
 import warnings
@@ -394,7 +395,7 @@ def test_transference_smallness_on_sampled_kernel_values(name):
     vals = G[~np.eye(S.n, dtype=bool)]
     vals = vals[np.abs(vals) < delta]
     assert vals.size > 0
-    f0 = env.value(0.0, S.p)
+    f0 = env.value(0.0)
     d0 = env.derivative(0.0)
     resid = np.abs(np.asarray(env(vals, S.p)) - f0 - d0 * vals)
     assert np.all(resid <= epsilon * np.abs(vals) + 1e-15)
@@ -486,7 +487,34 @@ def test_derivative_of_registered_envelopes_is_recorded_or_refused(text, x0):
 def test_power_envelope_omits_an_overflowing_slope(a):
     env = parse_envelope(f"power:a={a:g}")
     assert dict(env.slopes) == {0.0: a}
-    assert env.value(2.0, 1) == np.inf
+    assert env.value(2.0) == np.inf
+
+
+def _p_free_where_sloped(env):
+    """False when ``env`` records a slope and f(x, p) at some x in 0, 1, 2
+    differs in its bits between p = 1 and p = 1200."""
+    return not env.slopes or all(
+        np.asarray(env(x, 1)).tobytes() == np.asarray(env(x, 1200)).tobytes()
+        for x in (0.0, 1.0, 2.0))
+
+
+_DEFAULTED = [name for name, factory in ENVELOPE_FACTORIES.items()
+              if all(param.default is not param.empty for param in
+                     inspect.signature(factory).parameters.values())]
+
+
+@pytest.mark.parametrize("text", [*_DEFAULTED, "exp:a=-1", "power:a=0.5",
+                                  "const:c=2"])
+def test_an_envelope_with_slopes_does_not_vary_with_p(text):
+    # the affine MP law reads f at p = 1 (Envelope.value); that is the law
+    # of every p only if an envelope that records a slope is p-free
+    assert _p_free_where_sloped(parse_envelope(text))
+
+
+def test_the_p_free_check_flags_a_p_dependent_envelope_with_slopes():
+    assert _p_free_where_sloped(Envelope("unsloped", lambda x, p: x / p))
+    assert not _p_free_where_sloped(
+        Envelope("sloped", lambda x, p: x / p, ((0.0, 1.0),)))
 
 
 def test_only_kernels_compares_a_kernel_name():

@@ -131,7 +131,7 @@ def _draws(ens, samples, seed):
 def _mc_moments(ens, samples, seed):
     """Means of xi^0 ... xi^6 over the draws of envelope_coeffs for ``ens``,
     and the standard errors sqrt((mean xi^2k - mean_k^2) / samples)."""
-    means = sum(_power_sums(xi, 12, counts=counts)[0]
+    means = sum(_power_sums(xi, 12, np.ones_like, 0, counts)[0]
                 for xi, counts in _draws(ens, samples, seed)) / samples
     k = np.arange(7)
     return means[k], np.sqrt((means[2 * k] - means[k] ** 2) / samples)
