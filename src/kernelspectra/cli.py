@@ -26,7 +26,7 @@ from .orthopoly import envelope_coeffs
 from .spectral import ESD, eigenvalues, save_esd, save_limit_law
 
 _ENSEMBLE_HELP = " | ".join(FAMILIES)
-_MODEL = ExperimentConfig  # a dataclass field's class attribute is its default
+_MODEL = ExperimentConfig()  # the model compare runs with no keys set
 
 
 def _envelope_usage(name: str) -> str:
@@ -39,14 +39,16 @@ def _envelope_usage(name: str) -> str:
 _ENVELOPE_HELP = " | ".join(map(_envelope_usage, ENVELOPE_FACTORIES))
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ensemble", default=_MODEL.ensemble, help=_ENSEMBLE_HELP)
-    p.add_argument("--p", type=int, default=_MODEL.p, help="vector dimension")
-    p.add_argument("--n", type=int, default=_MODEL.n, help="matrix size")
-    p.add_argument("--seed", type=int, default=_MODEL.seed)
-    p.add_argument("--envelope", default=_MODEL.envelope, help=_ENVELOPE_HELP)
-    p.add_argument("--kernel", default=_MODEL.kernel, help=" | ".join(KERNELS))
-    p.add_argument("--diag", default=_MODEL.diagonal, help=" | ".join(DIAGONALS))
+def _add_model_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    flags = {"ensemble": dict(default=_MODEL.ensemble, help=_ENSEMBLE_HELP),
+             "p": dict(type=int, default=_MODEL.p, help="vector dimension"),
+             "n": dict(type=int, default=_MODEL.n, help="matrix size"),
+             "seed": dict(type=int, default=_MODEL.seed),
+             "envelope": dict(default=_MODEL.envelope, help=_ENVELOPE_HELP),
+             "kernel": dict(default=_MODEL.kernel, help=" | ".join(KERNELS)),
+             "diag": dict(default=_MODEL.diagonal, help=" | ".join(DIAGONALS))}
+    for name in names or flags:
+        p.add_argument(f"--{name}", **flags[name])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,13 +67,15 @@ def _build_parser() -> argparse.ArgumentParser:
                           argument_default=argparse.SUPPRESS)
     pred.add_argument("--law", default="mp", choices=("mp", "fe"), help=(
         "mp: --shift --scale | --envelope --kernel --diag; fe: --a --nu --epsilon"))
-    pred.add_argument("--gamma", type=float, default=1.0)
+    pred.add_argument("--gamma", type=float, default=_MODEL.gamma,
+                      help="default %(default)g, compare's p/n")
     pred.add_argument("--shift", type=float, help="default 0")
     pred.add_argument("--scale", type=float, help="default 1")
     pred.add_argument("--envelope", help=_ENVELOPE_HELP)
     pred.add_argument("--kernel", help=f"default {_MODEL.kernel}: "
                       + " | ".join(KERNELS))
-    pred.add_argument("--diag", help="default keep: " + " | ".join(DIAGONALS))
+    pred.add_argument("--diag", help=f"default {_MODEL.diagonal}: "
+                      + " | ".join(DIAGONALS))
     pred.add_argument("--a", type=float)
     pred.add_argument("--nu", type=float)
     pred.add_argument("--epsilon", type=float,
@@ -79,12 +83,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pred.add_argument("--out", default=None, help="law csv path")
 
     exp = sub.add_parser("expand", help="envelope coefficient table")
-    exp.add_argument("--ensemble", default=_MODEL.ensemble, help=_ENSEMBLE_HELP)
-    exp.add_argument("--p", type=int, default=500)
+    _add_model_flags(exp, "ensemble", "p", "seed")
     exp.add_argument("--envelope", required=True, help=_ENVELOPE_HELP)
     exp.add_argument("--degree", type=int, default=4)
     exp.add_argument("--samples", type=int, default=1_000_000)
-    exp.add_argument("--seed", type=int, default=_MODEL.seed)
 
     cmp_ = sub.add_parser("compare", help="full universality run from a config")
     cmp_.add_argument("--config", default=None, help="key=value config file")
@@ -93,10 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--out", default=None, help="output directory")
 
     diag = sub.add_parser("diagnose", help="moment and concentration checks")
-    diag.add_argument("--ensemble", default=_MODEL.ensemble, help=_ENSEMBLE_HELP)
-    diag.add_argument("--p", type=int, default=500)
-    diag.add_argument("--n", type=int, default=200)
-    diag.add_argument("--seed", type=int, default=_MODEL.seed, help="sample seed")
+    _add_model_flags(diag, "ensemble", "p", "n", "seed")
     diag.add_argument("--K", type=int, default=4, help="even, 2 to 16")
 
     swap = sub.add_parser("swap-check",
@@ -154,7 +153,8 @@ def _cmd_predict(args) -> int:
                          epsilon=given.get("epsilon", DEFAULT_EPSILON))
     else:
         spec = KernelSpec(given.get("kernel", _MODEL.kernel),
-                          given.get("diag", "keep"), parse_envelope(args.envelope))
+                          given.get("diag", _MODEL.diagonal),
+                          parse_envelope(args.envelope))
         law = predicted_law(spec, args.gamma)
     print(f"{name}: {law.to_record()}")
     if args.out:

@@ -84,8 +84,10 @@ class ExperimentConfig:
                              "it predicts its law from the kernel")
         if self.target == FUNCTIONAL_EQUATION and (self.law_a is None
                                                    or self.law_nu is None):
-            raise ValueError("functional-equation target needs law_a and law_nu "
-                             "(run the 'expand' subcommand to estimate them)")
+            raise ValueError(
+                "functional-equation target needs law_a and law_nu; estimate "
+                f"them at this p with: kernelspectra expand --ensemble "
+                f"{self.ensemble} --p {self.p} --envelope {self.envelope}")
         if (self.law_a is None) != (self.law_nu is None):
             raise ValueError("law_a and law_nu must be given together")
         if self.law_a is not None:

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import inspect
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -17,9 +18,9 @@ from kernelspectra import (KernelSpec, LimitLaw, VectorEnsemble,
                            run_universality, solve_grid)
 from kernelspectra import orthopoly
 from kernelspectra._csvio import read_table
-from kernelspectra.cli import cli_main
+from kernelspectra.cli import _build_parser, cli_main
 from kernelspectra.ensembles import FAMILIES
-from kernelspectra.experiments import esd_meta
+from kernelspectra.experiments import ExperimentConfig, esd_meta
 from kernelspectra.kernels import DIAGONALS, ENVELOPE_FACTORIES, KERNELS
 
 
@@ -232,12 +233,54 @@ def test_predict_rejects_a_flag_its_law_ignores(argv, flag, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_predict_kernel_and_diag_default_to_inner_and_keep(capsys):
-    law = predicted_law(KernelSpec("inner", "keep", parse_envelope("exp:a=1")),
+def test_predict_kernel_and_diag_default_to_inner_and_zero(capsys):
+    law = predicted_law(KernelSpec("inner", "zero", parse_envelope("exp:a=1")),
                         2.0)
     assert cli_main(["predict", "--law", "mp", "--gamma", "2",
                      "--envelope", "exp:a=1"]) == 0
     assert capsys.readouterr().out == f"affine MP law: {law.to_record()}\n"
+
+
+@pytest.mark.parametrize("envelope, model", [
+    ("exp:a=1", {}), ("identity", {}), ("power:a=0.5", {}),
+    ("exp:a=-1", {"kernel": "distance"})])
+def test_predict_without_model_flags_prints_the_law_compare_scores(
+        envelope, model, tmp_path, capsys):
+    # each model flag predict omits takes the value compare's config takes
+    settings = [f"--set={key}={value}" for key, value in model.items()]
+    assert cli_main(["compare", f"--set=envelope={envelope}", *settings,
+                     "--out", str(tmp_path)]) == 0
+    flags = [f"--{key}={value}" for key, value in model.items()]
+    capsys.readouterr()
+    assert cli_main(["predict", "--law", "mp", "--envelope", envelope,
+                     *flags]) == 0
+    printed = capsys.readouterr().out
+    record = ast.literal_eval(printed.removeprefix("affine MP law: "))
+    _, meta = read_table(tmp_path / "law.csv", ("x", "density", "cdf"))
+    assert meta == {key: str(value) for key, value in record.items()}
+
+
+def test_expand_and_diagnose_default_to_the_config_model():
+    # parsed only: nothing is sampled
+    config, parser = ExperimentConfig(), _build_parser()
+    expand = parser.parse_args(["expand", "--envelope", "identity"])
+    diagnose = parser.parse_args(["diagnose"])
+    assert (expand.ensemble, expand.p, expand.seed) == (
+        config.ensemble, config.p, config.seed)
+    assert (diagnose.ensemble, diagnose.p, diagnose.n, diagnose.seed) == (
+        config.ensemble, config.p, config.n, config.seed)
+
+
+def test_functional_equation_target_without_a_law_names_the_expand_call(
+        capsys):
+    assert cli_main(["compare", "--set=target=functional-equation",
+                     "--set=ensemble=sphere", "--set=p=300",
+                     "--set=envelope=sign-scaled"]) == 1
+    err = capsys.readouterr().err
+    call = shlex.split(err.split("kernelspectra ", 1)[1])
+    args = _build_parser().parse_args(call)
+    assert (args.command, args.ensemble, args.p, args.envelope) == (
+        "expand", "sphere", 300, "sign-scaled")
 
 
 def test_predict_fe_writes_law(tmp_path, capsys):
@@ -338,7 +381,7 @@ def test_predict_overflowing_envelope_exits_one_without_warning(capsys):
     # exp(1000) overflows; the law's non-finite shift is the error, and
     # filterwarnings = error turns any overflow warning into a failure.
     assert cli_main(["predict", "--law", "mp", "--envelope", "exp:a=1000",
-                     "--gamma", "1"]) == 1
+                     "--gamma", "1", "--diag", "keep"]) == 1
     assert "error:" in capsys.readouterr().err
 
 
