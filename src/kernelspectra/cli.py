@@ -22,7 +22,7 @@ from .kernels import (DIAGONALS, ENVELOPE_FACTORIES, KERNELS, KernelSpec,
                       build, gram, parse_envelope, single_entry_swap)
 from .limit_solver import DEFAULT_EPSILON, solve_grid
 from .mp_theory import AffineMPLaw, predicted_law
-from .orthopoly import envelope_coeffs
+from .orthopoly import DEFAULT_SAMPLES, envelope_coeffs
 from .spectral import ESD, eigenvalues, save_esd, save_limit_law
 
 _ENSEMBLE_HELP = " | ".join(FAMILIES)
@@ -86,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_model_flags(exp, "ensemble", "p", "seed")
     exp.add_argument("--envelope", required=True, help=_ENVELOPE_HELP)
     exp.add_argument("--degree", type=int, default=4)
-    exp.add_argument("--samples", type=int, default=1_000_000)
+    exp.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
 
     cmp_ = sub.add_parser("compare", help="full universality run from a config")
     cmp_.add_argument("--config", default=None, help="key=value config file")

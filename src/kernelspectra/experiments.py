@@ -20,8 +20,7 @@ from ._csvio import write_table
 from ._rng import TAG_TRIAL, TAG_TRIAL_B, derive_seed
 from .ensembles import VectorEnsemble, sample_matrix
 from .errors import KernelSpectraError, SolverError
-from .kernels import (Envelope, KernelSpec, build, gram,
-                      linearization_coefficients, parse_envelope)
+from .kernels import Envelope, KernelSpec, build, gram, parse_envelope
 from .limit_solver import DEFAULT_EPSILON, _check_params, solve_grid
 from .mp_theory import predicted_law
 from .spectral import (ESD, Law, eigenvalues, empirical_stieltjes,
@@ -266,24 +265,30 @@ def trial_grams(config: ExperimentConfig, families: Sequence[str],
 def run_universality(config: ExperimentConfig) -> ExperimentResult:
     """Build per-trial kernel matrices, pool ESDs, compare to the target law.
 
-    Writes nothing. An affine-mp target whose envelope records no slope
-    its kernel needs raises DerivativeError before any trial. A module
-    error inside one trial is recorded and the run continues; results
-    with any failed trial are flagged incomplete.
-    ``timings`` holds ``total`` and the seconds, summed over trials, of
-    the stages sample, gram, build, eig, law and distances (with pooling).
+    Writes nothing. The target law is built first; one that cannot be built
+    raises before any trial: ValueError (or DerivativeError) for no finite
+    affine MP law, SolverError for an unsolved grid. A module error inside
+    one trial is recorded and the run continues; results with any failed
+    trial are flagged incomplete.
+    ``timings`` holds ``total`` and the seconds of the stages law and,
+    summed over trials, sample, gram, build, eig, distances (and pooling).
     """
     t0 = time.perf_counter()
+    clock = _StageClock(("law", "sample", "gram", "build", "eig", "distances"))
     spec = config.kernel_spec()
+    law = None
     if config.target == AFFINE_MP:
-        linearization_coefficients(spec)
+        law = predicted_law(spec, config.gamma)
+    elif config.law_a is not None:  # and law_nu; the FE target needs both
+        law = solve_grid(config.law_a, config.law_nu, config.gamma,
+                         epsilon=config.epsilon)
+    clock.lap("law")
     families = [config.ensemble]
     if config.target == CROSS_ENSEMBLE:
         families.append(config.ensemble_b)
 
     samples: dict[str, dict[int, ESD]] = {f: {} for f in families}
     errors: list[TrialError] = []
-    clock = _StageClock(("sample", "gram", "build", "eig", "law", "distances"))
     for t, fam, G in trial_grams(config, families, clock):
         clock.lap("gram")
         step = stage = "build"  # errors.csv stage, timings key
@@ -297,17 +302,6 @@ def run_universality(config: ExperimentConfig) -> ExperimentResult:
             errors.append(TrialError(trial=t, ensemble=fam, stage=step,
                                      message=str(exc)))
         clock.lap(stage)
-    law = None
-    try:
-        if config.target == AFFINE_MP:
-            law = predicted_law(spec, config.gamma)
-        elif config.law_a is not None:  # and law_nu; the FE target needs both
-            law = solve_grid(config.law_a, config.law_nu, config.gamma,
-                             epsilon=config.epsilon)
-    except (KernelSpectraError, ValueError) as exc:
-        errors.append(TrialError(trial=-1, ensemble=config.ensemble,
-                                 stage="law", message=str(exc)))
-    clock.lap("law")
 
     pooled = {f: ESD.pooled(list(s.values())) for f, s in samples.items() if s}
     z_grid = config.z_grid

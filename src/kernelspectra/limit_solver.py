@@ -280,9 +280,10 @@ def solve_grid(a: float, nu: float, gamma: float, n_points: int = 2000,
     """Invert the limit law on a real grid at imaginary offset epsilon.
 
     The window is the support's hull and the atoms, widened on each side
-    by 4 epsilon / (pi * 1e-3): the smoothed law's Cauchy tails put at
-    most 5e-4 of its mass outside it. Raises SolverError when the grid
-    holds less than 1 - 1e-3 of the mass.
+    by 4 epsilon / (pi * 1e-3), outside which the smoothed law's Cauchy
+    tails put at most 5e-4 of its mass, and below an atom by an ulp at
+    least. Raises SolverError when the grid holds less than 1 - 1e-3 of
+    the mass.
     """
     _check_params(a, nu, gamma)
     if not 0 < epsilon < np.inf:
@@ -292,7 +293,10 @@ def solve_grid(a: float, nu: float, gamma: float, n_points: int = 2000,
     atoms = _atoms(a, nu, gamma)
     ends = [*_support(a, nu, gamma), *(loc for loc, _ in atoms)]
     margin = 4.0 * epsilon / (np.pi * _MASS_TOL)
-    grid = np.linspace(min(ends) - margin, max(ends) + margin, n_points)
+    lo = min(ends) - margin
+    if atoms:  # where margin rounds off, an atom at lo would fall in cdf[0]
+        lo = min(lo, np.nextafter(min(ends), -np.inf))
+    grid = np.linspace(lo, max(ends) + margin, n_points)
     m_eps = _stieltjes(a, nu, gamma, grid + 1j * epsilon)
     cdf = _smoothed_cdf(a, nu, gamma, m_eps)
     for loc, mass in atoms:

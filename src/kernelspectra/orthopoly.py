@@ -26,6 +26,7 @@ from .kernels import Envelope
 # exact N(0, 1) moments det M_6 is 9.9e-10 of its Hadamard bound, det M_7
 # only 5.4e-14, so degree 6 is the highest that can be built.
 MAX_DEGREE = 6
+DEFAULT_SAMPLES = 1_000_000  # xi draws when a caller sets none
 _CHUNK = 8192  # draws per power-sum product; its rows stay in cache
 
 # det M_j <= this multiple of its Hadamard bound counts as degenerate
@@ -220,7 +221,7 @@ class AdmissibleParams:
 
 
 def envelope_coeffs(f: Envelope, ensemble: VectorEnsemble, L: int,
-                    samples: int = 1_000_000, seed: int = 0) -> AdmissibleParams:
+                    samples: int = DEFAULT_SAMPLES, seed: int = 0) -> AdmissibleParams:
     """Monte Carlo expansion coefficients of the rescaled envelope.
 
     The orthonormal basis is built from the empirical moments of the same

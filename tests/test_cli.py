@@ -16,7 +16,7 @@ from kernelspectra import (KernelSpec, LimitLaw, VectorEnsemble,
                            mp_atom_mass, mp_density, mp_support,
                            parse_config, parse_envelope, predicted_law,
                            run_universality, solve_grid)
-from kernelspectra import orthopoly
+from kernelspectra import SolverError, experiments, orthopoly
 from kernelspectra._csvio import read_table
 from kernelspectra.cli import _build_parser, cli_main
 from kernelspectra.ensembles import FAMILIES
@@ -269,6 +269,8 @@ def test_expand_and_diagnose_default_to_the_config_model():
         config.ensemble, config.p, config.seed)
     assert (diagnose.ensemble, diagnose.p, diagnose.n, diagnose.seed) == (
         config.ensemble, config.p, config.n, config.seed)
+    samples = inspect.signature(envelope_coeffs).parameters["samples"]
+    assert expand.samples == samples.default
 
 
 def test_functional_equation_target_without_a_law_names_the_expand_call(
@@ -790,6 +792,50 @@ def test_expand_rejects_degree_above_cap_before_sampling(capsys,
                          "--envelope", "sign-scaled", "--degree", "7"])
         assert code == 1
         assert "need 1 <= L <= 6, got 7" in capsys.readouterr().err
+
+
+def _forbid_trials(monkeypatch):
+    for family, record in FAMILIES.items():
+        monkeypatch.setitem(FAMILIES, family, dataclasses.replace(
+            record, fill=lambda *args: pytest.fail("compare drew a trial")))
+
+
+def test_compare_without_a_finite_affine_law_exits_one_before_any_trial(
+        tmp_path, capsys, monkeypatch):
+    # f(1) = exp(1000) overflows, so the inner/keep shift is inf
+    _forbid_trials(monkeypatch)
+    out = tmp_path / "D"
+    assert cli_main(["compare", "--set", "p=20", "--set", "n=40",
+                     "--set", "trials=2", "--set", "envelope=exp:a=1000",
+                     "--set", "diag=keep", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "shift and scale must be finite" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_compare_with_an_unsolvable_law_exits_two_before_any_trial(
+        tmp_path, capsys, monkeypatch):
+    def unsolvable(*args, **kwargs):
+        raise SolverError("grid misses the mass")
+
+    _forbid_trials(monkeypatch)
+    monkeypatch.setattr(experiments, "solve_grid", unsolvable)
+    out = tmp_path / "D"
+    assert cli_main(["compare", "--set=target=functional-equation",
+                     "--set=law_a=1", "--set=law_nu=1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "numerical failure: grid misses the mass" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_compare_scores_an_atom_law_at_tiny_epsilon(capsys):
+    # a = nu = 1 at p/n = 1/2 has mass 1/2 at -1, next to the grid's end
+    assert cli_main(["compare", "--set=p=20", "--set=n=40",
+                     "--set=target=functional-equation", "--set=law_a=1",
+                     "--set=law_nu=1", "--set=epsilon=1e-30"]) == 0
+    assert capsys.readouterr().out.startswith("gaussian: pooled ks=")
 
 
 # 1e300 and -1.35e154 are finite, but the Gram norm v^2 of their column

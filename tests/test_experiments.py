@@ -379,24 +379,34 @@ def test_run_universality_times_every_stage(envelope):
                            diagonal="keep", envelope=envelope,
                            target="cross-ensemble")
     timings = run_universality(cfg).timings
-    stages = ("sample", "gram", "build", "eig", "law", "distances")
+    stages = ("law", "sample", "gram", "build", "eig", "distances")
     assert set(timings) == {"total", *stages}
     assert all(v >= 0.0 for v in timings.values())
     assert sum(timings[s] for s in stages) <= timings["total"]
 
 
-def test_failing_envelope_records_errors():
-    # exp(1000 x) overflows on the diagonal, near 1, for every trial
-    cfg = ExperimentConfig(ensemble="gaussian", p=30, n=40, trials=3, seed=7,
-                           kernel="inner", diagonal="keep",
-                           envelope="exp:a=1000", target="affine-mp")
+def _register_refuse(monkeypatch, message="refused"):
+    """Register envelope "refuse", whose every evaluation raises."""
+    def refuse(x, p):
+        raise ValueError(message)
+
+    monkeypatch.setitem(ENVELOPE_FACTORIES, "refuse",
+                        lambda: Envelope("refuse", refuse))
+
+
+def test_failing_envelope_records_errors(monkeypatch):
+    # a functional-equation law is solved without the envelope, so the law
+    # builds and every trial's build fails
+    _register_refuse(monkeypatch)
+    cfg = ExperimentConfig(p=10, n=12, trials=3, seed=7, envelope="refuse",
+                           target="functional-equation", law_a=1.0,
+                           law_nu=1.0)
     result = run_universality(cfg)
     assert result.incomplete
-    build_errors = [e for e in result.errors if e.stage == "build"]
-    assert len(build_errors) == 3
-    # the law itself is unbuildable here (f(1) overflows); recorded, not raised
-    assert any(e.stage == "law" for e in result.errors)
-    assert result.law is None
+    # one build row per trial, and no row for the law (trial -1)
+    assert [(e.trial, e.stage) for e in result.errors] == [
+        (t, "build") for t in range(3)]
+    assert result.law is not None
     assert result.pooled == {}
 
 
@@ -439,14 +449,7 @@ def test_rows_keep_true_trial_labels_after_a_failed_trial(tmp_path, target):
 
 def test_errors_csv_round_trips_quotes_and_commas(tmp_path, monkeypatch):
     message = 'bad "value", here'
-
-    def refuse(x, p):
-        raise ValueError(message)
-
-    monkeypatch.setitem(ENVELOPE_FACTORIES, "refuse",
-                        lambda: Envelope("refuse", refuse))
-    # a functional-equation law is solved without the envelope, so only
-    # the builds fail
+    _register_refuse(monkeypatch, message)
     cfg = ExperimentConfig(p=10, n=12, trials=2, envelope="refuse",
                            target="functional-equation", law_a=1.0,
                            law_nu=1.0)

@@ -231,6 +231,17 @@ def test_exact_atoms():
     assert solve_grid(1.0, 1.5, 0.5).atoms == ()
 
 
+@pytest.mark.parametrize("a, nu, gamma", [(1.0, 1.0, 0.5), (0.3, 0.09, 0.25)])
+@pytest.mark.parametrize("epsilon", [1e-20, 1e-30, 1e-300])
+def test_atom_law_solves_at_tiny_epsilon(a, nu, gamma, epsilon):
+    # 4 eps / (pi 1e-3) rounds off next to the atom at -a; the window must
+    # still start below it, or the atom's whole mass falls into cdf[0]
+    law = solve_grid(a, nu, gamma, epsilon=epsilon)
+    assert law.atoms == ((-a, 1.0 - gamma),)
+    assert law.grid[0] < -a
+    assert law.cdf(-a) >= 1.0 - gamma
+
+
 @pytest.mark.parametrize("a, gamma", [(1.0, 0.5), (1.0, 1.0), (0.7, 2.0),
                                       (2.5, 1.0), (0.3, 0.1)])
 def test_support_at_nu_equal_a_squared_is_affine_mp(a, gamma):
