@@ -16,8 +16,9 @@ import numpy as np
 from .ensembles import (FAMILIES, VectorEnsemble, concentration_diagnostic,
                         moment_diagnostic, sample_matrix)
 from .errors import KernelSpectraError
-from .experiments import (ExperimentConfig, esd_meta, parse_config,
-                          run_universality, trial_grams, write_result)
+from .experiments import (CONFIG_SCHEMA, ExperimentConfig, esd_meta,
+                          parse_config, run_universality, trial_grams,
+                          write_result)
 from .kernels import (DIAGONALS, ENVELOPE_FACTORIES, KERNELS, KernelSpec,
                       build, gram, parse_envelope, single_entry_swap)
 from .limit_solver import DEFAULT_EPSILON, solve_grid
@@ -46,7 +47,7 @@ def _add_model_flags(p: argparse.ArgumentParser, *names: str) -> None:
              "seed": dict(type=int, default=_MODEL.seed),
              "envelope": dict(default=_MODEL.envelope, help=_ENVELOPE_HELP),
              "kernel": dict(default=_MODEL.kernel, help=" | ".join(KERNELS)),
-             "diag": dict(default=_MODEL.diagonal, help=" | ".join(DIAGONALS))}
+             "diag": dict(default=_MODEL.diag, help=" | ".join(DIAGONALS))}
     for name in names or flags:
         p.add_argument(f"--{name}", **flags[name])
 
@@ -74,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pred.add_argument("--envelope", help=_ENVELOPE_HELP)
     pred.add_argument("--kernel", help=f"default {_MODEL.kernel}: "
                       + " | ".join(KERNELS))
-    pred.add_argument("--diag", help=f"default {_MODEL.diagonal}: "
+    pred.add_argument("--diag", help=f"default {_MODEL.diag}: "
                       + " | ".join(DIAGONALS))
     pred.add_argument("--a", type=float)
     pred.add_argument("--nu", type=float)
@@ -108,10 +109,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    config = ExperimentConfig(ensemble=args.ensemble, p=args.p, n=args.n,
-                              trials=args.trials, seed=args.seed,
-                              kernel=args.kernel, diagonal=args.diag,
-                              envelope=args.envelope)
+    config = ExperimentConfig(**{k: v for k, v in vars(args).items()
+                                 if k in CONFIG_SCHEMA})
     spec = config.kernel_spec()
     spectra = {}
     for t, _, G in trial_grams(config, (config.ensemble,)):
@@ -153,7 +152,7 @@ def _cmd_predict(args) -> int:
                          epsilon=given.get("epsilon", DEFAULT_EPSILON))
     else:
         spec = KernelSpec(given.get("kernel", _MODEL.kernel),
-                          given.get("diag", _MODEL.diagonal),
+                          given.get("diag", _MODEL.diag),
                           parse_envelope(args.envelope))
         law = predicted_law(spec, args.gamma)
     print(f"{name}: {law.to_record()}")
@@ -204,7 +203,7 @@ def _cmd_compare(args) -> int:
                   f"{err.message}")
     if args.out:
         print(f"wrote {args.out}/")
-    return 2 if result.incomplete else 0
+    return 2 if result.errors else 0
 
 
 def _cmd_diagnose(args) -> int:

@@ -50,7 +50,7 @@ class ExperimentConfig:
     trials: int = 1
     seed: int = 0
     kernel: str = "inner"
-    diagonal: str = "zero"
+    diag: str = "zero"
     envelope: str = "identity"  # a registry string such as exp:a=1
     target: str = AFFINE_MP
     ensemble_b: str | None = None
@@ -90,12 +90,9 @@ class ExperimentConfig:
         if (self.law_a is None) != (self.law_nu is None):
             raise ValueError("law_a and law_nu must be given together")
         if self.law_a is not None:
-            _check_params(self.law_a, self.law_nu, self.gamma)
             if self.epsilon is None:
                 object.__setattr__(self, "epsilon", DEFAULT_EPSILON)
-            if not 0 < self.epsilon < np.inf:
-                raise ValueError(f"epsilon must be positive and finite, "
-                                 f"got {self.epsilon}")
+            _check_params(self.law_a, self.law_nu, self.gamma, self.epsilon)
         elif self.epsilon is not None:
             raise ValueError("epsilon is read only with law_a and law_nu, "
                              "where a law is solved")
@@ -111,14 +108,13 @@ class ExperimentConfig:
         return self.p / self.n
 
     def kernel_spec(self) -> KernelSpec:
-        return KernelSpec(kernel=self.kernel, diagonal=self.diagonal,
-                          envelope=parse_envelope(self.envelope))
+        return KernelSpec(self.kernel, self.diag, parse_envelope(self.envelope))
 
     def items(self) -> list[tuple[str, str]]:
         """(key, text) pairs in written order; gamma = p/n follows n."""
         out = []
         for key, (_, show) in CONFIG_SCHEMA.items():
-            value = getattr(self, _FIELD[key])
+            value = getattr(self, key)
             if value is not None:
                 out.append((key, show(value)))
             if key == "n":
@@ -128,7 +124,7 @@ class ExperimentConfig:
 
 # Each config key in written order: how its text parses and how its value
 # prints. str prints a float as its shortest round-tripping repr and a
-# numpy scalar as a plain number. _FIELD names the field each key sets.
+# numpy scalar as a plain number. Each key is the field it sets.
 _TEXT, _INT, _FLOAT = (str, str), (int, str), (float, str)
 CONFIG_SCHEMA = {
     "ensemble": _TEXT, "p": _INT, "n": _INT, "trials": _INT, "seed": _INT,
@@ -137,7 +133,6 @@ CONFIG_SCHEMA = {
     "z_grid": (lambda text: tuple(complex(z) for z in text.split(";") if z),
                lambda zs: ";".join(map(str, zs))),
 }
-_FIELD = {**{key: key for key in CONFIG_SCHEMA}, "diag": "diagonal"}
 # The keys that choose what a run's spectra are scored against.
 _TARGET_KEYS = ("target", "law_a", "law_nu", "epsilon", "z_grid")
 
@@ -166,7 +161,7 @@ def parse_config(text: str, overrides: dict[str, str] | None = None
         if key not in CONFIG_SCHEMA:
             raise ValueError(f"unknown config key {key!r}")
         if val != "":
-            kwargs[_FIELD[key]] = CONFIG_SCHEMA[key][0](val)
+            kwargs[key] = CONFIG_SCHEMA[key][0](val)
     config = ExperimentConfig(**kwargs)
     if gamma and float(gamma) != config.gamma:
         raise ValueError(f"gamma={gamma} differs from p/n = {config.gamma!r}; "
@@ -207,10 +202,6 @@ class ExperimentResult:
     distances: list[DistanceRecord]  # in distances.csv row order
     errors: list[TrialError]
     timings: dict[str, float]
-
-    @property
-    def incomplete(self) -> bool:
-        return bool(self.errors)
 
 
 def _distance_record(family: str, trial: int, e: ESD, target: ESD | Law,
@@ -268,13 +259,13 @@ def run_universality(config: ExperimentConfig) -> ExperimentResult:
     Writes nothing. The target law is built first; one that cannot be built
     raises before any trial: ValueError (or DerivativeError) for no finite
     affine MP law, SolverError for an unsolved grid. A module error inside
-    one trial is recorded and the run continues; results with any failed
-    trial are flagged incomplete.
-    ``timings`` holds ``total`` and the seconds of the stages law and,
-    summed over trials, sample, gram, build, eig, distances (and pooling).
+    one trial is recorded in ``errors`` and the run continues. ``timings``
+    holds ``total`` and the seconds of the stages law and, summed over
+    trials, sample, gram, build, eigenvalues, distances (and pooling).
     """
     t0 = time.perf_counter()
-    clock = _StageClock(("law", "sample", "gram", "build", "eig", "distances"))
+    clock = _StageClock(("law", "sample", "gram", "build", "eigenvalues",
+                         "distances"))
     spec = config.kernel_spec()
     law = None
     if config.target == AFFINE_MP:
@@ -291,15 +282,15 @@ def run_universality(config: ExperimentConfig) -> ExperimentResult:
     errors: list[TrialError] = []
     for t, fam, G in trial_grams(config, families, clock):
         clock.lap("gram")
-        step = stage = "build"  # errors.csv stage, timings key
+        stage = "build"
         try:
             A = build(spec, G, config.p)
             clock.lap(stage)
-            step, stage = "eigenvalues", "eig"
+            stage = "eigenvalues"
             samples[fam][t] = eigenvalues(A)
             del A, G
         except (KernelSpectraError, ValueError) as exc:
-            errors.append(TrialError(trial=t, ensemble=fam, stage=step,
+            errors.append(TrialError(trial=t, ensemble=fam, stage=stage,
                                      message=str(exc)))
         clock.lap(stage)
 
@@ -401,8 +392,8 @@ def run_l2_perturbation(config: ExperimentConfig, f1: Envelope, f2: Envelope,
         raise ValueError(f"need Im z > 0, got z={z}")
     if config.n < 2:
         raise ValueError(f"epsilon_hat needs n >= 2, got n={config.n}")
-    spec1 = KernelSpec(config.kernel, config.diagonal, f1)
-    spec2 = KernelSpec(config.kernel, config.diagonal, f2)
+    spec1 = KernelSpec(config.kernel, config.diag, f1)
+    spec2 = KernelSpec(config.kernel, config.diag, f2)
     sq_sum = 0.0
     deltas = []
     for _, _, G in trial_grams(config, (config.ensemble,)):

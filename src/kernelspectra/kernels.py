@@ -178,18 +178,17 @@ class KernelSpec:
     """Kernel choice, diagonal convention, and envelope."""
 
     kernel: str
-    diagonal: str
+    diag: str
     envelope: Envelope
 
     def __post_init__(self):
         if self.kernel not in KERNELS:
             raise ValueError(f"kernel must be one of {KERNELS}, got {self.kernel!r}")
-        if self.diagonal not in DIAGONALS:
-            raise ValueError(f"diagonal must be one of {DIAGONALS}, "
-                             f"got {self.diagonal!r}")
+        if self.diag not in DIAGONALS:
+            raise ValueError(f"diag must be one of {DIAGONALS}, got {self.diag!r}")
 
     def label(self) -> str:
-        return f"{self.kernel}/{self.diagonal}/{self.envelope.name}"
+        return f"{self.kernel}/{self.diag}/{self.envelope.name}"
 
 
 def gram(S: SampleMatrix) -> np.ndarray:
@@ -224,7 +223,7 @@ def build(spec: KernelSpec, G: np.ndarray, p: int) -> np.ndarray:
             K = G[r0:r0 + rows] if spec.kernel == INNER_PRODUCT \
                 else _distance_rows(G, g, r0, r0 + rows)
             block = np.asarray(spec.envelope(K, p), dtype=float)
-        if spec.diagonal == ZERO:
+        if spec.diag == ZERO:
             np.fill_diagonal(block[:, r0:], 0.0)
         finite = np.isfinite(block)
         if not finite.all():
@@ -252,12 +251,12 @@ def linearization_coefficients(spec: KernelSpec) -> tuple[float, float]:
     if spec.kernel == INNER_PRODUCT:
         beta = f.derivative(0.0)
         alpha = -f.value(0.0) - beta
-        if spec.diagonal == KEEP:
+        if spec.diag == KEEP:
             alpha = f.value(1.0) - f.value(0.0) - beta
         return alpha, beta
     d2 = f.derivative(2.0)
     alpha = -f.value(2.0) + 2.0 * d2
-    if spec.diagonal == KEEP:
+    if spec.diag == KEEP:
         alpha += f.value(0.0)
     return alpha, -2.0 * d2
 

@@ -74,7 +74,8 @@ _ISOLATED = 1e-3          # a root this far from the others, over max|w|
 _CUBE_ROOTS = np.array([1.0, -0.5 + 0.75 ** 0.5 * 1j, -0.5 - 0.75 ** 0.5 * 1j])
 
 
-def _check_params(a: float, nu: float, gamma: float) -> None:
+def _check_params(a: float, nu: float, gamma: float,
+                  epsilon: float = DEFAULT_EPSILON) -> None:
     if not 0 < gamma < np.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     if not 0 <= a < np.inf:
@@ -83,11 +84,23 @@ def _check_params(a: float, nu: float, gamma: float) -> None:
         raise ValueError(f"nu must be finite, got {nu}")
     if nu < a * a * (1.0 - 1e-12):
         raise ValueError(f"need a^2 <= nu, got a^2={a*a:.6g}, nu={nu:.6g}")
+    if not np.isfinite(_quartic(a, nu, gamma)).all():
+        raise ValueError(f"c = a/gamma, d = (nu - a^2)/gamma or the support "
+                         f"quartic overflows at a={a}, nu={nu}, gamma={gamma}")
+    # _reciprocal_roots divides by a scale as small as epsilon: keep it normal
+    if not np.finfo(float).tiny <= epsilon < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, a normal "
+                         f"float >= {np.finfo(float).tiny:.17g}, got {epsilon}")
 
 
 def _cd(a: float, nu: float, gamma: float) -> tuple[float, float]:
     """c = a/gamma and d = (nu - a^2)/gamma, d clamped at 0."""
     return a / gamma, max(nu - a * a, 0.0) / gamma
+
+
+def _quartic(a: float, nu: float, gamma: float) -> list[float]:
+    c, d = _cd(a, nu, gamma)
+    return [1.0, 2.0 * c, c * c - d - a * c, -2.0 * c * d, -c * c * d]
 
 
 def _reciprocal_roots(a: float, nu: float, gamma: float, z) -> np.ndarray:
@@ -198,7 +211,7 @@ def _support(a: float, nu: float, gamma: float) -> tuple[float, float]:
     if d * c == 0:
         r = 2.0 * np.sqrt(a * c + d)
         return float(c - r), float(c + r)
-    w = np.roots([1.0, 2.0 * c, c * c - d - a * c, -2.0 * c * d, -c * c * d])
+    w = np.roots(_quartic(a, nu, gamma))
     w = np.array([w.real.max(), w.real.min()])
     lo, hi = -w - a * c / (w + c) - d / w
     return float(lo), float(hi)
@@ -285,9 +298,7 @@ def solve_grid(a: float, nu: float, gamma: float, n_points: int = 2000,
     least. Raises SolverError when the grid holds less than 1 - 1e-3 of
     the mass.
     """
-    _check_params(a, nu, gamma)
-    if not 0 < epsilon < np.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    _check_params(a, nu, gamma, epsilon)
     if n_points < 16:
         raise ValueError(f"need n_points >= 16, got {n_points}")
     atoms = _atoms(a, nu, gamma)
@@ -300,8 +311,9 @@ def solve_grid(a: float, nu: float, gamma: float, n_points: int = 2000,
     m_eps = _stieltjes(a, nu, gamma, grid + 1j * epsilon)
     cdf = _smoothed_cdf(a, nu, gamma, m_eps)
     for loc, mass in atoms:
-        cdf += mass * ((grid >= loc) - 0.5
-                       - np.arctan((grid - loc) / epsilon) / np.pi)
+        with np.errstate(over="ignore"):  # arctan(+-inf) = +-pi/2 is the limit
+            cdf += mass * ((grid >= loc) - 0.5
+                           - np.arctan((grid - loc) / epsilon) / np.pi)
     if cdf[-1] - cdf[0] < 1.0 - _MASS_TOL:
         raise SolverError(f"recovered mass {cdf[-1] - cdf[0]:.6f} misses 1 "
                           f"beyond tolerance {_MASS_TOL}")

@@ -140,9 +140,11 @@ class AffineMPLaw(Law):
 
     def __post_init__(self):
         _check_gamma(self.gamma)
-        if not (np.isfinite(self.shift) and np.isfinite(self.scale)):
-            raise ValueError(f"shift and scale must be finite, got "
-                             f"shift={self.shift}, scale={self.scale}")
+        lo, hi = self._widened(0.1)  # table()'s range; nan if shift or scale is
+        if not np.isfinite(hi - lo):
+            raise ValueError(f"shift and scale must be finite, with a finite "
+                             f"table range, got shift={self.shift}, "
+                             f"scale={self.scale}")
 
     @property
     def degenerate(self) -> bool:
@@ -153,13 +155,9 @@ class AffineMPLaw(Law):
         return 1.0 if self.degenerate else mp_atom_mass(self.gamma)
 
     @property
-    def atom_location(self) -> float:
-        return self.shift
-
-    @property
     def atoms(self) -> tuple[tuple[float, float], ...]:
         if self.atom_mass > 0.0:
-            return ((self.atom_location, self.atom_mass),)
+            return ((self.shift, self.atom_mass),)
         return ()
 
     @property
@@ -231,7 +229,7 @@ class AffineMPLaw(Law):
             "shift": self.shift,
             "scale": self.scale,
             "atom_mass": self.atom_mass,
-            "atom_location": self.atom_location,
+            "atom_location": self.shift,
         }
 
 

@@ -155,7 +155,7 @@ def test_criterion_06_distance_kernel():
     t0 = time.perf_counter()
     result = ks.run_universality(ks.ExperimentConfig(
         ensemble="gaussian", p=1000, n=500, trials=5, seed=3,
-        kernel="distance", diagonal="keep", envelope="exp:a=-1",
+        kernel="distance", diag="keep", envelope="exp:a=-1",
         target="affine-mp"))
     law = result.law
     assert abs(law.shift - (1.0 - 3.0 * np.exp(-2.0))) < 1e-12

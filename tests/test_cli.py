@@ -1,3 +1,4 @@
+import argparse
 import ast
 import dataclasses
 import inspect
@@ -18,9 +19,9 @@ from kernelspectra import (KernelSpec, LimitLaw, VectorEnsemble,
                            run_universality, solve_grid)
 from kernelspectra import SolverError, experiments, orthopoly
 from kernelspectra._csvio import read_table
-from kernelspectra.cli import _build_parser, cli_main
+from kernelspectra.cli import _add_model_flags, _build_parser, cli_main
 from kernelspectra.ensembles import FAMILIES
-from kernelspectra.experiments import ExperimentConfig, esd_meta
+from kernelspectra.experiments import CONFIG_SCHEMA, ExperimentConfig, esd_meta
 from kernelspectra.kernels import DIAGONALS, ENVELOPE_FACTORIES, KERNELS
 
 
@@ -874,3 +875,68 @@ def test_swap_check_reports_rank(capsys):
     printed = capsys.readouterr().out
     assert "numerical rank <= 2: True" in printed
     assert "all zero: True" in printed
+
+
+def test_every_model_flag_is_the_config_field_it_sets():
+    parser = argparse.ArgumentParser()
+    _add_model_flags(parser)
+    args = vars(parser.parse_args([]))
+    assert set(args) <= CONFIG_SCHEMA.keys()
+    assert ExperimentConfig(**args) == ExperimentConfig()
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--law", "mp", "--scale", "1e308"],
+    ["predict", "--law", "mp", "--shift", "1e308", "--scale", "1e308"],
+    # the distance kernel's scale -2 f'(2) = -9.7e307
+    ["compare", "--set", "p=20", "--set", "n=40", "--set", "kernel=distance",
+     "--set", "envelope=power:a=640"],
+])
+def test_an_affine_law_whose_table_overflows_exits_one_before_any_output(
+        argv, tmp_path, capsys, monkeypatch):
+    _forbid_trials(monkeypatch)
+    out = tmp_path / "out"
+    assert cli_main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: shift and scale must be finite, "
+                                   "with a finite table range, got shift=")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--law", "fe", "--a", "0", "--nu", "0", "--gamma", "1",
+     "--epsilon", "1e-310"],
+    ["compare", "--set", "p=20", "--set", "n=40", "--set",
+     "target=functional-equation", "--set", "law_a=0", "--set", "law_nu=0",
+     "--set", "epsilon=1e-310"],
+])
+def test_a_subnormal_epsilon_exits_one_naming_the_bound(
+        argv, tmp_path, capsys, monkeypatch):
+    _forbid_trials(monkeypatch)
+    out = tmp_path / "out"
+    assert cli_main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("epsilon must be positive and finite, a normal float >= "
+            "2.2250738585072014e-308, got 1e-310") in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["predict", "--law", "fe", "--a", "0.5", "--nu", "1", "--gamma", "1e-300"],
+     "a=0.5, nu=1.0, gamma=1e-300"),
+    (["predict", "--law", "fe", "--a", "1e100", "--nu", "1e201", "--gamma",
+      "1"], "a=1e+100, nu=1e+201, gamma=1.0"),
+    (["compare", "--set", "p=20", "--set", "n=40", "--set",
+      "target=functional-equation", "--set", "law_a=1e100", "--set",
+      "law_nu=1e201"], "a=1e+100, nu=1e+201, gamma=0.5"),
+])
+def test_an_fe_law_whose_support_overflows_exits_one_naming_its_parameters(
+        argv, named, capsys, monkeypatch):
+    _forbid_trials(monkeypatch)
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: c = a/gamma, d = (nu - a^2)/gamma")
+    assert f"overflows at {named}\n" in captured.err

@@ -103,10 +103,10 @@ def _reference_build(spec, S):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         vals = np.asarray(spec.envelope(K, S.p), dtype=float)
     bad = ~np.isfinite(vals)
-    if spec.diagonal == "zero":
+    if spec.diag == "zero":
         np.fill_diagonal(bad, False)
     first = tuple(map(int, np.argwhere(bad)[0])) if bad.any() else None
-    diag = np.zeros(S.n) if spec.diagonal == "zero" else np.diag(vals).copy()
+    diag = np.zeros(S.n) if spec.diag == "zero" else np.diag(vals).copy()
     return _mirror_upper(vals, diag), first
 
 

@@ -1,11 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kernelspectra import (AffineMPLaw, SolverError, limit_solver, solve_grid,
-                           solve_point)
+from kernelspectra import (AffineMPLaw, ExperimentConfig, SolverError,
+                           limit_solver, solve_grid, solve_point)
 from kernelspectra.limit_solver import equation_residual
+
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 
 def _semicircle_m(z):
@@ -232,10 +236,12 @@ def test_exact_atoms():
 
 
 @pytest.mark.parametrize("a, nu, gamma", [(1.0, 1.0, 0.5), (0.3, 0.09, 0.25)])
-@pytest.mark.parametrize("epsilon", [1e-20, 1e-30, 1e-300])
+@pytest.mark.parametrize("epsilon", [1e-20, 1e-30, 1e-300, 1e-307, _TINY])
 def test_atom_law_solves_at_tiny_epsilon(a, nu, gamma, epsilon):
     # 4 eps / (pi 1e-3) rounds off next to the atom at -a; the window must
-    # still start below it, or the atom's whole mass falls into cdf[0]
+    # still start below it, or the atom's whole mass falls into cdf[0].
+    # At _TINY, (grid + a) / eps overflows to +-inf, where arctan is +-pi/2;
+    # filterwarnings = error fails the test on any warning.
     law = solve_grid(a, nu, gamma, epsilon=epsilon)
     assert law.atoms == ((-a, 1.0 - gamma),)
     assert law.grid[0] < -a
@@ -383,3 +389,27 @@ def test_stieltjes_at_the_hard_edge_of_a_nu_equal_a_squared_law():
     w = np.where((r - u).imag < 0, (r - u) / 2, (-r - u) / 2)
     m = limit_solver._stieltjes(a, a * a, 1.0, u - a)
     np.testing.assert_allclose(m, 1.0 / w, rtol=1e-14)
+
+
+def test_epsilon_must_be_a_normal_float():
+    # the root rescaling divides by a scale as small as epsilon
+    for epsilon in (1e-310, 5e-324, 0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="normal float >= 2.22"):
+            solve_grid(0.0, 0.0, 1.0, epsilon=epsilon)
+    with pytest.raises(ValueError, match="normal float >= 2.22"):
+        ExperimentConfig(target="functional-equation", law_a=0.0,
+                         law_nu=0.0, epsilon=1e-310)
+    assert ExperimentConfig(target="functional-equation", law_a=0.0,
+                            law_nu=0.0, epsilon=_TINY).epsilon == _TINY
+    law = solve_grid(0.0, 0.0, 1.0, epsilon=_TINY)  # and without a warning
+    assert law.atoms == ((0.0, 1.0),) and law.cdf(0.0) == 1.0
+
+
+@pytest.mark.parametrize("a, nu, gamma", [(0.5, 1.0, 1e-300),   # c^2 = inf
+                                          (1e100, 1e201, 1.0)])  # c^2 d = inf
+def test_a_law_whose_support_quartic_overflows_is_refused(a, nu, gamma):
+    named = re.escape(f"a={a}, nu={nu}, gamma={gamma}")
+    with pytest.raises(ValueError, match=named):
+        solve_grid(a, nu, gamma)
+    with pytest.raises(ValueError, match=named):
+        solve_point(a, nu, gamma, 1j)

@@ -197,8 +197,7 @@ def test_predicted_law_square_envelope_degenerates():
     sq = Envelope("square", lambda x, p: x * x, ((0.0, 0.0), (2.0, 4.0)))
     law = predicted_law(KernelSpec("inner", "keep", sq), 1.0)
     assert law.degenerate
-    assert law.atom_mass == 1.0
-    assert law.atom_location == 1.0
+    assert law.atoms == ((1.0, 1.0),)
     assert law.cdf(0.999) == 0.0 and law.cdf(1.0) == 1.0
     assert abs(law.stieltjes(1j) - 1.0 / (1.0 - 1j)) < 1e-14
 
@@ -255,7 +254,7 @@ def test_negative_scale_law_is_a_valid_distribution():
     assert cdf[0] < 1e-12
     assert abs(cdf[-1] - 1.0) < 1e-6
     # atom transported to the shift, which is now the right edge
-    assert law.atom_location == 1.0
+    assert law.atoms == ((1.0, law.atom_mass),)
     assert abs(law.cdf(1.0) - 1.0) < 1e-9
     assert law.cdf(1.0 - 1e-9) < 1.0 - law.atom_mass + 1e-6
     m = law.stieltjes(0.3 + 1j)
@@ -274,3 +273,17 @@ def test_law_record_fields():
     rec = law.to_record()
     assert rec == {"type": "affine-mp", "gamma": 0.5, "shift": -2.0,
                    "scale": 1.0, "atom_mass": 0.5, "atom_location": -2.0}
+
+
+@pytest.mark.parametrize("shift, scale", [(0.0, 1e308), (1e308, 1e308),
+                                          (-1e308, -1e308)])
+def test_a_law_whose_table_range_overflows_is_refused(shift, scale):
+    # linspace over the table's range would give nan x values
+    with pytest.raises(ValueError, match="finite table range"):
+        AffineMPLaw(gamma=0.5, shift=shift, scale=scale)
+
+
+def test_a_law_near_the_float_limit_writes_a_finite_table():
+    table = AffineMPLaw(gamma=0.5, shift=0.0, scale=-1e307).table()
+    assert all(np.isfinite(col).all() for col in table.values())
+    assert table["cdf"][0] == 0.0 and table["cdf"][-1] == 1.0
