@@ -17,7 +17,7 @@ import numpy as np
 TAG_COLUMN = 0      # sample-matrix columns
 TAG_TRIAL = 1       # per-trial seeds in experiments
 TAG_BATCH = 2       # Monte Carlo batches (xi draws)
-TAG_TRIAL_B = 3     # per-trial seeds of a cross-ensemble run's ensemble_b
+TAG_TRIAL_B = 3     # per-trial seeds of ensemble_b, a run's second family
 
 _INDEX_BITS = 48
 _INDEX_LIMIT = 1 << _INDEX_BITS

@@ -178,7 +178,8 @@ def _cmd_expand(args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
+def _compare_config(args) -> ExperimentConfig:
+    """The config ``compare`` runs: its --config text with --set on top."""
     overrides = {}
     for item in args.set:
         key, sep, val = item.partition("=")
@@ -186,8 +187,11 @@ def _cmd_compare(args) -> int:
             raise ValueError(f"override must be KEY=VALUE, got {item!r}")
         overrides[key.strip()] = val.strip()
     text = "" if args.config is None else Path(args.config).read_text()
-    config = parse_config(text, overrides)
-    result = run_universality(config)
+    return parse_config(text, overrides)
+
+
+def _cmd_compare(args) -> int:
+    result = run_universality(_compare_config(args))
     if args.out:
         write_result(result, args.out)
     for rec in result.distances:

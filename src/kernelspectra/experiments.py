@@ -41,8 +41,9 @@ MAX_N_TRIALS = 20_000_000  # bound on n * trials
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully parsed experiment description; a key its run does not read is
-    an error. ``epsilon`` is read only with ``law_a``/``law_nu``, and then
-    defaults to DEFAULT_EPSILON as in ``predict --law fe``."""
+    an error. ``target`` picks the law; only functional-equation reads
+    ``law_a``, ``law_nu`` and ``epsilon`` (default DEFAULT_EPSILON, as in
+    ``predict --law fe``). ``ensemble_b`` adds a family under any target."""
 
     ensemble: str = "gaussian"
     p: int = 200
@@ -73,29 +74,24 @@ class ExperimentConfig:
         self.kernel_spec()  # rejects an unknown kernel, diagonal or envelope
         if self.target not in TARGETS:
             raise ValueError(f"target must be one of {TARGETS}, got {self.target!r}")
-        if (self.target == CROSS_ENSEMBLE
-                and self.ensemble_b in (None, self.ensemble)):
-            raise ValueError("cross-ensemble target needs ensemble_b != ensemble")
-        if self.target != CROSS_ENSEMBLE and self.ensemble_b is not None:
-            raise ValueError(f"{self.target} target does not read ensemble_b")
-        if self.target == AFFINE_MP and (self.law_a, self.law_nu) != (None, None):
-            raise ValueError("affine-mp target does not read law_a or law_nu; "
-                             "it predicts its law from the kernel")
-        if self.target == FUNCTIONAL_EQUATION and (self.law_a is None
-                                                   or self.law_nu is None):
+        if self.ensemble_b == self.ensemble:
+            raise ValueError("ensemble_b must differ from ensemble")
+        if self.target == CROSS_ENSEMBLE and self.ensemble_b is None:
+            raise ValueError("cross-ensemble target needs ensemble_b")
+        if self.target != FUNCTIONAL_EQUATION:
+            for key in ("law_a", "law_nu", "epsilon"):
+                if getattr(self, key) is not None:
+                    raise ValueError(f"{self.target} target does not read "
+                                     f"{key}; only functional-equation does")
+        elif self.law_a is None or self.law_nu is None:
             raise ValueError(
                 "functional-equation target needs law_a and law_nu; estimate "
                 f"them at this p with: kernelspectra expand --ensemble "
                 f"{self.ensemble} --p {self.p} --envelope {self.envelope}")
-        if (self.law_a is None) != (self.law_nu is None):
-            raise ValueError("law_a and law_nu must be given together")
-        if self.law_a is not None:
+        else:
             if self.epsilon is None:
                 object.__setattr__(self, "epsilon", DEFAULT_EPSILON)
             _check_params(self.law_a, self.law_nu, self.gamma, self.epsilon)
-        elif self.epsilon is not None:
-            raise ValueError("epsilon is read only with law_a and law_nu, "
-                             "where a law is solved")
         if not self.z_grid:
             raise ValueError("z_grid needs at least one point")
         for z in self.z_grid:
@@ -270,13 +266,11 @@ def run_universality(config: ExperimentConfig) -> ExperimentResult:
     law = None
     if config.target == AFFINE_MP:
         law = predicted_law(spec, config.gamma)
-    elif config.law_a is not None:  # and law_nu; the FE target needs both
+    elif config.target == FUNCTIONAL_EQUATION:
         law = solve_grid(config.law_a, config.law_nu, config.gamma,
                          epsilon=config.epsilon)
     clock.lap("law")
-    families = [config.ensemble]
-    if config.target == CROSS_ENSEMBLE:
-        families.append(config.ensemble_b)
+    families = [f for f in (config.ensemble, config.ensemble_b) if f]
 
     samples: dict[str, dict[int, ESD]] = {f: {} for f in families}
     errors: list[TrialError] = []
@@ -304,7 +298,7 @@ def run_universality(config: ExperimentConfig) -> ExperimentResult:
             if fam in pooled:
                 distances.append(_distance_record(fam, -1, pooled[fam], law,
                                                   z_grid))
-    if config.target == CROSS_ENSEMBLE and all(samples[f] for f in families):
+    if len(families) == 2 and all(samples[f] for f in families):
         fam_a, fam_b = families
         by_a, by_b = samples[fam_a], samples[fam_b]
         # Pair only the trials that succeeded in both families.

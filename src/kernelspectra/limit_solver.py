@@ -69,13 +69,17 @@ from .spectral import Law
 
 DEFAULT_EPSILON = 1e-3    # the inversion offset when a caller sets none
 _MASS_TOL = 1e-3          # the window must hold all mass but this
+# the largest epsilon whose margins, 8 epsilon / (pi * _MASS_TOL), are finite
+_MAX_EPSILON = float(np.finfo(float).max) / 8.0 * (np.pi * _MASS_TOL)
 _ISOLATED = 1e-3          # a root this far from the others, over max|w|
 # cube roots of unity; a complex ufunc at import pages in ~0.25 MB of code
 _CUBE_ROOTS = np.array([1.0, -0.5 + 0.75 ** 0.5 * 1j, -0.5 - 0.75 ** 0.5 * 1j])
 
 
 def _check_params(a: float, nu: float, gamma: float,
-                  epsilon: float = DEFAULT_EPSILON) -> None:
+                  epsilon: float | None = None) -> None:
+    """Refuse a law, and an inversion offset unless it is None, that the
+    solver cannot evaluate without overflow."""
     if not 0 < gamma < np.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     if not 0 <= a < np.inf:
@@ -87,10 +91,21 @@ def _check_params(a: float, nu: float, gamma: float,
     if not np.isfinite(_quartic(a, nu, gamma)).all():
         raise ValueError(f"c = a/gamma, d = (nu - a^2)/gamma or the support "
                          f"quartic overflows at a={a}, nu={nu}, gamma={gamma}")
+    if epsilon is None:
+        return
     # _reciprocal_roots divides by a scale as small as epsilon: keep it normal
     if not np.finfo(float).tiny <= epsilon < np.inf:
         raise ValueError(f"epsilon must be positive and finite, a normal "
                          f"float >= {np.finfo(float).tiny:.17g}, got {epsilon}")
+    # keep solve_grid's window, and the cubic's roots at its ends, finite
+    # (the window is built at _MAX_EPSILON at most, where it is finite)
+    lo, hi = _window(a, nu, gamma, min(epsilon, _MAX_EPSILON))
+    with np.errstate(all="ignore"):
+        w = _reciprocal_roots(a, nu, gamma, np.array([lo, hi]) + 1j * epsilon)
+    if not (epsilon <= _MAX_EPSILON and np.isfinite(w).all()):
+        raise ValueError(f"epsilon must be <= {_MAX_EPSILON}, and lower "
+                         f"where solve_grid's window overflows the roots at "
+                         f"a={a}, nu={nu}, gamma={gamma}; got {epsilon}")
 
 
 def _cd(a: float, nu: float, gamma: float) -> tuple[float, float]:
@@ -217,6 +232,21 @@ def _support(a: float, nu: float, gamma: float) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
+def _window(a: float, nu: float, gamma: float,
+            epsilon: float) -> tuple[float, float]:
+    """solve_grid's window: the support's hull and the atoms, widened on
+    each side by 4 epsilon / (pi * 1e-3), outside which the smoothed law's
+    Cauchy tails put at most 5e-4 of its mass, and below an atom by an ulp
+    at least."""
+    atoms = _atoms(a, nu, gamma)
+    ends = [*_support(a, nu, gamma), *(loc for loc, _ in atoms)]
+    margin = 4.0 * epsilon / (np.pi * _MASS_TOL)
+    lo = min(ends) - margin
+    if atoms:  # where margin rounds off, an atom at lo would fall in cdf[0]
+        lo = min(lo, np.nextafter(min(ends), -np.inf))
+    return lo, max(ends) + margin
+
+
 def _smoothed_cdf(a: float, nu: float, gamma: float,
                   m: np.ndarray) -> np.ndarray:
     """CDF of the eps-smoothed law at x, from m = m(x + i eps)."""
@@ -290,24 +320,15 @@ class LimitLaw(Law):
 
 def solve_grid(a: float, nu: float, gamma: float, n_points: int = 2000,
                epsilon: float = DEFAULT_EPSILON) -> LimitLaw:
-    """Invert the limit law on a real grid at imaginary offset epsilon.
-
-    The window is the support's hull and the atoms, widened on each side
-    by 4 epsilon / (pi * 1e-3), outside which the smoothed law's Cauchy
-    tails put at most 5e-4 of its mass, and below an atom by an ulp at
-    least. Raises SolverError when the grid holds less than 1 - 1e-3 of
+    """Invert the limit law at imaginary offset epsilon on a grid over
+    _window. Raises SolverError when the grid holds less than 1 - 1e-3 of
     the mass.
     """
     _check_params(a, nu, gamma, epsilon)
     if n_points < 16:
         raise ValueError(f"need n_points >= 16, got {n_points}")
     atoms = _atoms(a, nu, gamma)
-    ends = [*_support(a, nu, gamma), *(loc for loc, _ in atoms)]
-    margin = 4.0 * epsilon / (np.pi * _MASS_TOL)
-    lo = min(ends) - margin
-    if atoms:  # where margin rounds off, an atom at lo would fall in cdf[0]
-        lo = min(lo, np.nextafter(min(ends), -np.inf))
-    grid = np.linspace(lo, max(ends) + margin, n_points)
+    grid = np.linspace(*_window(a, nu, gamma, epsilon), n_points)
     m_eps = _stieltjes(a, nu, gamma, grid + 1j * epsilon)
     cdf = _smoothed_cdf(a, nu, gamma, m_eps)
     for loc, mass in atoms:

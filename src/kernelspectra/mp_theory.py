@@ -184,7 +184,10 @@ class AffineMPLaw(Law):
         return {"x": x, "density": self.density(x), "cdf": self.cdf(x)}
 
     def _pullback(self, x) -> np.ndarray:
-        return (np.asarray(x, dtype=float) - self.shift) / self.scale
+        """(x - shift) / scale: +-inf where it overflows at a tiny |scale|,
+        which the MP law's CDF and density take as their limits."""
+        with np.errstate(over="ignore"):
+            return (np.asarray(x, dtype=float) - self.shift) / self.scale
 
     def density(self, x) -> np.ndarray | float:
         """Continuous density at x (atoms excluded)."""
@@ -208,18 +211,24 @@ class AffineMPLaw(Law):
         return out if np.ndim(x) else float(out)
 
     def stieltjes(self, z) -> np.ndarray | complex:
-        """Transform of the pushforward: (1/scale) m_MP((z - shift)/scale)."""
+        """Transform of the pushforward: (1/scale) m_MP((z - shift)/scale).
+
+        Where w = (z - shift)/scale overflows (everywhere when scale = 0),
+        the law is an atom at the shift to relative |scale| b / |z - shift|,
+        and m is its transform 1/(shift - z).
+        """
         z_arr = np.asarray(z, dtype=complex)
         if np.any(z_arr.imag <= 0):
             raise ValueError("stieltjes requires Im z > 0")
-        if self.degenerate:
-            m = 1.0 / (self.shift - z_arr)
-        else:
+        m = 1.0 / (self.shift - z_arr)
+        with np.errstate(all="ignore"):
             w = (z_arr - self.shift) / self.scale
-            if self.scale > 0:
-                m = mp_stieltjes(self.gamma, w) / self.scale
-            else:
-                m = np.conjugate(mp_stieltjes(self.gamma, np.conjugate(w))) / self.scale
+        mapped = np.isfinite(w)
+        if mapped.any():  # conj(w) has Im > 0 where scale < 0; 1j stands in
+            w = np.where(mapped, w if self.scale > 0 else np.conjugate(w), 1j)
+            m_mp = mp_stieltjes(self.gamma, w)
+            m_mp = m_mp if self.scale > 0 else np.conjugate(m_mp)
+            m = np.where(mapped, m_mp / self.scale, m)
         return m if np.ndim(z) else complex(m)
 
     def to_record(self) -> dict:

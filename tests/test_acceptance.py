@@ -174,7 +174,7 @@ def test_criterion_07_p_dependent_universality():
     t0 = time.perf_counter()
     result = ks.run_universality(ks.ExperimentConfig(
         ensemble="gaussian", ensemble_b="rademacher", p=800, n=800, trials=3,
-        seed=4, envelope="sign-scaled", target="cross-ensemble",
+        seed=4, envelope="sign-scaled", target="functional-equation",
         law_a=np.sqrt(2.0 / np.pi), law_nu=1.0))
     d_gauss, d_rad, d_cross = (_pooled_record(result, fam).ks
                                for fam in ("gaussian", "rademacher", "cross"))
@@ -187,6 +187,31 @@ def test_criterion_07_p_dependent_universality():
     assert d_gauss < 0.06
     assert d_rad < 0.06
     assert d_cross < 0.03
+    assert elapsed < limit
+
+
+def test_two_families_in_one_run_score_against_each_other():
+    # One affine-mp run per pair and p, the second family drawn from its own
+    # trial seeds. Gaussian (kappa = 2) and sphere (kappa = 0) keep a KS gap
+    # at every p, while rademacher and sphere (both kappa = 0) converge.
+    limit = 60.0
+    t0 = time.perf_counter()
+    cross = {}
+    for pair in (("gaussian", "sphere"), ("rademacher", "sphere")):
+        for p in (300, 600, 1200):
+            result = ks.run_universality(ks.ExperimentConfig(
+                ensemble=pair[0], ensemble_b=pair[1], p=p, n=2 * p, trials=2,
+                seed=36, envelope="exp:a=1", target="affine-mp"))
+            cross[pair[0], p] = _pooled_record(result, "cross").ks
+    elapsed = time.perf_counter() - t0
+    gauss = [cross["gaussian", p] for p in (300, 600, 1200)]
+    rad = [cross["rademacher", p] for p in (300, 600, 1200)]
+    print(f"[two families] cross KS at p = 300, 600, 1200: gaussian-sphere "
+          + "/".join(f"{d:.4f}" for d in gauss) + " (each > 0.05), "
+          "rademacher-sphere " + "/".join(f"{d:.4f}" for d in rad)
+          + f" (falls); runtime {elapsed:.1f}s < {limit:.0f}s")
+    assert min(gauss) > 0.05
+    assert rad[-1] < rad[0]
     assert elapsed < limit
 
 

@@ -1,8 +1,10 @@
 """Every CLI call the benchmark makes parses with the current parser.
 
 ``bench/workloads.py`` builds the argument lists of each workload's pass;
-a flag dropped from the CLI would make the benchmark fail at run time.
-This loads the module by path and parses each list; nothing is run.
+a flag dropped from the CLI, or a config rule that refuses a ``compare``
+call's keys, would make the benchmark fail at run time. This loads the
+module by path, parses each list and builds each ``compare`` call's config
+as ``compare`` does; nothing is run.
 """
 
 import importlib.util
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from kernelspectra.cli import _build_parser
+from kernelspectra.cli import _build_parser, _compare_config
 
 _WORKLOADS = Path(__file__).parents[1] / "bench" / "workloads.py"
 
@@ -34,3 +36,5 @@ def test_every_benchmark_operation_parses(name, tmp_path):
     for argv in operations:
         args = parser.parse_args(argv)
         assert args.command == argv[0]
+        if args.command == "compare":
+            _compare_config(args)  # raises on a config the run would refuse

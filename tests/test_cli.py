@@ -340,8 +340,8 @@ def _assert_spectra_load_back(path, spectra):
 @pytest.mark.parametrize("settings", [
     {"target": "affine-mp", "envelope": "exp:a=1"},
     {"target": "functional-equation", **_SIGN_SCALED},
-    {"target": "cross-ensemble", "ensemble_b": "sphere", **_SIGN_SCALED},
-], ids=["affine-mp", "functional-equation", "cross-ensemble"])
+    {"target": "functional-equation", "ensemble_b": "sphere", **_SIGN_SCALED},
+], ids=["affine-mp", "functional-equation", "functional-equation-ensemble_b"])
 def test_every_table_compare_writes_loads_back(settings, tmp_path, capsys):
     settings = {"ensemble": "rademacher", "p": "12", "n": "20", "seed": "5",
                 "trials": "2", **settings}
@@ -921,6 +921,34 @@ def test_a_subnormal_epsilon_exits_one_naming_the_bound(
     assert ("epsilon must be positive and finite, a normal float >= "
             "2.2250738585072014e-308, got 1e-310") in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--law", "fe", "--a", "0", "--nu", "1", "--epsilon", "1e306"],
+    ["compare", "--set", "p=20", "--set", "n=40", "--set",
+     "target=functional-equation", "--set", "law_a=0", "--set", "law_nu=1",
+     "--set", "epsilon=1e306"],
+])
+def test_an_epsilon_whose_window_overflows_exits_one_naming_the_bound(
+        argv, tmp_path, capsys, monkeypatch):
+    _forbid_trials(monkeypatch)
+    out = tmp_path / "out"
+    assert cli_main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: epsilon must be <= "
+                                   "7.059524432365321e+304")
+    assert "got 1e+306\n" in captured.err
+    assert not out.exists()
+
+
+def test_predict_writes_an_affine_law_at_a_subnormal_scale(tmp_path, capsys):
+    out = tmp_path / "mp.csv"
+    assert cli_main(["predict", "--law", "mp", "--scale", "1e-320",
+                     "--out", str(out)]) == 0
+    rows, _ = read_table(out, ("x", "density", "cdf"))
+    cdf = np.array(rows, dtype=float)[:, 2]
+    assert cdf[0] == 0.0 and cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0)
 
 
 @pytest.mark.parametrize("argv, named", [

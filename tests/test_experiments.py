@@ -93,9 +93,12 @@ def test_config_validation():
             ExperimentConfig(p=20, n=40, target="functional-equation",
                              law_a=law_a, law_nu=law_nu)
     for half in ({"law_a": 1.0}, {"law_nu": 1.0}):
-        with pytest.raises(ValueError, match="together"):
-            ExperimentConfig(target="cross-ensemble", ensemble_b="sphere",
+        with pytest.raises(ValueError, match="needs law_a and law_nu"):
+            ExperimentConfig(target="functional-equation", ensemble_b="sphere",
                              **half)
+    for target in ("affine-mp", "cross-ensemble"):
+        with pytest.raises(ValueError, match="differ"):
+            ExperimentConfig(target=target, ensemble_b="gaussian")
     with pytest.raises(ValueError, match="gamma"):
         parse_config("p=20\nn=40\ngamma=0.3\n")
     # a written config.resolved echoes gamma=repr(p/n) and loads unchanged
@@ -104,32 +107,40 @@ def test_config_validation():
     assert parse_config(config_text(cfg)) == cfg
 
 
-@pytest.mark.parametrize("settings, key", [
-    ({"target": "affine-mp", "law_a": 0.5, "law_nu": 3.0}, "law_a"),
-    ({"target": "affine-mp", "law_nu": 3.0}, "law_nu"),
-    ({"target": "affine-mp", "ensemble_b": "sphere"}, "ensemble_b"),
-    ({"target": "functional-equation", "ensemble_b": "sphere",
-      "law_a": 0.5, "law_nu": 1.0}, "ensemble_b"),
-    ({"target": "affine-mp", "epsilon": 1e-3}, "epsilon"),
-    ({"target": "cross-ensemble", "ensemble_b": "sphere", "epsilon": 1e-3},
-     "epsilon"),
-], ids=["affine-mp-law", "affine-mp-law_nu", "affine-mp-ensemble_b",
-        "functional-equation-ensemble_b", "affine-mp-epsilon",
-        "cross-ensemble-epsilon"])
-def test_config_rejects_a_key_its_target_ignores(settings, key):
-    # affine-mp predicts its law from the kernel, only a cross-ensemble run
-    # draws ensemble_b, and only a solved law reads epsilon; a key that
-    # would only be echoed is an error
-    with pytest.raises(ValueError, match=key):
-        ExperimentConfig(p=20, n=40, **settings)
+# What each target needs besides the key under test, and the keys it reads:
+# target picks the law, only functional-equation solves one (from law_a,
+# law_nu and epsilon), and ensemble_b adds a second family under any target.
+_TARGET_NEEDS = {"affine-mp": {}, "cross-ensemble": {"ensemble_b": "sphere"},
+                 "functional-equation": {"law_a": 0.5, "law_nu": 1.0}}
+_TARGET_READS = {"affine-mp": {"ensemble_b"}, "cross-ensemble": {"ensemble_b"},
+                 "functional-equation": {"ensemble_b", "law_a", "law_nu",
+                                         "epsilon"}}
+_KEY_VALUES = {"ensemble_b": "sphere", "law_a": 0.25, "law_nu": 1.5,
+               "epsilon": 2e-3}
+
+
+@pytest.mark.parametrize("target, key", [
+    (target, key) for target in _TARGET_NEEDS for key in _KEY_VALUES],
+    ids=lambda value: value)
+def test_config_rejects_a_key_its_target_ignores(target, key):
+    # a key that would only be echoed into config.resolved is an error
+    settings = {"p": 20, "n": 40, "target": target, **_TARGET_NEEDS[target],
+                key: _KEY_VALUES[key]}
+    if key in _TARGET_READS[target]:
+        assert getattr(ExperimentConfig(**settings), key) == _KEY_VALUES[key]
+    else:
+        with pytest.raises(ValueError, match=f"{target} target does not "
+                                             f"read {key}"):
+            ExperimentConfig(**settings)
 
 
 @pytest.mark.parametrize("settings", [
-    {"target": "functional-equation"},
-    {"target": "cross-ensemble", "ensemble_b": "sphere"},
-], ids=["functional-equation", "cross-ensemble"])
+    {},
+    {"ensemble_b": "sphere"},
+], ids=["functional-equation", "functional-equation-ensemble_b"])
 def test_a_solved_law_reads_epsilon_and_defaults_it(settings):
-    settings = {"p": 20, "n": 40, "law_a": 1.0, "law_nu": 1.5, **settings}
+    settings = {"p": 20, "n": 40, "target": "functional-equation",
+                "law_a": 1.0, "law_nu": 1.5, **settings}
     config = ExperimentConfig(**settings)
     assert config.epsilon == 1e-3 and "epsilon=0.001\n" in config_text(config)
     result = run_universality(ExperimentConfig(**settings, epsilon=2e-3))
@@ -266,6 +277,30 @@ def test_cross_ensemble_families_draw_independent_trials():
     assert [r.trial for r in cross] == [0, 1, -1]
     for r in cross:
         assert r.ks > 0 and r.w1 > 0 and r.stieltjes_sup > 0
+
+
+def test_a_second_family_changes_no_record_of_the_first():
+    # ensemble_b draws from its own trial tag, so adding it to an affine-mp
+    # run leaves the first family's records as a single-family run writes
+    # them, and its cross records are those of a cross-ensemble run
+    model = {"ensemble": "gaussian", "p": 30, "n": 60, "trials": 2,
+             "seed": 5, "envelope": "exp:a=1"}
+    both = run_universality(ExperimentConfig(**model, ensemble_b="sphere"))
+    alone = run_universality(ExperimentConfig(**model))
+    lawless = run_universality(ExperimentConfig(
+        **model, ensemble_b="sphere", target="cross-ensemble"))
+
+    def records(result, family):
+        return [r for r in result.distances if r.family == family]
+
+    assert [(r.family, r.trial) for r in both.distances] == [
+        (fam, t) for fam in ("gaussian", "sphere", "cross")
+        for t in (0, 1, -1)]
+    assert records(both, "gaussian") == records(alone, "gaussian")
+    assert records(both, "cross") == lawless.distances
+    for t, e in alone.samples["gaussian"].items():
+        assert both.samples["gaussian"][t].points.tobytes() == e.points.tobytes()
+    assert both.law == alone.law and lawless.law is None
 
 
 def test_trial_seeds_of_each_family(monkeypatch):

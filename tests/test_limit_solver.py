@@ -405,6 +405,30 @@ def test_epsilon_must_be_a_normal_float():
     assert law.atoms == ((0.0, 1.0),) and law.cdf(0.0) == 1.0
 
 
+def test_epsilon_is_bounded_where_the_window_stays_finite():
+    # the window spans more than 8 epsilon / (pi * 1e-3); the largest
+    # epsilon whose width is finite solves without a warning
+    top = limit_solver._MAX_EPSILON
+    law = solve_grid(0.0, 1.0, 0.5, epsilon=top)
+    assert np.isfinite(law.grid[-1] - law.grid[0])
+    assert np.isfinite(law.cdf_values).all() and law.cdf_values[-1] > 0.999
+    assert ExperimentConfig(target="functional-equation", law_a=0.0,
+                            law_nu=1.0, epsilon=top).epsilon == top
+    for epsilon in (np.nextafter(top, np.inf), 1e306, np.finfo(float).max):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"epsilon must be <= {top},")):
+            solve_grid(0.0, 1.0, 0.5, epsilon=epsilon)
+    # where c or d is large, the cubic's roots at the window's ends
+    # overflow first: refused, where solving it warned and raised
+    # SolverError
+    for a, nu, gamma, epsilon in ((1.0, 1.0, 0.5, top),
+                                  (1e70, 1e140, 0.5, 1e250)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"overflows the roots at a={a}, nu={nu}")):
+            solve_grid(a, nu, gamma, epsilon=epsilon)
+    assert solve_grid(1e70, 1e140, 0.5, epsilon=1e200).atoms
+
+
 @pytest.mark.parametrize("a, nu, gamma", [(0.5, 1.0, 1e-300),   # c^2 = inf
                                           (1e100, 1e201, 1.0)])  # c^2 d = inf
 def test_a_law_whose_support_quartic_overflows_is_refused(a, nu, gamma):

@@ -287,3 +287,19 @@ def test_a_law_near_the_float_limit_writes_a_finite_table():
     table = AffineMPLaw(gamma=0.5, shift=0.0, scale=-1e307).table()
     assert all(np.isfinite(col).all() for col in table.values())
     assert table["cdf"][0] == 0.0 and table["cdf"][-1] == 1.0
+
+
+@pytest.mark.parametrize("scale", [1e-306, -1e-306, 1e-320, -1e-320])
+def test_a_tiny_scale_takes_the_atom_limit_where_the_pullback_overflows(scale):
+    # (x - shift) / scale overflows 600 away from the shift; there the law
+    # is an atom at the shift to relative |scale| b / |x - shift|
+    law = AffineMPLaw(gamma=0.5, shift=2.0, scale=scale)
+    assert law.cdf(600.0) == 1.0 and law.cdf(-600.0) == 0.0
+    np.testing.assert_array_equal(law.cdf(np.array([-600.0, 600.0])),
+                                  [0.0, 1.0])
+    assert law.density(600.0) == 0.0 and law.density(-600.0) == 0.0
+    for z in (600 + 1j, -600 + 1j, 1j):
+        np.testing.assert_allclose(law.stieltjes(z), 1.0 / (2.0 - z),
+                                   rtol=1e-15)
+    m = law.stieltjes(np.array([600 + 1j, 2.0 + 2.0 * scale + 1e-300j]))
+    assert m[0] == 1.0 / (2.0 - (600 + 1j)) and m[1].imag > 0
