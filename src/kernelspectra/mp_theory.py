@@ -7,8 +7,9 @@ the Gram matrix X^T X for columns normalized to E||X||^2 = 1.
 
 The closed-form Stieltjes transform is derived by mapping to the standard
 sample-covariance parameterization with ratio lambda = 1/gamma, where m
-solves lambda z m^2 + (z + lambda - 1) m + 1 = 0; the root is selected by
-the Herglotz property (Im m > 0), not by a principal-branch convention.
+solves lambda z m^2 + (z + lambda - 1) m + 1 = 0. Its discriminant is
+(z - a)(z - b), so the product of principal roots sqrt(z - a) sqrt(z - b)
+gives the Herglotz root in closed form, with no root to select.
 The CDF is closed-form too: on the support, Im G(m(x + i0)) / pi for an
 elementary antiderivative G of m, exact to rounding.
 """
@@ -20,14 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError
 from .kernels import KernelSpec, linearization_coefficients
 from .spectral import Law
 
 
 def _check_gamma(gamma: float) -> None:
-    if not 0 < gamma < np.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    # a normal float: a subnormal gamma has lost bits, and from half the
+    # smallest normal down the transform's D - B ~ -2/gamma overflows
+    if not np.finfo(float).tiny <= gamma < np.inf:
+        raise ValueError(f"gamma must be positive and finite, a normal "
+                         f"float >= {np.finfo(float).tiny:.17g}, got {gamma}")
 
 
 def mp_support(gamma: float) -> tuple[float, float]:
@@ -97,30 +100,26 @@ def mp_cdf(gamma: float, x) -> np.ndarray | float:
     return out if np.ndim(x) else float(out)
 
 
-def mp_stieltjes(gamma: float, z) -> np.ndarray | complex:
-    """Stieltjes transform m(z) of the full law (atom included), Im z > 0.
+def _transform(gamma: float, z) -> np.ndarray:
+    """m(z) off the support, in either half plane: m(conj z) = conj m(z).
 
-    Far out, |z| >= 1e4 (1 + lambda), the root formula's numerator
-    cancels; there m is the root of smaller modulus (|m| <= 1/dist(z,
-    support)), taken from the other by Vieta: their product is 1/(lambda z).
+    With B = z + (lambda - 1), exact at gamma = 1, and D = sqrt(z - a)
+    sqrt(z - b), ~ z at infinity with its cut on [a, b], the Herglotz root
+    is m = gamma (D - B)/(2 z) = -2/(B + D), taken in the uncancelled form.
     """
-    _check_gamma(gamma)
+    a, b = mp_support(gamma)
+    big, d = z + (1.0 / gamma - 1.0), np.sqrt(z - a) * np.sqrt(z - b)
+    s, t = d + big, d - big
+    t = np.where(abs(t) > abs(s), t, 0.0)  # gamma t may overflow where unused
+    return np.where(t == 0.0, -2.0 / s, gamma * t / (2.0 * z))
+
+
+def mp_stieltjes(gamma: float, z) -> np.ndarray | complex:
+    """Stieltjes transform m(z) of the full law (atom included), Im z > 0."""
     z_arr = np.asarray(z, dtype=complex)
     if np.any(z_arr.imag <= 0):
         raise ValueError("mp_stieltjes requires Im z > 0")
-    lam = 1.0 / gamma
-    far = abs(z_arr) >= 1e4 * (1.0 + lam)
-    # each formula gets a stand-in at the other's points; u^2 would overflow
-    u = np.where(far, z_arr, 4j * (1.0 + lam)) - 1.0 - lam
-    m_far = -2.0 / (2.0 * lam + u + u * np.sqrt(1.0 - 4.0 * lam / u / u))
-    zn = np.where(far, 4j * (1.0 + lam), z_arr)
-    disc = np.sqrt((zn - 1.0 - lam) ** 2 - 4.0 * lam)
-    m_plus = ((1.0 - lam) - zn + disc) / (2.0 * lam * zn)
-    m_minus = ((1.0 - lam) - zn - disc) / (2.0 * lam * zn)
-    m = np.where(m_plus.imag > m_minus.imag, m_plus, m_minus)
-    if np.any(m.imag <= 0):
-        raise SolverError("no MP root with Im m > 0: Im m underflows")
-    m = np.where(far, m_far, m)
+    m = _transform(gamma, z_arr)
     return m if np.ndim(z) else complex(m)
 
 
@@ -190,13 +189,15 @@ class AffineMPLaw(Law):
             return (np.asarray(x, dtype=float) - self.shift) / self.scale
 
     def density(self, x) -> np.ndarray | float:
-        """Continuous density at x (atoms excluded)."""
+        """Continuous density at x (atoms excluded): inf inside a
+        subnormal-scale support, where it exceeds the float range."""
         x_arr = np.asarray(x, dtype=float)
         if self.degenerate:
             out = np.zeros_like(x_arr)
         else:
             out = np.asarray(mp_density(self.gamma, self._pullback(x_arr)))
-            out = out / abs(self.scale)
+            with np.errstate(over="ignore"):
+                out = out / abs(self.scale)
         return out if np.ndim(x) else float(out)
 
     def cdf(self, x) -> np.ndarray | float:
@@ -211,24 +212,20 @@ class AffineMPLaw(Law):
         return out if np.ndim(x) else float(out)
 
     def stieltjes(self, z) -> np.ndarray | complex:
-        """Transform of the pushforward: (1/scale) m_MP((z - shift)/scale).
+        """Transform of the pushforward: (1/scale) m_MP((z - shift)/scale),
+        one closed form in either half plane of w = (z - shift)/scale.
 
-        Where w = (z - shift)/scale overflows (everywhere when scale = 0),
-        the law is an atom at the shift to relative |scale| b / |z - shift|,
-        and m is its transform 1/(shift - z).
+        Where w overflows (everywhere when scale = 0), the law is an atom at
+        the shift to relative |scale| b / |z - shift|: m = 1/(shift - z).
         """
         z_arr = np.asarray(z, dtype=complex)
         if np.any(z_arr.imag <= 0):
             raise ValueError("stieltjes requires Im z > 0")
-        m = 1.0 / (self.shift - z_arr)
+        m = np.asarray(1.0 / (self.shift - z_arr))
         with np.errstate(all="ignore"):
             w = (z_arr - self.shift) / self.scale
         mapped = np.isfinite(w)
-        if mapped.any():  # conj(w) has Im > 0 where scale < 0; 1j stands in
-            w = np.where(mapped, w if self.scale > 0 else np.conjugate(w), 1j)
-            m_mp = mp_stieltjes(self.gamma, w)
-            m_mp = m_mp if self.scale > 0 else np.conjugate(m_mp)
-            m = np.where(mapped, m_mp / self.scale, m)
+        m[mapped] = _transform(self.gamma, w[mapped]) / self.scale
         return m if np.ndim(z) else complex(m)
 
     def to_record(self) -> dict:

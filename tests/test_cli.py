@@ -530,6 +530,15 @@ def test_compare_gives_a_finite_sup_at_an_extreme_point(z, capsys):
     assert np.isfinite(float(line.rpartition("stieltjes_sup=")[2]))
 
 
+def test_compare_scores_the_mp_law_next_to_the_axis(capsys):
+    # inner/keep identity is the MP law itself at gamma = 2; the root
+    # comparison lost Im m at 1e-12j and exited 1
+    assert cli_main(["compare", "--set", "diag=keep", "--set", "p=80",
+                     "--set", "n=40", "--set", "z_grid=1e-12j;1j"]) == 0
+    [line] = capsys.readouterr().out.splitlines()
+    assert np.isfinite(float(line.rpartition("stieltjes_sup=")[2]))
+
+
 @pytest.mark.parametrize("settings, z", [
     (["target=functional-equation", "law_a=0.5", "law_nu=1"],
      "(1e+301+1j)"),
@@ -949,6 +958,21 @@ def test_predict_writes_an_affine_law_at_a_subnormal_scale(tmp_path, capsys):
     rows, _ = read_table(out, ("x", "density", "cdf"))
     cdf = np.array(rows, dtype=float)[:, 2]
     assert cdf[0] == 0.0 and cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0)
+
+
+def test_predict_mp_takes_gamma_down_to_the_smallest_normal_float(tmp_path,
+                                                                 capsys):
+    # 1e-310 overflowed the MP support and blamed shift and scale
+    assert cli_main(["predict", "--law", "mp", "--gamma", "1e-310"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: gamma must be positive and finite, a normal float >= "
+        "2.2250738585072014e-308, got 1e-310\n")
+    out = tmp_path / "mp.csv"
+    assert cli_main(["predict", "--law", "mp", "--gamma",
+                     "2.2250738585072014e-308", "--out", str(out)]) == 0
+    rows, _ = read_table(out, ("x", "density", "cdf"))
+    assert np.isfinite(np.array(rows, dtype=float)).all()
 
 
 @pytest.mark.parametrize("argv, named", [

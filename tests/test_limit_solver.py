@@ -72,6 +72,18 @@ def test_nu_equal_a_squared_matches_affine_mp_transform():
         assert abs(m - law.stieltjes(z)) < 1e-9
 
 
+@pytest.mark.parametrize("a, gamma", [(1.0, 0.5), (1.0, 2.0), (0.7, 1.0),
+                                      (2.0, 3.0)])
+def test_nu_equal_a_squared_matches_affine_mp_next_to_the_axis(a, gamma):
+    # the MP transform's root comparison raised SolverError at gamma = 2
+    # and 3 here, and was 1.8e-9 off at gamma = 1
+    xs = np.concatenate([np.linspace(-6.0, 8.0, 57), [-a, 0.0]])
+    law = AffineMPLaw(gamma=gamma, shift=-a, scale=a)
+    for z in (xs[:, None] + 1j * np.array([1e-3, 1e-8, 1e-12, 1e-20])).flat:
+        m = solve_point(a, a * a, gamma, z)
+        assert abs(law.stieltjes(z) - m) <= 1e-14 * abs(m), z
+
+
 # ---------------------------------------------------------------------------
 # solve_grid
 # ---------------------------------------------------------------------------

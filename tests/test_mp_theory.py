@@ -157,6 +157,21 @@ def test_stieltjes_is_herglotz_on_a_grid():
         assert np.all(np.asarray(m).imag > 0)
 
 
+@pytest.mark.parametrize("gamma, z, exact", [
+    # by mpmath at 700 digits; the root comparison gave the first two far
+    # off and raised "Im m underflows" at the last three
+    (1.0, -1e-50 + 1e-60j, 1e25 + 5e14j),
+    (1.0, -1e-12 + 1e-30j, 999999.500000125 + 4.999999999999376e-13j),
+    (2.0, 1e-12j, 2.0 + 8e-12j),
+    (2.0, 6.854119407013854e-20j, 2.0 + 5.483295525611083e-19j),
+    (100.0, 1e-30j, 1.0101010101010102 + 1.0306101521283646e-30j),
+])
+def test_stieltjes_next_to_the_axis_matches_mpmath(gamma, z, exact):
+    m = mp_stieltjes(gamma, z)
+    assert abs(m.real / exact.real - 1.0) <= 1e-12
+    assert abs(m.imag / exact.imag - 1.0) <= 1e-12
+
+
 def test_stieltjes_rejects_lower_half_plane():
     with pytest.raises(ValueError):
         mp_stieltjes(1.0, 1.0 - 1j)
@@ -164,7 +179,11 @@ def test_stieltjes_rejects_lower_half_plane():
         mp_stieltjes(1.0, 2.0)
 
 
-@pytest.mark.parametrize("gamma", [np.nan, np.inf, 0.0, -1.0])
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
+
+
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, 0.0, -1.0, 1e-310,
+                                   np.nextafter(_TINY, 0.0)])
 @pytest.mark.parametrize("call", [
     lambda g: mp_support(g),
     lambda g: mp_atom_mass(g),
@@ -176,6 +195,22 @@ def test_stieltjes_rejects_lower_half_plane():
 def test_public_functions_reject_non_positive_or_non_finite_gamma(call, gamma):
     with pytest.raises(ValueError, match="positive and finite"):
         call(gamma)
+
+
+def test_the_smallest_normal_gamma_is_a_unit_atom_at_zero():
+    # below it the MP support or the transform overflows (1e-310 gave
+    # nan+nanj); filterwarnings = error, so each call here is warning-free
+    with pytest.raises(ValueError, match="gamma must be positive and finite, "
+                       "a normal float >= 2.2250738585072014e-308, got "
+                       "2.225073858507201e-308"):
+        mp_stieltjes(np.nextafter(_TINY, 0.0), 1j)
+    assert mp_stieltjes(_TINY, 1j) == 1j
+    np.testing.assert_array_equal(mp_stieltjes(_TINY, np.array([1j, 2j])),
+                                  [1j, 0.5j])
+    assert mp_cdf(_TINY, -1.0) == 0.0 and mp_cdf(_TINY, 0.0) == 1.0
+    assert mp_density(_TINY, 1.0) == 0.0
+    np.testing.assert_array_equal(mp_density(_TINY, np.array([0.0, 1.0])),
+                                  [0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +316,16 @@ def test_a_law_whose_table_range_overflows_is_refused(shift, scale):
     # linspace over the table's range would give nan x values
     with pytest.raises(ValueError, match="finite table range"):
         AffineMPLaw(gamma=0.5, shift=shift, scale=scale)
+
+
+@pytest.mark.parametrize("scale", [1e-320, -1e-320])
+def test_a_density_beyond_the_float_range_is_inf_without_a_warning(scale):
+    # 3e-320 / 1e-320 = 3 pulls back inside [a, b]; the density there,
+    # ~0.1 / 1e-320, rounds to inf (filterwarnings = error)
+    law = AffineMPLaw(gamma=0.5, shift=0.0, scale=scale)
+    assert law.density(3.0 * scale) == np.inf
+    np.testing.assert_array_equal(law.density(np.array([3.0 * scale, 1.0])),
+                                  [np.inf, 0.0])
 
 
 def test_a_law_near_the_float_limit_writes_a_finite_table():
