@@ -33,6 +33,8 @@ TARGETS = (AFFINE_MP, FUNCTIONAL_EQUATION, CROSS_ENSEMBLE)
 
 _DEFAULT_Z_GRID = (1j, 0.5 + 1j, 1 + 1j, 2 + 1j, -1 + 1j)
 _MAX_ABS_Z = 1e300  # a transform's 1/(x - z) overflows near the float limit
+# an ESD's transform is a mean of at most MAX_N_TRIALS terms of size <= 1/Im z
+_MIN_IM_Z = 1e-300
 
 # Desk-scale guardrail: refuse configs whose eigensolver work explodes.
 MAX_N_TRIALS = 20_000_000  # bound on n * trials
@@ -95,9 +97,10 @@ class ExperimentConfig:
         if not self.z_grid:
             raise ValueError("z_grid needs at least one point")
         for z in self.z_grid:
-            if not (np.imag(z) > 0 and abs(z) <= _MAX_ABS_Z):
-                raise ValueError(f"z_grid points must be finite with Im z > 0 "
-                                 f"and |z| <= {_MAX_ABS_Z:g}, got {z}")
+            if not (np.imag(z) >= _MIN_IM_Z and abs(z) <= _MAX_ABS_Z):
+                raise ValueError(f"z_grid points must be finite with Im z >= "
+                                 f"{_MIN_IM_Z:g} and |z| <= {_MAX_ABS_Z:g}, "
+                                 f"got {z}")
 
     @property
     def gamma(self) -> float:

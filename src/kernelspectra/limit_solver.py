@@ -57,7 +57,6 @@ x -> -inf: the smoothed CDF is Im G(m(x + i eps)) / pi.
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,6 +68,7 @@ from .spectral import Law
 
 DEFAULT_EPSILON = 1e-3    # the inversion offset when a caller sets none
 _MASS_TOL = 1e-3          # the window must hold all mass but this
+_GRID_POINTS = 2000       # rows of every solved table
 # the largest epsilon whose margins, 8 epsilon / (pi * _MASS_TOL), are finite
 _MAX_EPSILON = float(np.finfo(float).max) / 8.0 * (np.pi * _MASS_TOL)
 _ISOLATED = 1e-3          # a root this far from the others, over max|w|
@@ -161,7 +161,9 @@ def _stieltjes(a: float, nu: float, gamma: float, z) -> np.ndarray:
     lift = 1e-12 * abs(w).max(axis=-1)
     near = z.imag < lift
     if np.any(near):  # continue the root picked at Re z + i lift down to z
-        w_up = _reciprocal_roots(a, nu, gamma, z.real + 1j * lift)
+        # (a point not near is solved at z: its lift may be subnormal)
+        w_up = _reciprocal_roots(a, nu, gamma,
+                                 z.real + 1j * np.maximum(lift, z.imag))
         up = w_up.imag < -0.5 * lift[..., None]
         gap = abs(w - np.where(up, w_up, 0).sum(axis=-1)[..., None])
         gap[w == 0] = np.inf  # the lost root, m = inf
@@ -261,10 +263,9 @@ def _smoothed_cdf(a: float, nu: float, gamma: float,
 class LimitLaw(Law):
     """Limit law inverted on a grid.
 
-    ``density`` is the raw inversion Im m / pi at the requested epsilon
-    (atoms appear in it as spikes of height ~ mass/(pi eps)); ``cdf_values``
-    holds the smoothed law's CDF at the grid points, right-continuous,
-    with each atom as an exact step instead of its smoothed profile.
+    ``m_values`` is m(x + i eps) at the grid points; ``cdf_values`` holds
+    the smoothed law's CDF there, right-continuous, with each atom as an
+    exact step instead of its smoothed profile.
     """
 
     a: float
@@ -273,7 +274,6 @@ class LimitLaw(Law):
     epsilon: float
     grid: np.ndarray
     m_values: np.ndarray
-    density: np.ndarray
     cdf_values: np.ndarray
     atoms: tuple[tuple[float, float], ...]
 
@@ -302,8 +302,10 @@ class LimitLaw(Law):
         return float(self.grid[0]), float(self.grid[-1])
 
     def table(self) -> dict[str, np.ndarray]:
-        """x, density, cdf and m = re_m + i im_m at the grid points."""
-        return {"x": self.grid, "density": self.density,
+        """x, density, cdf and m = re_m + i im_m at the grid points. The
+        density is the raw inversion Im m / pi at epsilon (atoms appear in
+        it as spikes of height ~ mass/(pi eps))."""
+        return {"x": self.grid, "density": self.m_values.imag / np.pi,
                 "cdf": self.cdf_values, "re_m": self.m_values.real,
                 "im_m": self.m_values.imag}
 
@@ -318,17 +320,15 @@ class LimitLaw(Law):
                 "atoms": list(self.atoms)}
 
 
-def solve_grid(a: float, nu: float, gamma: float, n_points: int = 2000,
+def solve_grid(a: float, nu: float, gamma: float,
                epsilon: float = DEFAULT_EPSILON) -> LimitLaw:
-    """Invert the limit law at imaginary offset epsilon on a grid over
-    _window. Raises SolverError when the grid holds less than 1 - 1e-3 of
-    the mass.
+    """Invert the limit law at imaginary offset epsilon on a grid of
+    _GRID_POINTS over _window. Raises SolverError when the grid holds less
+    than 1 - 1e-3 of the mass.
     """
     _check_params(a, nu, gamma, epsilon)
-    if n_points < 16:
-        raise ValueError(f"need n_points >= 16, got {n_points}")
     atoms = _atoms(a, nu, gamma)
-    grid = np.linspace(*_window(a, nu, gamma, epsilon), n_points)
+    grid = np.linspace(*_window(a, nu, gamma, epsilon), _GRID_POINTS)
     m_eps = _stieltjes(a, nu, gamma, grid + 1j * epsilon)
     cdf = _smoothed_cdf(a, nu, gamma, m_eps)
     for loc, mass in atoms:
@@ -340,18 +340,14 @@ def solve_grid(a: float, nu: float, gamma: float, n_points: int = 2000,
                           f"beyond tolerance {_MASS_TOL}")
     np.clip(cdf, 0.0, 1.0, out=cdf)
     return LimitLaw(a=a, nu=nu, gamma=gamma, epsilon=epsilon, grid=grid,
-                    m_values=m_eps, density=m_eps.imag / np.pi, cdf_values=cdf,
-                    atoms=atoms)
+                    m_values=m_eps, cdf_values=cdf, atoms=atoms)
 
 
 def load_limit_law(path: str | Path) -> LimitLaw:
-    """The LimitLaw save_limit_law wrote to ``path``."""
-    rows, meta = read_table(path, ("x", "density", "cdf", "re_m", "im_m"))
+    """The LimitLaw save_limit_law wrote to ``path``, solved again from the
+    a, nu, gamma and epsilon of its sidecar, which determine every row."""
+    _, meta = read_table(path, ("x", "density", "cdf", "re_m", "im_m"))
     params = ("a", "nu", "gamma", "epsilon")
     if not set(params) <= meta.keys():
         raise ValueError(f"{path}.meta lacks the law's parameters")
-    x, density, cdf, re_m, im_m = np.array([[float(v) for v in row]
-                                            for row in rows]).T
-    return LimitLaw(**{k: float(meta[k]) for k in params}, grid=x,
-                    m_values=re_m + 1j * im_m, density=density, cdf_values=cdf,
-                    atoms=tuple(ast.literal_eval(meta.get("atoms", "[]"))))
+    return solve_grid(*(float(meta[k]) for k in params))

@@ -49,26 +49,22 @@ def mp_atom_mass(gamma: float) -> float:
 def mp_density(gamma: float, x) -> np.ndarray | float:
     """Continuous density; the atom at 0 is reported separately."""
     a, b = mp_support(gamma)
-    # gamma / (2 pi x) overflows for x < ~1e-309, next to a zero left edge
-    # only; there the density is gamma / (2 pi) sqrt(b - x) / sqrt(x).
-    # A scalar twin of the array path, bit-equal to it: criterion 01's 120
-    # quadratures take 0.21 s through it and 1.0 s, its gate, through arrays.
-    if np.ndim(x) == 0:
-        xs = float(x)
+    gamma = float(gamma)  # a numpy scalar would warn where gamma / x overflows
+
+    def point(xs: float) -> float:
         if not a < xs < b:
             return 0.0
+        # gamma / (2 pi x) overflows for x < ~1e-309, next to a zero left
+        # edge only; there the density is gamma / (2 pi) sqrt(b - x) / sqrt(x)
         out = gamma / (2.0 * np.pi * xs) * math.sqrt((b - xs) * (xs - a))
         return float(out if out < math.inf else gamma / (2.0 * np.pi)
                      * math.sqrt(b - xs) * (math.sqrt(xs - a) / xs))
+
+    # per point, criterion 01 runs in 0.2 s; wrapped in arrays, 0.7 s (gate 1 s)
+    if np.ndim(x) == 0:
+        return point(float(x))
     x_arr = np.asarray(x, dtype=float)
-    inside = (x_arr > a) & (x_arr < b)
-    out = np.zeros_like(x_arr)
-    xs = x_arr[inside]
-    with np.errstate(over="ignore"):
-        d = gamma / (2.0 * np.pi * xs) * np.sqrt((b - xs) * (xs - a))
-    out[inside] = np.where(d < np.inf, d, gamma / (2.0 * np.pi)
-                           * np.sqrt(b - xs) * (np.sqrt(xs - a) / xs))
-    return out
+    return np.reshape([point(v) for v in x_arr.ravel().tolist()], x_arr.shape)
 
 
 def _mp_continuous_cdf(gamma: float, x) -> np.ndarray:
@@ -161,24 +157,27 @@ class AffineMPLaw(Law):
 
     @property
     def support(self) -> tuple[float, float]:
-        if self.degenerate:
-            return (self.shift, self.shift)
         a, b = mp_support(self.gamma)
         lo, hi = self.shift + self.scale * a, self.shift + self.scale * b
         return (min(lo, hi), max(lo, hi))
 
     def _widened(self, margin: float) -> tuple[float, float]:
+        """The support widened by margin times its span (at least margin)
+        on each side, and to an ulp below the atom and up to it."""
         lo, hi = self.support
         span = max(hi - lo, 1.0)
-        return lo - margin * span, hi + margin * span
+        lo, hi = lo - margin * span, hi + margin * span
+        for loc, _ in self.atoms:
+            lo, hi = min(lo, np.nextafter(loc, -np.inf)), max(hi, loc)
+        return lo, hi
 
     @property
     def window(self) -> tuple[float, float]:
-        """Support widened by 5% of its span (at least 0.05) on each side."""
+        """Support widened by 5% of its span (at least 0.05), and to the atom."""
         return self._widened(0.05)
 
     def table(self) -> dict[str, np.ndarray]:
-        """x, density, cdf on 2001 points over the support widened by 10%."""
+        """x, density, cdf on 2001 points over _widened(0.1)."""
         x = np.linspace(*self._widened(0.1), 2001)
         return {"x": x, "density": self.density(x), "cdf": self.cdf(x)}
 

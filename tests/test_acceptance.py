@@ -81,7 +81,7 @@ def test_criterion_03_nu_equals_a_squared_reduction():
     law = ks.solve_grid(1.0, 1.0, 1.0, epsilon=1e-3)
     mp = ks.AffineMPLaw(gamma=1.0, shift=-1.0, scale=1.0)
     smoothed = np.asarray(mp.stieltjes(law.grid + 1e-3j)).imag / np.pi
-    sup = float(np.max(np.abs(law.density - smoothed)))
+    sup = float(np.max(np.abs(law.table()["density"] - smoothed)))
     elapsed = time.perf_counter() - t0
     ok = sup < 1e-3 and elapsed < limit
     _verdict(3, "nu = a^2 reduces to affine MP",

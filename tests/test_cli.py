@@ -19,7 +19,7 @@ from kernelspectra import (KernelSpec, LimitLaw, VectorEnsemble,
                            run_universality, solve_grid)
 from kernelspectra import SolverError, experiments, orthopoly
 from kernelspectra._csvio import read_table
-from kernelspectra.cli import _add_model_flags, _build_parser, cli_main
+from kernelspectra.cli import _add_model_flags, _build_parser, cli_main, main
 from kernelspectra.ensembles import FAMILIES
 from kernelspectra.experiments import CONFIG_SCHEMA, ExperimentConfig, esd_meta
 from kernelspectra.kernels import DIAGONALS, ENVELOPE_FACTORIES, KERNELS
@@ -35,6 +35,39 @@ def test_unknown_flag_exits_one(capsys):
 
 def test_help_exits_zero(capsys):
     assert cli_main(["--help"]) == 0
+
+
+def test_main_exits_with_the_command_status(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["kernelspectra", "predict"])
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    assert exit_info.value.code == 0
+    assert "affine MP law" in capsys.readouterr().out
+
+
+def test_an_override_without_a_value_is_a_usage_error(capsys):
+    assert cli_main(["compare", "--set", "p"]) == 1
+    assert "override must be KEY=VALUE, got 'p'" in capsys.readouterr().err
+
+
+def test_expand_names_the_degenerate_hankel_determinant(capsys):
+    # at p = 1 a sphere sample is +-1: two support points, so det M_2 = 0
+    assert cli_main(["expand", "--ensemble", "sphere", "--p", "1",
+                     "--envelope", "exp:a=1"]) == 2
+    assert "det M_2 is not positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gamma", ["0.01", "2.2250738585072014e-308"])
+def test_predict_tabulates_an_atom_far_from_the_support(gamma, tmp_path):
+    # the table started at 77 (or, at the smallest gamma, was 2001 copies
+    # of 4.49e307) with cdf 0.99 on its first row
+    out = tmp_path / "mp.csv"
+    assert cli_main(["predict", "--law", "mp", "--gamma", gamma,
+                     "--out", str(out)]) == 0
+    rows, _ = read_table(out, ("x", "density", "cdf"))
+    x, _, cdf = np.array(rows, dtype=float).T
+    assert x[0] == -5e-324 and cdf[0] == 0.0
+    assert np.unique(x).size == 2001 and cdf[1] >= 0.99
 
 
 @pytest.mark.parametrize("command", ["simulate", "expand", "diagnose",
@@ -509,6 +542,9 @@ _FAMILY_TEXT = "expected one of ('gaussian', 'rademacher', 'sphere')"
     (["target=cross-ensemble", "ensemble_b=cauchy"], _FAMILY_TEXT),
     (["z_grid=nan+1j"], "z_grid points must be finite"),
     (["z_grid=1+1j;inf+1j"], "z_grid points must be finite"),
+    # Im z below 1e-300 overflowed the transforms, with warnings, to exit 1
+    (["envelope=const:c=0", "z_grid=1e-320j"], "with Im z >= 1e-300 and"),
+    (["envelope=const:c=1", "z_grid=-1+1e-310j"], "with Im z >= 1e-300 and"),
 ])
 def test_compare_rejects_unknown_family_or_non_finite_z_grid(settings, text,
                                                              capsys):

@@ -78,6 +78,8 @@ def test_substreams_rekey_to_the_fresh_substream_state():
         rng.integers(0, 2, size=5)  # leave a buffered half behind
     with pytest.raises(ValueError):
         next(substreams(99, TAG_COLUMN, [2**48]))
+    with pytest.raises(ValueError, match="tag out of range"):
+        substream(99, 1 << 16, 0)
 
 
 def test_sphere_redraws_an_all_zero_draw_from_its_stream():

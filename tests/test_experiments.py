@@ -1,23 +1,25 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 import weakref
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from kernelspectra import (ESD, Envelope, ExperimentConfig, KernelSpec,
-                           VectorEnsemble, build, build_basis, eigenvalues,
-                           envelope_coeffs, gram, ks_distance, parse_config,
-                           parse_envelope, run_l2_perturbation,
+                           SolverError, VectorEnsemble, build, build_basis,
+                           eigenvalues, envelope_coeffs, gram, ks_distance,
+                           parse_config, parse_envelope, run_l2_perturbation,
                            run_universality, sample_matrix, xi_moments)
 from kernelspectra._rng import TAG_TRIAL, TAG_TRIAL_B, derive_seed
 from kernelspectra.cli import cli_main
-from kernelspectra.experiments import (CONFIG_SCHEMA, config_text, trial_grams,
-                                       write_result)
+from kernelspectra.experiments import (CONFIG_SCHEMA, _distance_record,
+                                       config_text, trial_grams, write_result)
 from kernelspectra.kernels import ENVELOPE_FACTORIES
 
 
@@ -72,6 +74,11 @@ def test_parse_config_overrides_and_unknown_key():
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(trials=0)
+    for size in ({"p": 0}, {"n": 0}):
+        with pytest.raises(ValueError, match="need p >= 1 and n >= 1"):
+            ExperimentConfig(**size)
+    with pytest.raises(ValueError, match="target must be one of"):
+        ExperimentConfig(target="x")
     with pytest.raises(ValueError):
         ExperimentConfig(target="cross-ensemble")  # needs ensemble_b
     with pytest.raises(ValueError):
@@ -530,6 +537,28 @@ def test_l2_perturbation_identical_envelopes():
     assert rep.epsilon_hat == 0.0
     assert rep.delta_m == (0.0, 0.0)
     assert rep.ratio == 0.0
+
+
+def test_l2_perturbation_needs_a_point_off_the_axis():
+    f = parse_envelope("identity")
+    with pytest.raises(ValueError, match="need Im z > 0"):
+        run_l2_perturbation(ExperimentConfig(p=4, n=4), f, f, z=1.0)
+
+
+def _no_unique_root(z):
+    raise SolverError("no unique root", z=z)
+
+
+@pytest.mark.parametrize("stieltjes, message", [
+    (_no_unique_root, "z_grid point 1j: no unique root"),
+    (lambda z: complex("nan+nanj"), "z_grid point 1j: a transform is not finite"),
+])
+def test_a_record_names_the_point_it_cannot_score(stieltjes, message):
+    # no z_grid point the config accepts is known to make a law's
+    # transform fail or be non-finite, so a stub target stands in
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _distance_record("gaussian", 0, ESD(points=np.array([0.0, 1.0])),
+                         SimpleNamespace(stieltjes=stieltjes), (1j,))
 
 
 def test_l2_perturbation_truncated_expansion_bound():

@@ -6,7 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kernelspectra import (AffineMPLaw, ExperimentConfig, SolverError,
-                           limit_solver, solve_grid, solve_point)
+                           limit_solver, load_limit_law, save_limit_law,
+                           solve_grid, solve_point)
 from kernelspectra.limit_solver import equation_residual
 
 _TINY = float(np.finfo(float).tiny)  # the smallest normal float
@@ -102,13 +103,13 @@ def test_grid_reduces_to_affine_mp_at_nu_equals_a_squared():
     law = solve_grid(1.0, 1.0, 1.0, epsilon=1e-3)
     mp = AffineMPLaw(gamma=1.0, shift=-1.0, scale=1.0)
     smoothed = np.asarray(mp.stieltjes(law.grid + 1e-3j)).imag / np.pi
-    assert np.max(np.abs(law.density - smoothed)) < 1e-3
+    assert np.max(np.abs(law.table()["density"] - smoothed)) < 1e-3
 
 
 def test_semicircle_density_is_even():
     # the default window is symmetric about the semicircle's centre
-    law = solve_grid(0.0, 1.0, 1.0, n_points=1001, epsilon=1e-3)
-    assert np.max(np.abs(law.density - law.density[::-1])) < 1e-6
+    density = solve_grid(0.0, 1.0, 1.0, epsilon=1e-3).table()["density"]
+    assert np.max(np.abs(density - density[::-1])) < 1e-6
 
 
 def test_semicircle_median_at_zero():
@@ -123,12 +124,14 @@ def test_law_cdf_clamps_outside_grid():
 
 
 def test_epsilon_refinement_stability():
-    coarse = solve_grid(0.0, 1.0, 1.0, n_points=1001, epsilon=1e-3)
-    fine = solve_grid(0.0, 1.0, 1.0, n_points=1001, epsilon=5e-4)
+    coarse = solve_grid(0.0, 1.0, 1.0, epsilon=1e-3)
+    fine = solve_grid(0.0, 1.0, 1.0, epsilon=5e-4)
     # the windows widen with epsilon; compare where both grids reach
     inside = (coarse.grid >= fine.grid[0]) & (coarse.grid <= fine.grid[-1])
-    fine_density = np.interp(coarse.grid[inside], fine.grid, fine.density)
-    assert np.max(np.abs(coarse.density[inside] - fine_density)) < 0.05
+    fine_density = np.interp(coarse.grid[inside], fine.grid,
+                             fine.table()["density"])
+    assert np.max(np.abs(coarse.table()["density"][inside]
+                         - fine_density)) < 0.05
     # smooth-region cdf values move by less than 1e-3
     for x in (-1.5, -0.5, 0.0, 0.8, 1.7):
         assert abs(coarse.cdf(x) - fine.cdf(x)) < 1e-3
@@ -150,8 +153,6 @@ def test_atom_detection_matches_affine_mp():
 def test_grid_validation():
     with pytest.raises(ValueError):
         solve_grid(0.0, 1.0, 1.0, epsilon=0.0)
-    with pytest.raises(ValueError):
-        solve_grid(0.0, 1.0, 1.0, n_points=4)
 
 
 def test_solver_error_carries_location():
@@ -192,7 +193,7 @@ def test_closed_form_root_and_atoms(a, excess, gamma, x, y):
     assert equation_residual(m, a, nu, gamma, z) < 1e-10
     # Atoms exist only where d = (nu - a^2)/gamma vanishes; the law is then
     # the affine MP image with shift -a and scale a.
-    law = solve_grid(a, nu, gamma, n_points=16)
+    law = solve_grid(a, nu, gamma)
     if (nu - a * a) / gamma == 0.0:
         assert law.atoms == AffineMPLaw(gamma, shift=-a, scale=a).atoms
     else:
@@ -388,7 +389,7 @@ def test_grid_next_to_the_axis_has_a_monotone_cdf():
     law = solve_grid(_SIGN_SCALED_A, 1.0, 0.5, epsilon=1e-30)
     assert np.all(np.diff(law.cdf_values) >= 0)
     assert law.cdf_values[-1] == 1.0
-    assert np.all(law.density >= 0)
+    assert np.all(law.table()["density"] >= 0)
 
 
 def test_stieltjes_at_the_hard_edge_of_a_nu_equal_a_squared_law():
@@ -449,3 +450,39 @@ def test_a_law_whose_support_quartic_overflows_is_refused(a, nu, gamma):
         solve_grid(a, nu, gamma)
     with pytest.raises(ValueError, match=named):
         solve_point(a, nu, gamma, 1j)
+
+
+def test_points_off_the_axis_beside_near_ones_solve_without_a_warning():
+    # at |w| ~ 1e-300 a point's lift is subnormal: continued from Re z +
+    # i lift, 5 + 1e-300i overflowed although it is not near the axis
+    law = solve_grid(0.0, 0.0, 0.5)
+    z = np.array([1e-300j, 5 + 1e-300j])
+    m = law.stieltjes(z)
+    for k in range(2):
+        assert m[k] == law.stieltjes(z[k])
+    np.testing.assert_allclose(m, [1e300j, -0.2 + 4e-302j], rtol=1e-15)
+
+
+def test_a_grid_that_misses_the_mass_is_refused(monkeypatch):
+    # the window holds all but 5e-4 of the mass, so only a narrowed
+    # window reaches the check
+    monkeypatch.setattr(limit_solver, "_window", lambda *args: (-0.5, 0.5))
+    with pytest.raises(SolverError, match="recovered mass"):
+        solve_grid(0.0, 1.0, 1.0)
+
+
+def test_a_law_loads_back_from_its_record_alone(tmp_path):
+    # the rows are solved again from a, nu, gamma and epsilon, so a sidecar
+    # without one of them cannot be loaded
+    path = tmp_path / "law.csv"
+    law = solve_grid(1.0, 1.0, 0.5, epsilon=2e-3)
+    save_limit_law(path, law)
+    loaded = load_limit_law(path)
+    assert loaded.grid.size == 2000 and loaded.epsilon == 2e-3
+    np.testing.assert_array_equal(loaded.cdf_values, law.cdf_values)
+    sidecar = tmp_path / "law.csv.meta"
+    sidecar.write_text("".join(line for line in sidecar.read_text()
+                               .splitlines(keepends=True)
+                               if not line.startswith("epsilon=")))
+    with pytest.raises(ValueError, match="lacks the law's parameters"):
+        load_limit_law(path)

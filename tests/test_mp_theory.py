@@ -52,6 +52,10 @@ def test_density_next_to_a_zero_left_edge_is_finite(x):
     array = mp_density(1.0, np.array([x]))  # filterwarnings = error
     assert np.isfinite(scalar) and abs(scalar / exact - 1.0) < 1e-12
     assert array.tobytes() == np.array([scalar]).tobytes()
+    # a numpy gamma overflowed there with a warning
+    gamma = np.float64(1.0)
+    assert mp_density(gamma, x) == scalar
+    assert mp_density(gamma, np.array([x])).tobytes() == array.tobytes()
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)
@@ -235,6 +239,11 @@ def test_predicted_law_square_envelope_degenerates():
     assert law.atoms == ((1.0, 1.0),)
     assert law.cdf(0.999) == 0.0 and law.cdf(1.0) == 1.0
     assert abs(law.stieltjes(1j) - 1.0 / (1.0 - 1j)) < 1e-14
+    assert law.support == (1.0, 1.0)
+    assert law.density(1.0) == 0.0
+    np.testing.assert_array_equal(law.density(np.array([0.5, 1.0])), 0.0)
+    with pytest.raises(ValueError, match="Im z > 0"):
+        law.stieltjes(1.0)
 
 
 def test_predicted_law_identity_is_plain_mp():
@@ -348,3 +357,29 @@ def test_a_tiny_scale_takes_the_atom_limit_where_the_pullback_overflows(scale):
                                    rtol=1e-15)
     m = law.stieltjes(np.array([600 + 1j, 2.0 + 2.0 * scale + 1e-300j]))
     assert m[0] == 1.0 / (2.0 - (600 + 1j)) and m[1].imag > 0
+
+
+@pytest.mark.parametrize("gamma, scale", [(0.01, 1.0), (0.01, -1.0),
+                                          (2.2250738585072014e-308, 1.0)])
+def test_the_table_and_window_reach_an_atom_far_from_the_support(gamma,
+                                                                 scale):
+    # the support [77, 125] (or its mirror) widened by 10% missed the atom
+    # of mass 0.99 at 0; at the smallest gamma every x was 4.49e307
+    law = AffineMPLaw(gamma=gamma, shift=0.0, scale=scale)
+    table = law.table()
+    x, cdf = table["x"], table["cdf"]
+    assert np.unique(x).size == x.size == 2001
+    assert x[0] <= np.nextafter(0.0, -np.inf) and x[-1] >= 0.0
+    assert cdf[0] == 0.0 and cdf[-1] == 1.0
+    lo, hi = law.support  # the far side keeps its 5% margin
+    margin = 0.05 * (hi - lo)
+    assert law.window == ((-5e-324, hi + margin) if scale > 0
+                          else (lo - margin, 0.0))
+
+
+def test_the_table_keeps_its_range_where_it_holds_the_atom():
+    law = AffineMPLaw(gamma=0.5, shift=-1.0, scale=1.0)
+    lo, hi = law.support
+    span = hi - lo
+    assert (law.table()["x"][[0, -1]] == [lo - 0.1 * span,
+                                          hi + 0.1 * span]).all()

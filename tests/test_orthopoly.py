@@ -16,8 +16,9 @@ from kernelspectra import (DegeneracyError, Envelope, EnvelopeError,
                            parse_envelope, xi_moments)
 from kernelspectra import ensembles
 from kernelspectra.ensembles import FAMILIES
-from kernelspectra.orthopoly import (_CHUNK, _hankel, _orthonormal_factor,
-                                    _power_sums, normal_moment)
+from kernelspectra.orthopoly import (_CHUNK, AdmissibleParams, MomentSequence,
+                                    _hankel, _orthonormal_factor, _power_sums,
+                                    normal_moment)
 
 polyval = np.polynomial.polynomial.polyval
 
@@ -575,3 +576,34 @@ def test_envelope_coeffs_validation():
                         samples=5_000)
     with pytest.raises(ValueError):
         envelope_coeffs(env, VectorEnsemble("gaussian", 10), L=2, samples=10)
+
+
+def test_out_of_range_orders_and_degrees_are_refused():
+    with pytest.raises(ValueError, match="nonnegative"):
+        normal_moment(-1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        hermite(-1)
+    values = gaussian_limit_moments(4).values
+    with pytest.raises(ValueError, match="nonnegative"):
+        _orthonormal_factor(values, -1)
+    with pytest.raises(ValueError, match="need moments up to order 6"):
+        _orthonormal_factor(values, 3)
+    basis = build_basis(gaussian_limit_moments(4), 2)
+    with pytest.raises(ValueError, match="exceeds basis degree 2"):
+        hermite_deviation(basis, 3, np.linspace(-1.0, 1.0, 5))
+
+
+@pytest.mark.parametrize("values, message", [
+    ((Fraction(1), Fraction(0)), "at least m_0, m_1, m_2"),
+    ((Fraction(1), Fraction(0), Fraction(2)), "normalization"),
+])
+def test_moment_sequence_validation(values, message):
+    with pytest.raises(ValueError, match=message):
+        MomentSequence(values)
+
+
+def test_admissible_params_refuse_a_squared_above_nu():
+    with pytest.raises(ValueError, match="exceeds nu"):
+        AdmissibleParams(degree=1, coefficients=np.array([0.0, 2.0]),
+                         stderr=np.zeros(2), a=2.0, nu=1.0, nu_stderr=0.0,
+                         tail_mass=0.0, samples=10)

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from kernelspectra import (ESD, KernelSpec, VectorEnsemble, build,
-                           eigenvalues, empirical_stieltjes, gram, ks_distance,
-                           load_esd, mp_atom_mass, mp_cdf, mp_stieltjes,
-                           mp_support, parse_envelope, sample_matrix, save_esd,
-                           solve_grid, wasserstein1)
+from kernelspectra import (ESD, KernelSpec, NumericalError, VectorEnsemble,
+                           build, eigenvalues, empirical_stieltjes, gram,
+                           ks_distance, load_esd, mp_atom_mass, mp_cdf,
+                           mp_stieltjes, mp_support, parse_envelope,
+                           sample_matrix, save_esd, solve_grid, wasserstein1)
 from kernelspectra.mp_theory import AffineMPLaw
 
 
@@ -311,3 +311,20 @@ def test_load_esd_rejects_nan_row(tmp_path):
     path.write_text("trial,lambda\n0,1.0\n0,nan\n")
     with pytest.raises(ValueError, match="finite"):
         load_esd(path)
+
+
+def test_eigenvalues_report_a_failed_or_inconsistent_solve(monkeypatch):
+    # no input is known to make eigvalsh fail or miss the trace
+    def fails(data):
+        raise np.linalg.LinAlgError("no convergence")
+    monkeypatch.setattr(np.linalg, "eigvalsh", fails)
+    with pytest.raises(NumericalError, match="eigensolver failed"):
+        eigenvalues(np.eye(3))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda data: np.ones(3))
+    with pytest.raises(NumericalError, match="disagrees with trace"):
+        eigenvalues(np.zeros((3, 3)))
+
+
+def test_an_esd_needs_a_point():
+    with pytest.raises(ValueError, match="at least one point"):
+        ESD(points=np.array([]))
