@@ -21,7 +21,7 @@ from .experiments import (CONFIG_SCHEMA, ExperimentConfig, esd_meta,
                           write_result)
 from .kernels import (DIAGONALS, ENVELOPE_FACTORIES, KERNELS, KernelSpec,
                       build, gram, parse_envelope, single_entry_swap)
-from .limit_solver import DEFAULT_EPSILON, solve_grid
+from .limit_solver import solve_grid
 from .mp_theory import AffineMPLaw, predicted_law
 from .orthopoly import DEFAULT_SAMPLES, envelope_coeffs
 from .spectral import ESD, eigenvalues, save_esd, save_limit_law
@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pred = sub.add_parser("predict", help="emit a limiting law as CSV",
                           argument_default=argparse.SUPPRESS)
     pred.add_argument("--law", default="mp", choices=("mp", "fe"), help=(
-        "mp: --shift --scale | --envelope --kernel --diag; fe: --a --nu --epsilon"))
+        "mp: --shift --scale | --envelope --kernel --diag; fe: --a --nu"))
     pred.add_argument("--gamma", type=float, default=_MODEL.gamma,
                       help="default %(default)g, compare's p/n")
     pred.add_argument("--shift", type=float, help="default 0")
@@ -79,8 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       + " | ".join(DIAGONALS))
     pred.add_argument("--a", type=float)
     pred.add_argument("--nu", type=float)
-    pred.add_argument("--epsilon", type=float,
-                      help=f"default {DEFAULT_EPSILON:g}")
     pred.add_argument("--out", default=None, help="law csv path")
 
     exp = sub.add_parser("expand", help="envelope coefficient table")
@@ -130,7 +128,7 @@ def _cmd_simulate(args) -> int:
 # The flags each kind of law reads besides --law, --gamma and --out.
 _LAW_FLAGS = {"mp": ("shift", "scale"),
               "mp with --envelope": ("envelope", "kernel", "diag"),
-              "fe": ("a", "nu", "epsilon")}
+              "fe": ("a", "nu")}
 
 
 def _cmd_predict(args) -> int:
@@ -148,8 +146,7 @@ def _cmd_predict(args) -> int:
     elif kind == "fe":
         if "a" not in given or "nu" not in given:
             raise ValueError("functional-equation law needs --a and --nu")
-        law = solve_grid(args.a, args.nu, args.gamma,
-                         epsilon=given.get("epsilon", DEFAULT_EPSILON))
+        law = solve_grid(args.a, args.nu, args.gamma)
     else:
         spec = KernelSpec(given.get("kernel", _MODEL.kernel),
                           given.get("diag", _MODEL.diag),

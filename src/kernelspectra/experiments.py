@@ -21,7 +21,7 @@ from ._rng import TAG_TRIAL, TAG_TRIAL_B, derive_seed
 from .ensembles import VectorEnsemble, sample_matrix
 from .errors import KernelSpectraError, SolverError
 from .kernels import Envelope, KernelSpec, build, gram, parse_envelope
-from .limit_solver import DEFAULT_EPSILON, _check_params, solve_grid
+from .limit_solver import _check_params, solve_grid
 from .mp_theory import predicted_law
 from .spectral import (ESD, Law, eigenvalues, empirical_stieltjes,
                        ks_distance, save_esd, save_limit_law, wasserstein1)
@@ -44,8 +44,8 @@ MAX_N_TRIALS = 20_000_000  # bound on n * trials
 class ExperimentConfig:
     """Fully parsed experiment description; a key its run does not read is
     an error. ``target`` picks the law; only functional-equation reads
-    ``law_a``, ``law_nu`` and ``epsilon`` (default DEFAULT_EPSILON, as in
-    ``predict --law fe``). ``ensemble_b`` adds a family under any target."""
+    ``law_a`` and ``law_nu``. ``ensemble_b`` adds a family under any
+    target."""
 
     ensemble: str = "gaussian"
     p: int = 200
@@ -59,7 +59,6 @@ class ExperimentConfig:
     ensemble_b: str | None = None
     law_a: float | None = None
     law_nu: float | None = None
-    epsilon: float | None = None
     z_grid: tuple[complex, ...] = _DEFAULT_Z_GRID
 
     def __post_init__(self):
@@ -81,7 +80,7 @@ class ExperimentConfig:
         if self.target == CROSS_ENSEMBLE and self.ensemble_b is None:
             raise ValueError("cross-ensemble target needs ensemble_b")
         if self.target != FUNCTIONAL_EQUATION:
-            for key in ("law_a", "law_nu", "epsilon"):
+            for key in ("law_a", "law_nu"):
                 if getattr(self, key) is not None:
                     raise ValueError(f"{self.target} target does not read "
                                      f"{key}; only functional-equation does")
@@ -91,9 +90,7 @@ class ExperimentConfig:
                 f"them at this p with: kernelspectra expand --ensemble "
                 f"{self.ensemble} --p {self.p} --envelope {self.envelope}")
         else:
-            if self.epsilon is None:
-                object.__setattr__(self, "epsilon", DEFAULT_EPSILON)
-            _check_params(self.law_a, self.law_nu, self.gamma, self.epsilon)
+            _check_params(self.law_a, self.law_nu, self.gamma)
         if not self.z_grid:
             raise ValueError("z_grid needs at least one point")
         for z in self.z_grid:
@@ -128,12 +125,12 @@ _TEXT, _INT, _FLOAT = (str, str), (int, str), (float, str)
 CONFIG_SCHEMA = {
     "ensemble": _TEXT, "p": _INT, "n": _INT, "trials": _INT, "seed": _INT,
     "kernel": _TEXT, "diag": _TEXT, "envelope": _TEXT, "target": _TEXT,
-    "ensemble_b": _TEXT, "law_a": _FLOAT, "law_nu": _FLOAT, "epsilon": _FLOAT,
+    "ensemble_b": _TEXT, "law_a": _FLOAT, "law_nu": _FLOAT,
     "z_grid": (lambda text: tuple(complex(z) for z in text.split(";") if z),
                lambda zs: ";".join(map(str, zs))),
 }
 # The keys that choose what a run's spectra are scored against.
-_TARGET_KEYS = ("target", "law_a", "law_nu", "epsilon", "z_grid")
+_TARGET_KEYS = ("target", "law_a", "law_nu", "z_grid")
 
 
 def parse_config(text: str, overrides: dict[str, str] | None = None
@@ -270,8 +267,7 @@ def run_universality(config: ExperimentConfig) -> ExperimentResult:
     if config.target == AFFINE_MP:
         law = predicted_law(spec, config.gamma)
     elif config.target == FUNCTIONAL_EQUATION:
-        law = solve_grid(config.law_a, config.law_nu, config.gamma,
-                         epsilon=config.epsilon)
+        law = solve_grid(config.law_a, config.law_nu, config.gamma)
     clock.lap("law")
     families = [f for f in (config.ensemble, config.ensemble_b) if f]
 
@@ -369,8 +365,8 @@ def write_result(result: ExperimentResult, out_dir: str | Path) -> None:
 class PerturbationReport:
     """Empirical version of the L2 perturbation bound.
 
-    epsilon_hat estimates the hypothesis scale via
-    epsilon^2 = p * E|f1(g) - f2(g)|^2 over the trials' off-diagonal pairs;
+    epsilon_hat estimates the hypothesis scale via epsilon_hat^2 =
+    p * mean |f1(g) - f2(g)|^2 over the trials' off-diagonal pairs;
     delta_m lists |m_A1(z) - m_A2(z)| for coupled per-trial matrix pairs.
     """
 

@@ -32,27 +32,32 @@ Atoms and the support are closed-form too:
   For d > 0 it is the constant d c (or d), so there is no atom. At
   nu = a^2 > 0 it is (z + a) c: an atom at -a of mass 1 - gamma when
   gamma < 1. At a = nu = 0 the law is the unit atom at 0.
-- The support edges are the real roots of the cubic's discriminant in x,
-  which are the critical values of the inverse map
+- The support edges are the critical values of the inverse map
   x(m) = -1/m - a c m / (1 + c m) - d m. At d c = 0 they are
-  c -+ 2 sqrt(a c + d). Otherwise, with w = 1/m, x'(m) (w + c)^2 is the
-  monic quartic R(w) = (w^2 - d)(w + c)^2 - a c w^2. R(0) and R(-c) are
-  negative, so R has a root above 0 and one below -c. The largest root
-  gives the left end of the support's hull, the smallest the right end.
-  The discriminant's own roots are not used: for small a, a complex
-  pair of them near x = d/c comes out real in floating point.
+  c -+ 2 sqrt(a c + d). Otherwise, with w = 1/m, m^2 x'(m) = 0 reads
+  a c / (w + c)^2 + d / w^2 = 1. Its root t = w > 0 gives the left end
+  of the support's hull, -t - a c / (t + c) - d / t, and its root
+  w = -c - s below -c the right end, c + s + a c / s + d / (s + c).
+  Both t and s solve A / t^2 + B / (t + c)^2 = 1 over t > 0, with
+  (A, B) = (d, a c) and (a c, d): the left side is convex and falls from
+  inf to 0, so Newton's method from below converges to the one root.
+  Solving for s itself keeps the near-double root at tiny gamma, where
+  s ~ a / sqrt(gamma) is far below c = a / gamma, and each edge is a sum
+  of terms of one sign.
 
-On a grid over the hull, the density is the Stieltjes inversion
-Im m(x + i eps) / pi: the law smoothed by a Cauchy kernel of width eps.
-The smoothed law's CDF is closed-form as well. Since x is a rational
-function of m, an antiderivative G of m in z, dG/dz = m, is elementary:
+The law's CDF is closed-form as well. Since x is a rational function of
+m, an antiderivative G of m in z, dG/dz = m, is elementary:
 
     G(m) = log m - gamma (log(1 + c m) + 1/(1 + c m)) - d m^2 / 2 ,
 
 with the gamma term only for a > 0, because m x'(m) = 1/m
 - a c m / (1 + c m)^2 - d m. Im m and Im(1 + c m) stay positive, so the
 principal logs are continuous along x + i eps, and Im G -> 0 as
-x -> -inf: the smoothed CDF is Im G(m(x + i eps)) / pi.
+x -> -inf: Im G(m(x + i eps)) / pi is the CDF of the law smoothed by a
+Cauchy kernel of width eps. At eps = 1e-300 it is the law's own CDF,
+which LimitLaw.cdf evaluates inside the support's hull. law.csv
+tabulates the law smoothed at the fixed eps = 1e-3, with the density
+Im m(x + i eps) / pi.
 """
 
 from __future__ import annotations
@@ -66,20 +71,17 @@ from ._csvio import read_table
 from .errors import SolverError
 from .spectral import Law
 
-DEFAULT_EPSILON = 1e-3    # the inversion offset when a caller sets none
+_EPSILON = 1e-3           # law.csv's inversion offset, in its .meta
+_AXIS = 1e-300            # cdf's offset: the exact law, no root part subnormal
 _MASS_TOL = 1e-3          # the window must hold all mass but this
 _GRID_POINTS = 2000       # rows of every solved table
-# the largest epsilon whose margins, 8 epsilon / (pi * _MASS_TOL), are finite
-_MAX_EPSILON = float(np.finfo(float).max) / 8.0 * (np.pi * _MASS_TOL)
 _ISOLATED = 1e-3          # a root this far from the others, over max|w|
 # cube roots of unity; a complex ufunc at import pages in ~0.25 MB of code
 _CUBE_ROOTS = np.array([1.0, -0.5 + 0.75 ** 0.5 * 1j, -0.5 - 0.75 ** 0.5 * 1j])
 
 
-def _check_params(a: float, nu: float, gamma: float,
-                  epsilon: float | None = None) -> None:
-    """Refuse a law, and an inversion offset unless it is None, that the
-    solver cannot evaluate without overflow."""
+def _check_params(a: float, nu: float, gamma: float) -> None:
+    """Refuse a law that the solver cannot evaluate without overflow."""
     if not 0 < gamma < np.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     if not 0 <= a < np.inf:
@@ -91,21 +93,6 @@ def _check_params(a: float, nu: float, gamma: float,
     if not np.isfinite(_quartic(a, nu, gamma)).all():
         raise ValueError(f"c = a/gamma, d = (nu - a^2)/gamma or the support "
                          f"quartic overflows at a={a}, nu={nu}, gamma={gamma}")
-    if epsilon is None:
-        return
-    # _reciprocal_roots divides by a scale as small as epsilon: keep it normal
-    if not np.finfo(float).tiny <= epsilon < np.inf:
-        raise ValueError(f"epsilon must be positive and finite, a normal "
-                         f"float >= {np.finfo(float).tiny:.17g}, got {epsilon}")
-    # keep solve_grid's window, and the cubic's roots at its ends, finite
-    # (the window is built at _MAX_EPSILON at most, where it is finite)
-    lo, hi = _window(a, nu, gamma, min(epsilon, _MAX_EPSILON))
-    with np.errstate(all="ignore"):
-        w = _reciprocal_roots(a, nu, gamma, np.array([lo, hi]) + 1j * epsilon)
-    if not (epsilon <= _MAX_EPSILON and np.isfinite(w).all()):
-        raise ValueError(f"epsilon must be <= {_MAX_EPSILON}, and lower "
-                         f"where solve_grid's window overflows the roots at "
-                         f"a={a}, nu={nu}, gamma={gamma}; got {epsilon}")
 
 
 def _cd(a: float, nu: float, gamma: float) -> tuple[float, float]:
@@ -160,18 +147,19 @@ def _stieltjes(a: float, nu: float, gamma: float, z) -> np.ndarray:
     herglotz = w.imag < -0.5 * z.imag[..., None]
     lift = 1e-12 * abs(w).max(axis=-1)
     near = z.imag < lift
-    if np.any(near):  # continue the root picked at Re z + i lift down to z
-        # (a point not near is solved at z: its lift may be subnormal)
-        w_up = _reciprocal_roots(a, nu, gamma,
-                                 z.real + 1j * np.maximum(lift, z.imag))
-        up = w_up.imag < -0.5 * lift[..., None]
-        gap = abs(w - np.where(up, w_up, 0).sum(axis=-1)[..., None])
-        gap[w == 0] = np.inf  # the lost root, m = inf
-        nearest = (gap == gap.min(axis=-1, keepdims=True)) \
+    if np.any(near):  # the root with Im w < 0 beyond rounding noise, or
+        # else the one nearest the root picked at Re z + i lift (a point
+        # not near is solved at z alone, as its lift may be subnormal)
+        clear = w.imag < -lift[..., None]
+        herglotz = np.where(near[..., None], clear, herglotz)
+        lost = near & ~clear.any(axis=-1)
+        w_lost, up_by = w[lost], lift[lost]
+        w_up = _reciprocal_roots(a, nu, gamma, z[lost].real + 1j * up_by)
+        up = w_up.imag < -0.5 * up_by[..., None]
+        gap = abs(w_lost - np.where(up, w_up, 0).sum(axis=-1)[..., None])
+        gap[w_lost == 0] = np.inf  # the lost root, m = inf
+        herglotz[lost] = (gap == gap.min(axis=-1, keepdims=True)) \
             & (up.sum(axis=-1) == 1)[..., None]
-        clear = w.imag < -lift[..., None]  # Im w < 0 beyond rounding noise
-        nearest = np.where(clear.any(axis=-1, keepdims=True), clear, nearest)
-        herglotz = np.where(near[..., None], nearest, herglotz)
     unique = herglotz.sum(axis=-1) == 1
     if not unique.all():
         at = complex(z[~unique].flat[0])
@@ -223,26 +211,35 @@ def _atoms(a: float, nu: float, gamma: float
     return ((float(-a), float(1.0 - gamma)),) if gamma < 1 else ()
 
 
+def _edge_root(A: float, B: float, c: float) -> float:
+    """The t > 0 with A/t^2 + B/(t + c)^2 = 1, for A > 0 and B, c >= 0."""
+    t = max(np.sqrt(A), np.sqrt(B) - c)  # where the left side is >= 1
+    while True:  # Newton from below rises, and stops past the root
+        u, v = A / (t * t), B / ((t + c) * (t + c))
+        after = t + (u + v - 1.0) / (2.0 * (u / t + v / (t + c)))
+        if not after > t:
+            return t
+        t = after
+
+
 def _support(a: float, nu: float, gamma: float) -> tuple[float, float]:
     c, d = _cd(a, nu, gamma)
     if d * c == 0:
         r = 2.0 * np.sqrt(a * c + d)
         return float(c - r), float(c + r)
-    w = np.roots(_quartic(a, nu, gamma))
-    w = np.array([w.real.max(), w.real.min()])
-    lo, hi = -w - a * c / (w + c) - d / w
-    return float(lo), float(hi)
+    t, s = _edge_root(d, a * c, c), _edge_root(a * c, d, c)
+    lo = -(t + a * c / (t + c) + d / t)
+    return float(lo), float(c + s + a * c / s + d / (s + c))
 
 
-def _window(a: float, nu: float, gamma: float,
-            epsilon: float) -> tuple[float, float]:
+def _window(a: float, nu: float, gamma: float) -> tuple[float, float]:
     """solve_grid's window: the support's hull and the atoms, widened on
-    each side by 4 epsilon / (pi * 1e-3), outside which the smoothed law's
+    each side by 4 eps / (pi * 1e-3), outside which the smoothed law's
     Cauchy tails put at most 5e-4 of its mass, and below an atom by an ulp
     at least."""
     atoms = _atoms(a, nu, gamma)
     ends = [*_support(a, nu, gamma), *(loc for loc, _ in atoms)]
-    margin = 4.0 * epsilon / (np.pi * _MASS_TOL)
+    margin = 4.0 * _EPSILON / (np.pi * _MASS_TOL)
     lo = min(ends) - margin
     if atoms:  # where margin rounds off, an atom at lo would fall in cdf[0]
         lo = min(lo, np.nextafter(min(ends), -np.inf))
@@ -251,7 +248,7 @@ def _window(a: float, nu: float, gamma: float,
 
 def _smoothed_cdf(a: float, nu: float, gamma: float,
                   m: np.ndarray) -> np.ndarray:
-    """CDF of the eps-smoothed law at x, from m = m(x + i eps)."""
+    """CDF of the law smoothed at width eps at x, from m = m(x + i eps)."""
     c, d = _cd(a, nu, gamma)
     g = np.log(m) - 0.5 * d * m * m
     if a > 0:
@@ -261,7 +258,7 @@ def _smoothed_cdf(a: float, nu: float, gamma: float,
 
 @dataclass(frozen=True)
 class LimitLaw(Law):
-    """Limit law inverted on a grid.
+    """Limit law, with its table inverted on a grid at eps = 1e-3.
 
     ``m_values`` is m(x + i eps) at the grid points; ``cdf_values`` holds
     the smoothed law's CDF there, right-continuous, with each atom as an
@@ -271,23 +268,23 @@ class LimitLaw(Law):
     a: float
     nu: float
     gamma: float
-    epsilon: float
     grid: np.ndarray
     m_values: np.ndarray
     cdf_values: np.ndarray
     atoms: tuple[tuple[float, float], ...]
 
     def cdf(self, x) -> np.ndarray | float:
-        """Trapezoidal CDF evaluator: 0 below the grid, 1 above it; each
-        atom is an exact step over the interpolated continuous part."""
+        """Exact CDF: Im G(m(x + i0)) / pi inside the support's hull, where
+        the atoms lie below, and outside it the mass at or below x."""
         x_arr = np.asarray(x, dtype=float)
-        cont = self.cdf_values.copy()
+        lo, hi = self.support
+        out = np.zeros(x_arr.shape)
         for loc, mass in self.atoms:
-            cont -= mass * (self.grid >= loc)
-        out = np.interp(x_arr, self.grid, cont, left=0.0)
-        for loc, mass in self.atoms:
-            out = out + mass * (x_arr >= loc)
-        out = np.where(x_arr > self.grid[-1], 1.0, out)
+            out += mass * (x_arr >= loc)
+        out[x_arr >= hi] = 1.0
+        inside = (lo < x_arr) & (x_arr < hi)
+        m = _stieltjes(self.a, self.nu, self.gamma, x_arr[inside] + 1j * _AXIS)
+        out[inside] = _smoothed_cdf(self.a, self.nu, self.gamma, m)
         out = np.clip(out, 0.0, 1.0)
         return out if np.ndim(x) else float(out)
 
@@ -303,8 +300,8 @@ class LimitLaw(Law):
 
     def table(self) -> dict[str, np.ndarray]:
         """x, density, cdf and m = re_m + i im_m at the grid points. The
-        density is the raw inversion Im m / pi at epsilon (atoms appear in
-        it as spikes of height ~ mass/(pi eps))."""
+        density is the raw inversion Im m / pi at eps (atoms appear in it
+        as spikes of height ~ mass/(pi eps))."""
         return {"x": self.grid, "density": self.m_values.imag / np.pi,
                 "cdf": self.cdf_values, "re_m": self.m_values.real,
                 "im_m": self.m_values.imag}
@@ -316,38 +313,38 @@ class LimitLaw(Law):
 
     def to_record(self) -> dict:
         return {"type": "functional-equation", "a": self.a, "nu": self.nu,
-                "gamma": self.gamma, "epsilon": self.epsilon,
+                "gamma": self.gamma, "epsilon": _EPSILON,
                 "atoms": list(self.atoms)}
 
 
-def solve_grid(a: float, nu: float, gamma: float,
-               epsilon: float = DEFAULT_EPSILON) -> LimitLaw:
-    """Invert the limit law at imaginary offset epsilon on a grid of
-    _GRID_POINTS over _window. Raises SolverError when the grid holds less
-    than 1 - 1e-3 of the mass.
+def solve_grid(a: float, nu: float, gamma: float) -> LimitLaw:
+    """The limit law, with its table inverted at imaginary offset 1e-3 on a
+    grid of _GRID_POINTS over _window. Raises SolverError when the grid
+    holds less than 1 - 1e-3 of the mass.
     """
-    _check_params(a, nu, gamma, epsilon)
+    _check_params(a, nu, gamma)
     atoms = _atoms(a, nu, gamma)
-    grid = np.linspace(*_window(a, nu, gamma, epsilon), _GRID_POINTS)
-    m_eps = _stieltjes(a, nu, gamma, grid + 1j * epsilon)
+    grid = np.linspace(*_window(a, nu, gamma), _GRID_POINTS)
+    m_eps = _stieltjes(a, nu, gamma, grid + 1j * _EPSILON)
     cdf = _smoothed_cdf(a, nu, gamma, m_eps)
     for loc, mass in atoms:
-        with np.errstate(over="ignore"):  # arctan(+-inf) = +-pi/2 is the limit
-            cdf += mass * ((grid >= loc) - 0.5
-                           - np.arctan((grid - loc) / epsilon) / np.pi)
+        cdf += mass * ((grid >= loc) - 0.5
+                       - np.arctan((grid - loc) / _EPSILON) / np.pi)
     if cdf[-1] - cdf[0] < 1.0 - _MASS_TOL:
         raise SolverError(f"recovered mass {cdf[-1] - cdf[0]:.6f} misses 1 "
                           f"beyond tolerance {_MASS_TOL}")
     np.clip(cdf, 0.0, 1.0, out=cdf)
-    return LimitLaw(a=a, nu=nu, gamma=gamma, epsilon=epsilon, grid=grid,
-                    m_values=m_eps, cdf_values=cdf, atoms=atoms)
+    return LimitLaw(a=a, nu=nu, gamma=gamma, grid=grid, m_values=m_eps,
+                    cdf_values=cdf, atoms=atoms)
 
 
 def load_limit_law(path: str | Path) -> LimitLaw:
     """The LimitLaw save_limit_law wrote to ``path``, solved again from the
-    a, nu, gamma and epsilon of its sidecar, which determine every row."""
+    a, nu and gamma of its sidecar, which with eps determine every row."""
     _, meta = read_table(path, ("x", "density", "cdf", "re_m", "im_m"))
-    params = ("a", "nu", "gamma", "epsilon")
-    if not set(params) <= meta.keys():
+    if not {"a", "nu", "gamma", "epsilon"} <= meta.keys():
         raise ValueError(f"{path}.meta lacks the law's parameters")
-    return solve_grid(*(float(meta[k]) for k in params))
+    if float(meta["epsilon"]) != _EPSILON:
+        raise ValueError(f"{path}.meta records epsilon={meta['epsilon']}, "
+                         f"but tables are solved at epsilon={_EPSILON}")
+    return solve_grid(*(float(meta[k]) for k in ("a", "nu", "gamma")))

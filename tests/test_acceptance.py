@@ -78,7 +78,7 @@ def test_criterion_02_semicircle_closed_form():
 def test_criterion_03_nu_equals_a_squared_reduction():
     limit = 10.0
     t0 = time.perf_counter()
-    law = ks.solve_grid(1.0, 1.0, 1.0, epsilon=1e-3)
+    law = ks.solve_grid(1.0, 1.0, 1.0)
     mp = ks.AffineMPLaw(gamma=1.0, shift=-1.0, scale=1.0)
     smoothed = np.asarray(mp.stieltjes(law.grid + 1e-3j)).imag / np.pi
     sup = float(np.max(np.abs(law.table()["density"] - smoothed)))

@@ -330,7 +330,7 @@ def test_predict_fe_writes_law(tmp_path, capsys):
     assert abs(data[-1, 2] - 1.0) < 2e-3
     assert np.all(data[:, 4] > 0)  # Herglotz column
     law = load_limit_law(out)
-    assert law.gamma == 1.0 and law.epsilon == 1e-3
+    assert law.gamma == 1.0 and law.to_record()["epsilon"] == 1e-3
     assert np.array_equal(law.cdf_values, data[:, 2])
 
 
@@ -480,35 +480,34 @@ def test_repeated_or_non_finite_envelope_parameter_exits_one_before_any_trial(
 
 
 def test_compare_rejects_non_finite_epsilon(capsys):
+    # epsilon is no config key: the functional-equation law is exact
     assert cli_main(["compare", "--set", "p=10", "--set", "n=20",
                      "--set", "target=functional-equation", "--set", "law_a=1",
                      "--set", "law_nu=1", "--set", "epsilon=nan"]) == 1
-    assert "epsilon must be positive and finite" in capsys.readouterr().err
+    assert "unknown config key 'epsilon'" in capsys.readouterr().err
 
 
 def test_compare_writes_epsilon_only_where_a_law_is_solved(tmp_path, capsys):
+    # only law.csv depends on epsilon, the fixed offset of its table
     small = ["compare", "--set", "p=20", "--set", "n=40"]
     assert cli_main([*small, "--set", "epsilon=0.5"]) == 1
     assert "epsilon" in capsys.readouterr().err
-    assert cli_main([*small, "--out", str(tmp_path / "mp")]) == 0
-    for name in ("config.resolved", "esd.csv.meta", "distances.csv.meta"):
-        keys = [line.partition("=")[0]
-                for line in (tmp_path / "mp" / name).read_text().splitlines()]
-        assert "epsilon" not in keys, name
     fe = [*small, "--set", "target=functional-equation", "--set", "law_a=1",
           "--set", "law_nu=1"]
-    for given, written in ([], "0.001"), (["--set", "epsilon=0.002"], "0.002"):
-        out = tmp_path / f"fe{written}"
-        assert cli_main([*fe, *given, "--out", str(out)]) == 0
-        for name in ("config.resolved", "distances.csv.meta", "law.csv.meta"):
-            lines = (out / name).read_text().splitlines()
-            assert f"epsilon={written}" in lines, name
-        # the spectra do not depend on the law, so their sidecar omits it
-        assert "epsilon" not in (out / "esd.csv.meta").read_text()
+    for target, run in ("affine-mp", small), ("functional-equation", fe):
+        out = tmp_path / target
+        assert cli_main([*run, "--out", str(out)]) == 0
+        for name in ("config.resolved", "esd.csv.meta", "distances.csv.meta",
+                     "law.csv.meta"):
+            keys = [line.partition("=")[0]
+                    for line in (out / name).read_text().splitlines()]
+            assert ("epsilon" in keys) == (name == "law.csv.meta"
+                                           and run is fe), name
 
 
 def test_compare_and_predict_default_to_solve_grids_epsilon(tmp_path, capsys):
-    default = inspect.signature(solve_grid).parameters["epsilon"].default
+    default = solve_grid(1.0, 1.0, 0.5).to_record()["epsilon"]
+    assert default == 1e-3
     assert cli_main(["compare", "--set", "p=20", "--set", "n=40",
                      "--set", "target=functional-equation", "--set", "law_a=1",
                      "--set", "law_nu=1", "--out", str(tmp_path / "fe")]) == 0
@@ -877,10 +876,11 @@ def test_compare_with_an_unsolvable_law_exits_two_before_any_trial(
 
 
 def test_compare_scores_an_atom_law_at_tiny_epsilon(capsys):
-    # a = nu = 1 at p/n = 1/2 has mass 1/2 at -1, next to the grid's end
+    # a = nu = 1 at p/n = 1/2 has mass 1/2 at -1, next to the grid's end;
+    # the scores read the law's exact CDF, m at x + 1e-300 i
     assert cli_main(["compare", "--set=p=20", "--set=n=40",
                      "--set=target=functional-equation", "--set=law_a=1",
-                     "--set=law_nu=1", "--set=epsilon=1e-30"]) == 0
+                     "--set=law_nu=1"]) == 0
     assert capsys.readouterr().out.startswith("gaussian: pooled ks=")
 
 
@@ -950,41 +950,32 @@ def test_an_affine_law_whose_table_overflows_exits_one_before_any_output(
 
 
 @pytest.mark.parametrize("argv", [
-    ["predict", "--law", "fe", "--a", "0", "--nu", "0", "--gamma", "1",
-     "--epsilon", "1e-310"],
+    ["predict", "--law", "fe", "--a", "1", "--nu", "1", "--epsilon", "1e-4"],
     ["compare", "--set", "p=20", "--set", "n=40", "--set",
-     "target=functional-equation", "--set", "law_a=0", "--set", "law_nu=0",
-     "--set", "epsilon=1e-310"],
+     "target=functional-equation", "--set", "law_a=1", "--set", "law_nu=1",
+     "--set", "epsilon=1e-4"],
 ])
-def test_a_subnormal_epsilon_exits_one_naming_the_bound(
-        argv, tmp_path, capsys, monkeypatch):
+def test_epsilon_is_not_an_option(argv, tmp_path, capsys, monkeypatch):
+    # the functional-equation law is scored exactly and tabulated at a
+    # fixed epsilon, so neither command takes one
     _forbid_trials(monkeypatch)
     out = tmp_path / "out"
     assert cli_main([*argv, "--out", str(out)]) == 1
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert ("epsilon must be positive and finite, a normal float >= "
-            "2.2250738585072014e-308, got 1e-310") in captured.err
+    assert captured.out == "" and "epsilon" in captured.err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["predict", "--law", "fe", "--a", "0", "--nu", "1", "--epsilon", "1e306"],
-    ["compare", "--set", "p=20", "--set", "n=40", "--set",
-     "target=functional-equation", "--set", "law_a=0", "--set", "law_nu=1",
-     "--set", "epsilon=1e306"],
-])
-def test_an_epsilon_whose_window_overflows_exits_one_naming_the_bound(
-        argv, tmp_path, capsys, monkeypatch):
-    _forbid_trials(monkeypatch)
-    out = tmp_path / "out"
-    assert cli_main([*argv, "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: epsilon must be <= "
-                                   "7.059524432365321e+304")
-    assert "got 1e+306\n" in captured.err
-    assert not out.exists()
+def test_predict_solves_a_law_at_tiny_gamma(tmp_path, capsys):
+    # the support quartic's near-double root at w = -c once divided by zero
+    # here, and the command exited 1; filterwarnings = error fails a warning
+    out = tmp_path / "law.csv"
+    assert cli_main(["predict", "--law", "fe", "--a", "1", "--nu", "1.01",
+                     "--gamma", "1e-16", "--out", str(out)]) == 0
+    law = load_limit_law(out)
+    assert law.support == pytest.approx((-2.0000001e7, 1.00000002e16),
+                                        rel=1e-15)
+    assert law.cdf_values[0] < 1e-9 and law.cdf_values[-1] > 1 - 1e-8
 
 
 def test_predict_writes_an_affine_law_at_a_subnormal_scale(tmp_path, capsys):

@@ -91,10 +91,9 @@ def test_config_validation():
         ExperimentConfig(n=10 ** 9, trials=1000)  # desk-scale cap
     with pytest.raises(ValueError, match="z_grid"):
         ExperimentConfig(z_grid=())
-    for epsilon in (0.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="positive and finite"):
-            ExperimentConfig(p=20, n=40, target="functional-equation",
-                             law_a=1.0, law_nu=1.0, epsilon=epsilon)
+    with pytest.raises(ValueError, match="unknown config key 'epsilon'"):
+        parse_config("target=functional-equation\nlaw_a=1\nlaw_nu=1\n"
+                     "epsilon=1e-3\n")
     for law_a, law_nu in ((-1.0, 1.0), (1.0, 0.5), (float("nan"), 1.0)):
         with pytest.raises(ValueError):
             ExperimentConfig(p=20, n=40, target="functional-equation",
@@ -115,13 +114,13 @@ def test_config_validation():
 
 
 # What each target needs besides the key under test, and the keys it reads:
-# target picks the law, only functional-equation solves one (from law_a,
-# law_nu and epsilon), and ensemble_b adds a second family under any target.
+# target picks the law, only functional-equation solves one (from law_a and
+# law_nu), ensemble_b adds a second family under any target, and no target
+# reads epsilon, which is no key.
 _TARGET_NEEDS = {"affine-mp": {}, "cross-ensemble": {"ensemble_b": "sphere"},
                  "functional-equation": {"law_a": 0.5, "law_nu": 1.0}}
 _TARGET_READS = {"affine-mp": {"ensemble_b"}, "cross-ensemble": {"ensemble_b"},
-                 "functional-equation": {"ensemble_b", "law_a", "law_nu",
-                                         "epsilon"}}
+                 "functional-equation": {"ensemble_b", "law_a", "law_nu"}}
 _KEY_VALUES = {"ensemble_b": "sphere", "law_a": 0.25, "law_nu": 1.5,
                "epsilon": 2e-3}
 
@@ -133,32 +132,32 @@ def test_config_rejects_a_key_its_target_ignores(target, key):
     # a key that would only be echoed into config.resolved is an error
     settings = {"p": 20, "n": 40, "target": target, **_TARGET_NEEDS[target],
                 key: _KEY_VALUES[key]}
+    text = "".join(f"{k}={v}\n" for k, v in settings.items())
     if key in _TARGET_READS[target]:
-        assert getattr(ExperimentConfig(**settings), key) == _KEY_VALUES[key]
+        assert getattr(parse_config(text), key) == _KEY_VALUES[key]
     else:
-        with pytest.raises(ValueError, match=f"{target} target does not "
-                                             f"read {key}"):
-            ExperimentConfig(**settings)
+        refusal = (f"{target} target does not read {key}"
+                   if key in CONFIG_SCHEMA else f"unknown config key '{key}'")
+        with pytest.raises(ValueError, match=refusal):
+            parse_config(text)
 
 
 @pytest.mark.parametrize("settings", [
     {},
     {"ensemble_b": "sphere"},
 ], ids=["functional-equation", "functional-equation-ensemble_b"])
-def test_a_solved_law_reads_epsilon_and_defaults_it(settings):
-    settings = {"p": 20, "n": 40, "target": "functional-equation",
-                "law_a": 1.0, "law_nu": 1.5, **settings}
-    config = ExperimentConfig(**settings)
-    assert config.epsilon == 1e-3 and "epsilon=0.001\n" in config_text(config)
-    result = run_universality(ExperimentConfig(**settings, epsilon=2e-3))
-    assert result.law.epsilon == 2e-3
+def test_a_solved_law_records_the_tables_epsilon(settings):
+    # the law is exact; only its table, law.csv, is smoothed, at eps = 1e-3
+    config = ExperimentConfig(p=20, n=40, target="functional-equation",
+                              law_a=1.0, law_nu=1.5, **settings)
+    assert "epsilon" not in config_text(config)
+    assert run_universality(config).law.to_record()["epsilon"] == 1e-3
 
 
 def test_config_built_from_numpy_scalars_reloads():
     cfg = ExperimentConfig(p=np.int64(20), n=np.int64(40), seed=np.int64(3),
                            target="functional-equation", envelope="sign-scaled",
-                           law_a=np.sqrt(2 / np.pi), law_nu=np.float64(1.0),
-                           epsilon=np.float64(1e-3))
+                           law_a=np.sqrt(2 / np.pi), law_nu=np.float64(1.0))
     text = config_text(cfg)
     assert "law_a=0.7978845608028654\n" in text and "np." not in text
     assert parse_config(text) == cfg

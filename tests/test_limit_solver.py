@@ -1,9 +1,11 @@
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import roots_legendre
 
 from kernelspectra import (AffineMPLaw, ExperimentConfig, SolverError,
                            limit_solver, load_limit_law, save_limit_law,
@@ -90,17 +92,16 @@ def test_nu_equal_a_squared_matches_affine_mp_next_to_the_axis(a, gamma):
 # ---------------------------------------------------------------------------
 
 def test_grid_mass_and_monotone_cdf():
-    law = solve_grid(np.sqrt(2 / np.pi), 1.0, 1.0, epsilon=1e-3)
+    law = solve_grid(np.sqrt(2 / np.pi), 1.0, 1.0)
     assert abs(law.cdf_values[-1] - 1.0) <= 1e-3
     assert np.all(np.diff(law.cdf_values) >= -1e-12)
     assert np.all(law.m_values.imag > 0)
     assert np.all(equation_residual(law.m_values, law.a, law.nu,
-                                    law.gamma, law.grid + 1j * law.epsilon)
-                  < 1e-10)
+                                    law.gamma, law.grid + 1e-3j) < 1e-10)
 
 
 def test_grid_reduces_to_affine_mp_at_nu_equals_a_squared():
-    law = solve_grid(1.0, 1.0, 1.0, epsilon=1e-3)
+    law = solve_grid(1.0, 1.0, 1.0)
     mp = AffineMPLaw(gamma=1.0, shift=-1.0, scale=1.0)
     smoothed = np.asarray(mp.stieltjes(law.grid + 1e-3j)).imag / np.pi
     assert np.max(np.abs(law.table()["density"] - smoothed)) < 1e-3
@@ -108,38 +109,39 @@ def test_grid_reduces_to_affine_mp_at_nu_equals_a_squared():
 
 def test_semicircle_density_is_even():
     # the default window is symmetric about the semicircle's centre
-    density = solve_grid(0.0, 1.0, 1.0, epsilon=1e-3).table()["density"]
+    density = solve_grid(0.0, 1.0, 1.0).table()["density"]
     assert np.max(np.abs(density - density[::-1])) < 1e-6
 
 
 def test_semicircle_median_at_zero():
-    law = solve_grid(0.0, 1.0, 1.0, epsilon=1e-3)
-    assert abs(law.cdf(0.0) - 0.5) < 1e-3
+    law = solve_grid(0.0, 1.0, 1.0)
+    assert abs(law.cdf(0.0) - 0.5) < 1e-15
 
 
 def test_law_cdf_clamps_outside_grid():
-    law = solve_grid(0.0, 1.0, 1.0, epsilon=1e-3)
+    law = solve_grid(0.0, 1.0, 1.0)
     assert law.cdf(law.grid[0] - 10.0) == 0.0
     assert law.cdf(law.grid[-1] + 10.0) == 1.0
 
 
 def test_epsilon_refinement_stability():
-    coarse = solve_grid(0.0, 1.0, 1.0, epsilon=1e-3)
-    fine = solve_grid(0.0, 1.0, 1.0, epsilon=5e-4)
-    # the windows widen with epsilon; compare where both grids reach
-    inside = (coarse.grid >= fine.grid[0]) & (coarse.grid <= fine.grid[-1])
-    fine_density = np.interp(coarse.grid[inside], fine.grid,
-                             fine.table()["density"])
-    assert np.max(np.abs(coarse.table()["density"][inside]
-                         - fine_density)) < 0.05
-    # smooth-region cdf values move by less than 1e-3
-    for x in (-1.5, -0.5, 0.0, 0.8, 1.7):
-        assert abs(coarse.cdf(x) - fine.cdf(x)) < 1e-3
+    # the table's law, smoothed at eps = 1e-3, and the law at eps / 2: the
+    # density moves by less than 0.05 and the CDF by less than 1e-3, towards
+    # the exact CDF
+    law = solve_grid(0.0, 1.0, 1.0)
+    fine = law.stieltjes(law.grid + 5e-4j)
+    assert np.max(np.abs(law.table()["density"] - fine.imag / np.pi)) < 0.05
+    x = np.array([-1.5, -0.5, 0.8, 1.7])
+    coarse, fine = (limit_solver._smoothed_cdf(0.0, 1.0, 1.0,
+                                               law.stieltjes(x + 1j * eps))
+                    for eps in (1e-3, 5e-4))
+    assert np.max(np.abs(coarse - fine)) < 1e-3
+    assert np.all(np.abs(fine - law.cdf(x)) < np.abs(coarse - law.cdf(x)))
 
 
 def test_atom_detection_matches_affine_mp():
     # linear-envelope parameters with gamma < 1: atom of mass 1 - gamma at -a
-    law = solve_grid(1.0, 1.0, 0.5, epsilon=1e-3)
+    law = solve_grid(1.0, 1.0, 0.5)
     assert len(law.atoms) == 1
     loc, mass = law.atoms[0]
     assert abs(loc - (-1.0)) < 0.01
@@ -151,8 +153,8 @@ def test_atom_detection_matches_affine_mp():
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
-        solve_grid(0.0, 1.0, 1.0, epsilon=0.0)
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        solve_grid(0.0, 1.0, 0.0)
 
 
 def test_solver_error_carries_location():
@@ -161,7 +163,7 @@ def test_solver_error_carries_location():
 
 
 def test_record_fields():
-    law = solve_grid(0.0, 1.0, 1.0, epsilon=1e-3)
+    law = solve_grid(0.0, 1.0, 1.0)
     rec = law.to_record()
     assert rec["type"] == "functional-equation"
     assert rec["gamma"] == 1.0 and rec["epsilon"] == 1e-3
@@ -251,14 +253,23 @@ def test_exact_atoms():
 @pytest.mark.parametrize("a, nu, gamma", [(1.0, 1.0, 0.5), (0.3, 0.09, 0.25)])
 @pytest.mark.parametrize("epsilon", [1e-20, 1e-30, 1e-300, 1e-307, _TINY])
 def test_atom_law_solves_at_tiny_epsilon(a, nu, gamma, epsilon):
-    # 4 eps / (pi 1e-3) rounds off next to the atom at -a; the window must
-    # still start below it, or the atom's whole mass falls into cdf[0].
-    # At _TINY, (grid + a) / eps overflows to +-inf, where arctan is +-pi/2;
-    # filterwarnings = error fails the test on any warning.
-    law = solve_grid(a, nu, gamma, epsilon=epsilon)
+    # cdf is the law smoothed at eps = 1e-300 inside the support's hull; at
+    # any tiny eps, the atom's mass included, the smoothed CDF is the same
+    # to rounding, and inside the hull at the smallest normal eps bit for
+    # bit (filterwarnings = error fails the test on any warning)
+    law = solve_grid(a, nu, gamma)
     assert law.atoms == ((-a, 1.0 - gamma),)
     assert law.grid[0] < -a
-    assert law.cdf(-a) >= 1.0 - gamma
+    assert law.cdf(-a) == 1.0 - gamma
+    lo, hi = law.support
+    x = np.linspace(-a - 1.0, hi + 1.0, 1001)
+    x = x[x != -a]
+    smoothed = limit_solver._smoothed_cdf(
+        a, nu, gamma, law.stieltjes(x + 1j * epsilon))
+    assert np.max(np.abs(smoothed - law.cdf(x))) <= 1e-15
+    if epsilon == _TINY:
+        inside = (lo < x) & (x < hi)
+        assert np.array_equal(smoothed[inside], law.cdf(x[inside]))
 
 
 @pytest.mark.parametrize("a, gamma", [(1.0, 0.5), (1.0, 1.0), (0.7, 2.0),
@@ -289,13 +300,138 @@ def test_support_bounds_the_density(a, nu, gamma):
 
 
 def test_near_atom_cdf_matches_affine_mp():
-    # nu a hair above a^2 smears the atom over a width far below epsilon
-    # and the grid step; the closed-form CDF still carries its mass.
-    law = solve_grid(1.0, 1.0 + 1e-10, 0.5, epsilon=1e-3)
+    # nu a hair above a^2 smears the atom over a width far below the
+    # table's eps and grid step; the closed-form CDF still carries its mass.
+    law = solve_grid(1.0, 1.0 + 1e-10, 0.5)
     assert law.atoms == ()
     mp = AffineMPLaw(gamma=0.5, shift=-1.0, scale=1.0)
     for x in (-1.5, -0.5, 0.5, 2.0, 4.0):
         assert abs(law.cdf(x) - float(mp.cdf(x))) < 1e-3
+
+
+def _components(a, nu, gamma):
+    """The support's intervals, from the real roots of the quartic
+    (w^2 - d)(w + c)^2 - a c w^2, whose critical values are the edges."""
+    c, d = a / gamma, (nu - a * a) / gamma
+    if d * c == 0:
+        return [limit_solver._support(a, nu, gamma)]
+    w = np.roots([1.0, 2.0 * c, c * c - d - a * c, -2.0 * c * d, -c * c * d])
+    w = w[np.abs(w.imag) < 1e-9].real
+    edges = np.sort(-w - a * c / (w + c) - d / w)
+    return list(zip(edges[::2], edges[1::2]))
+
+
+def _quadrature_cdf(law, points):
+    """x and the CDF there: the atoms plus Gauss-Legendre panels of the
+    density Im m(x + i0) / pi over each interval of the support, in
+    x = lo + (hi - lo)(1 - cos t)/2, which smooths its square-root edges."""
+    u, weight = roots_legendre(12)
+    xs, cdfs = [], []
+    below = sum(mass for _, mass in law.atoms)
+    parts = _components(law.a, law.nu, law.gamma)
+    for lo, hi in parts:
+        t = np.linspace(0.0, np.pi, points // len(parts) + 1)
+        mid, half = (t[1:] + t[:-1]) / 2, (t[1:] - t[:-1]) / 2
+        nodes = mid[:, None] + half[:, None] * u
+        x = lo + (hi - lo) * (1.0 - np.cos(nodes)) / 2
+        density = law.stieltjes(x + 1e-300j).imag / np.pi
+        panel = (density * (hi - lo) * np.sin(nodes) / 2 * weight).sum(1) * half
+        xs.append(lo + (hi - lo) * (1.0 - np.cos(t)) / 2)
+        cdfs.append(below + np.concatenate([[0.0], np.cumsum(panel)]))
+        below = cdfs[-1][-1]
+    return np.concatenate(xs), np.concatenate(cdfs)
+
+
+@pytest.mark.parametrize("a, nu, gamma", [
+    (float(np.sqrt(2.0 / np.pi)), 1.0, 0.5),
+    (float(np.sqrt(2.0 / np.pi)), 1.0, 1.0),
+    (float(np.sqrt(2.0 / np.pi)), 1.0, 2.0),
+    (0.0, 1.0, 1.0), (1.0, 1.0, 0.5), (1.0, 1.0, 1.0),
+    # a narrow bulk next to -1, apart from the main one
+    (1.0, 1.0 + 1.0 / 600, 0.5), (1.0, 1.0 + 1.0 / 1200, 0.5)])
+def test_cdf_is_the_integral_of_the_density(a, nu, gamma):
+    # the exact CDF against a quadrature of the density, at 10^4 points
+    law = solve_grid(a, nu, gamma)
+    x, reference = _quadrature_cdf(law, 10_000)
+    assert x.size >= 10_000
+    assert np.max(np.abs(law.cdf(x) - reference)) <= 1e-10
+
+
+@pytest.mark.parametrize("a, gamma", [(1.0, 0.5), (0.3, 0.1), (1.0, 2.0),
+                                      (0.7, 1.0), (2.0, 3.0)])
+def test_cdf_at_nu_equal_a_squared_is_the_affine_mp_cdf(a, gamma):
+    # criterion 03's reduction, on CDFs: atoms, edges and both sides of them
+    law = solve_grid(a, a * a, gamma)
+    mp = AffineMPLaw(gamma, shift=-a, scale=a)
+    marks = np.array([-a, *mp.support])
+    x = np.concatenate([np.linspace(*mp.window, 20001), marks,
+                        np.nextafter(marks, -np.inf),
+                        np.nextafter(marks, np.inf)])
+    assert np.max(np.abs(law.cdf(x) - mp.cdf(x))) <= 1e-12
+    assert np.max(np.abs(law.cdf_left(x) - mp.cdf_left(x))) <= 1e-12
+
+
+@pytest.mark.parametrize("a, nu, gamma", [(1.0, 1.0, 0.5), (0.3, 0.09, 0.25),
+                                          (0.0, 0.0, 2.0)])
+def test_cdf_is_right_continuous_at_the_atom(a, nu, gamma):
+    law = solve_grid(a, nu, gamma)
+    [(loc, mass)] = law.atoms
+    below, above = np.nextafter(loc, -np.inf), np.nextafter(loc, np.inf)
+    assert law.cdf(below) == 0.0 and law.cdf_left(loc) == 0.0
+    assert law.cdf(loc) == mass and law.cdf(above) == mass
+    assert law.cdf(np.array([below, loc, above])).tolist() == [0.0, mass, mass]
+
+
+def _mpmath_edges(a, c, d):
+    """Edges from the quartic's largest root and its root below -c, each
+    found in its bracket by mpmath at 80 digits."""
+    with mpmath.workdps(80):
+        a, c, d = mpmath.mpf(a), mpmath.mpf(c), mpmath.mpf(d)
+        def quartic(w):
+            return (w * w - d) * (w + c) ** 2 - a * c * w * w
+        far = 2 * mpmath.sqrt(a * c + d)  # past both roots, from 0 and -c
+        roots = [mpmath.findroot(quartic, bracket, solver="anderson",
+                                 verify=False)
+                 for bracket in ((mpmath.mpf(0), far), (-c - far, -c))]
+        return [float(-w - a * c / (w + c) - d / w) for w in roots]
+
+
+def test_support_edges_at_tiny_gamma_match_mpmath():
+    # at gamma ~ 1e-16 the quartic has a near-double root at -c: np.roots
+    # lost it, and the right edge divided by zero
+    rng = np.random.default_rng(40)
+    for _ in range(300):
+        a = rng.uniform(0.1, 2.0)
+        nu = a * a * (1.0 + 10.0 ** rng.uniform(-4.0, 0.0))
+        gamma = 10.0 ** rng.uniform(-16.0, -12.0)
+        edges = limit_solver._support(a, nu, gamma)
+        exact = _mpmath_edges(a, *limit_solver._cd(a, nu, gamma))
+        np.testing.assert_allclose(edges, exact, rtol=1e-15, atol=0.0)
+    law = solve_grid(1.0, 1.01, 1e-16)
+    assert law.cdf(law.window[0]) == 0.0 and law.cdf(law.window[1]) == 1.0
+
+
+def test_cdf_solves_the_lifted_point_only_where_no_root_is_clear(
+        monkeypatch):
+    # inside the support Im w stands clear of the rounding noise, so the
+    # root is picked at x + 1e-300 i alone; only in a gap of the support,
+    # where m is real, is the root at the lifted point needed
+    solved = []
+    roots = limit_solver._reciprocal_roots
+    monkeypatch.setattr(limit_solver, "_reciprocal_roots",
+                        lambda *args: solved.append(args[3].size)
+                        or roots(*args))
+    for a, nu, gamma, gaps in ((0.0, 1.0, 1.0, 0),
+                               (1.0, 1.0 + 1.0 / 600, 0.5, 1)):
+        law = solve_grid(a, nu, gamma)
+        x = np.linspace(*law.support, 10001)[1:-1]
+        parts = _components(a, nu, gamma)
+        assert len(parts) == gaps + 1
+        in_gap = sum(np.sum((end < x) & (x < start))
+                     for (_, end), (start, _) in zip(parts, parts[1:]))
+        solved.clear()
+        law.cdf(x)
+        assert solved == [9999, in_gap] and in_gap < 200
 
 
 def test_stieltjes_is_vectorized_and_matches_solve_point():
@@ -384,12 +520,13 @@ def test_stieltjes_at_the_atom_of_a_nu_equal_a_squared_law(a, gamma):
 
 
 def test_grid_next_to_the_axis_has_a_monotone_cdf():
-    # at epsilon = 1e-30 every grid point is next to the axis; a negative
-    # Im m flipped a log branch and the recovered mass read -1
-    law = solve_grid(_SIGN_SCALED_A, 1.0, 0.5, epsilon=1e-30)
-    assert np.all(np.diff(law.cdf_values) >= 0)
-    assert law.cdf_values[-1] == 1.0
-    assert np.all(law.table()["density"] >= 0)
+    # cdf solves every point next to the axis; a negative Im m flipped a
+    # log branch and the recovered mass read -1
+    law = solve_grid(_SIGN_SCALED_A, 1.0, 0.5)
+    x = np.linspace(*law.window, 20001)
+    cdf = law.cdf(x)
+    assert np.all(np.diff(cdf) >= 0) and cdf[0] == 0.0 and cdf[-1] == 1.0
+    assert np.all(law.stieltjes(x + 1e-300j).imag >= 0)
 
 
 def test_stieltjes_at_the_hard_edge_of_a_nu_equal_a_squared_law():
@@ -402,44 +539,6 @@ def test_stieltjes_at_the_hard_edge_of_a_nu_equal_a_squared_law():
     w = np.where((r - u).imag < 0, (r - u) / 2, (-r - u) / 2)
     m = limit_solver._stieltjes(a, a * a, 1.0, u - a)
     np.testing.assert_allclose(m, 1.0 / w, rtol=1e-14)
-
-
-def test_epsilon_must_be_a_normal_float():
-    # the root rescaling divides by a scale as small as epsilon
-    for epsilon in (1e-310, 5e-324, 0.0, np.inf, np.nan):
-        with pytest.raises(ValueError, match="normal float >= 2.22"):
-            solve_grid(0.0, 0.0, 1.0, epsilon=epsilon)
-    with pytest.raises(ValueError, match="normal float >= 2.22"):
-        ExperimentConfig(target="functional-equation", law_a=0.0,
-                         law_nu=0.0, epsilon=1e-310)
-    assert ExperimentConfig(target="functional-equation", law_a=0.0,
-                            law_nu=0.0, epsilon=_TINY).epsilon == _TINY
-    law = solve_grid(0.0, 0.0, 1.0, epsilon=_TINY)  # and without a warning
-    assert law.atoms == ((0.0, 1.0),) and law.cdf(0.0) == 1.0
-
-
-def test_epsilon_is_bounded_where_the_window_stays_finite():
-    # the window spans more than 8 epsilon / (pi * 1e-3); the largest
-    # epsilon whose width is finite solves without a warning
-    top = limit_solver._MAX_EPSILON
-    law = solve_grid(0.0, 1.0, 0.5, epsilon=top)
-    assert np.isfinite(law.grid[-1] - law.grid[0])
-    assert np.isfinite(law.cdf_values).all() and law.cdf_values[-1] > 0.999
-    assert ExperimentConfig(target="functional-equation", law_a=0.0,
-                            law_nu=1.0, epsilon=top).epsilon == top
-    for epsilon in (np.nextafter(top, np.inf), 1e306, np.finfo(float).max):
-        with pytest.raises(ValueError,
-                           match=re.escape(f"epsilon must be <= {top},")):
-            solve_grid(0.0, 1.0, 0.5, epsilon=epsilon)
-    # where c or d is large, the cubic's roots at the window's ends
-    # overflow first: refused, where solving it warned and raised
-    # SolverError
-    for a, nu, gamma, epsilon in ((1.0, 1.0, 0.5, top),
-                                  (1e70, 1e140, 0.5, 1e250)):
-        with pytest.raises(ValueError, match=re.escape(
-                f"overflows the roots at a={a}, nu={nu}")):
-            solve_grid(a, nu, gamma, epsilon=epsilon)
-    assert solve_grid(1e70, 1e140, 0.5, epsilon=1e200).atoms
 
 
 @pytest.mark.parametrize("a, nu, gamma", [(0.5, 1.0, 1e-300),   # c^2 = inf
@@ -472,17 +571,21 @@ def test_a_grid_that_misses_the_mass_is_refused(monkeypatch):
 
 
 def test_a_law_loads_back_from_its_record_alone(tmp_path):
-    # the rows are solved again from a, nu, gamma and epsilon, so a sidecar
-    # without one of them cannot be loaded
+    # the rows are solved again from a, nu and gamma at the fixed epsilon,
+    # so a sidecar without one of them, or at another epsilon, cannot be
+    # loaded
     path = tmp_path / "law.csv"
-    law = solve_grid(1.0, 1.0, 0.5, epsilon=2e-3)
+    law = solve_grid(1.0, 1.0, 0.5)
     save_limit_law(path, law)
     loaded = load_limit_law(path)
-    assert loaded.grid.size == 2000 and loaded.epsilon == 2e-3
+    assert loaded.grid.size == 2000 and loaded.to_record() == law.to_record()
     np.testing.assert_array_equal(loaded.cdf_values, law.cdf_values)
     sidecar = tmp_path / "law.csv.meta"
-    sidecar.write_text("".join(line for line in sidecar.read_text()
-                               .splitlines(keepends=True)
-                               if not line.startswith("epsilon=")))
+    record = sidecar.read_text()
+    sidecar.write_text(record.replace("epsilon=0.001\n", "epsilon=0.002\n"))
+    with pytest.raises(ValueError, match=re.escape(
+            "records epsilon=0.002, but tables are solved at epsilon=0.001")):
+        load_limit_law(path)
+    sidecar.write_text(record.replace("epsilon=0.001\n", ""))
     with pytest.raises(ValueError, match="lacks the law's parameters"):
         load_limit_law(path)

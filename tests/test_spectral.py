@@ -149,7 +149,7 @@ def test_ks_vs_law_matches_dense_grid_oracle():
     lambda: AffineMPLaw(gamma=0.5, shift=-2.0, scale=1.0),
     lambda: AffineMPLaw(gamma=0.5, shift=1.0, scale=-2.0),
     lambda: AffineMPLaw(gamma=0.5, shift=0.3, scale=0.0),
-    lambda: solve_grid(1.0, 1.0, 0.5, epsilon=1e-3),
+    lambda: solve_grid(1.0, 1.0, 0.5),
     lambda: ESD(points=np.array([0.0, 1.0, 1.0, 3.0])),
 ], ids=["affine-mp", "affine-mp-reversed", "degenerate", "limit-law", "esd"])
 def test_cdf_left_drops_exactly_the_atom(make):
